@@ -9,13 +9,16 @@
 //! panicking wrappers are gone.
 
 use crate::cache::{self, CacheOutcome, ContextArtifacts};
-use mg_core::candidate::SelectionConfig;
-use mg_core::pipeline::try_prepare;
+use mg_core::candidate::{enumerate, Candidate, SelectionConfig};
+use mg_core::pipeline::try_prepare_from;
 use mg_core::select::{Selector, SlackProfileModel, SpKind};
+use mg_obs::tele_counter;
 use mg_sim::{simulate, DynMgConfig, MachineConfig, MgConfig, SimOptions, SimResult};
 use mg_workloads::{BenchmarkSpec, Executor, InputSet, Trace, Workload};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the JSON results schema written by [`save_json`]. Bump on
 /// any change to row shapes or envelope fields.
@@ -328,12 +331,20 @@ impl BenchContextBuilder {
             slack,
             sel_cfg: self.sel_cfg,
             cache_outcome,
+            memo: Mutex::default(),
         })
     }
 }
 
 /// One benchmark, fully prepared: workload, trace, frequency profile, and
 /// slack profile, ready to run any scheme on any machine.
+///
+/// Cells share selection work through a per-context memo: the candidate
+/// pool is enumerated once per [`SelectionConfig`], and each distinct
+/// selection is rewritten and re-executed once, then reused by every
+/// scheme making it (the dynamic-disabling schemes run Struct-All's)
+/// on every machine. The memo is derived from `workload`, `freqs` and
+/// `slack`; replacing those after running a cell leaves it stale.
 pub struct BenchContext {
     /// The benchmark spec.
     pub spec: BenchmarkSpec,
@@ -347,6 +358,97 @@ pub struct BenchContext {
     pub slack: mg_sim::SlackProfile,
     sel_cfg: SelectionConfig,
     cache_outcome: CacheOutcome,
+    memo: Mutex<SelectionMemo>,
+}
+
+/// Which selection a scheme makes; schemes with equal keys select
+/// identically. Not [`Selector::name`]: the miss-aware model is also
+/// named `Slack-Profile`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum SelectionKey {
+    StructAll,
+    StructNone,
+    StructBounded,
+    SlackProfile,
+    SlackProfileDelay,
+    SlackProfileSial,
+    SlackProfileMem,
+}
+
+impl SelectionKey {
+    /// The scheme → selection mapping (`None`: no mini-graphs).
+    fn of(scheme: Scheme) -> Option<SelectionKey> {
+        match scheme {
+            Scheme::NoMg => None,
+            Scheme::StructAll
+            | Scheme::SlackDynamic
+            | Scheme::IdealSlackDynamic
+            | Scheme::IdealSlackDynamicDelay
+            | Scheme::IdealSlackDynamicSial => Some(SelectionKey::StructAll),
+            Scheme::StructNone => Some(SelectionKey::StructNone),
+            Scheme::StructBounded => Some(SelectionKey::StructBounded),
+            Scheme::SlackProfile => Some(SelectionKey::SlackProfile),
+            Scheme::SlackProfileDelay => Some(SelectionKey::SlackProfileDelay),
+            Scheme::SlackProfileSial => Some(SelectionKey::SlackProfileSial),
+            Scheme::SlackProfileMem => Some(SelectionKey::SlackProfileMem),
+        }
+    }
+
+    /// The selector making this selection. Built only on a memo miss,
+    /// since the Slack-Profile selectors own a copy of the profile.
+    fn selector(self, slack: &mg_sim::SlackProfile) -> Selector {
+        let sp = |kind| {
+            Selector::SlackProfile(
+                SlackProfileModel {
+                    kind,
+                    ..SlackProfileModel::default()
+                },
+                slack.clone(),
+            )
+        };
+        match self {
+            SelectionKey::StructAll => Selector::StructAll,
+            SelectionKey::StructNone => Selector::StructNone,
+            SelectionKey::StructBounded => Selector::StructBounded,
+            SelectionKey::SlackProfile => sp(SpKind::Full),
+            SelectionKey::SlackProfileDelay => sp(SpKind::DelayOnly),
+            SelectionKey::SlackProfileSial => sp(SpKind::Sial),
+            SelectionKey::SlackProfileMem => {
+                Selector::SlackProfile(SlackProfileModel::miss_aware(), slack.clone())
+            }
+        }
+    }
+}
+
+/// A selection applied: the rewritten program, its re-derived committed
+/// trace (the rewrite reorders blocks) and the selection-time coverage
+/// estimate.
+struct Selection {
+    program: mg_isa::Program,
+    trace: Trace,
+    est_coverage: f64,
+}
+
+/// Selection work shared by one context's cells. Errors are never
+/// memoized: a failing selection is retried, and reported, per cell.
+#[derive(Default)]
+struct SelectionMemo {
+    pools: HashMap<SelectionConfig, Arc<Vec<Candidate>>>,
+    selections: HashMap<(SelectionKey, SelectionConfig), Arc<Selection>>,
+}
+
+/// One cell's simulation inputs: its selection (`None` runs the
+/// context's own program and trace), the machine and the options.
+struct CellSim {
+    selection: Option<Arc<Selection>>,
+    machine: MachineConfig,
+    opts: SimOptions,
+}
+
+impl CellSim {
+    fn est_coverage(&self) -> f64 {
+        self.selection.as_ref().map_or(0.0, |s| s.est_coverage)
+    }
 }
 
 impl BenchContext {
@@ -389,33 +491,111 @@ impl BenchContext {
         self.sel_cfg = cfg;
     }
 
-    fn selector_for(&self, scheme: Scheme) -> Option<Selector> {
-        let sp = |kind| {
-            Selector::SlackProfile(
-                SlackProfileModel {
-                    kind,
-                    ..SlackProfileModel::default()
-                },
-                self.slack.clone(),
-            )
-        };
-        match scheme {
-            Scheme::NoMg => None,
-            Scheme::StructAll
-            | Scheme::SlackDynamic
-            | Scheme::IdealSlackDynamic
-            | Scheme::IdealSlackDynamicDelay
-            | Scheme::IdealSlackDynamicSial => Some(Selector::StructAll),
-            Scheme::StructNone => Some(Selector::StructNone),
-            Scheme::StructBounded => Some(Selector::StructBounded),
-            Scheme::SlackProfile => Some(sp(SpKind::Full)),
-            Scheme::SlackProfileDelay => Some(sp(SpKind::DelayOnly)),
-            Scheme::SlackProfileSial => Some(sp(SpKind::Sial)),
-            Scheme::SlackProfileMem => Some(Selector::SlackProfile(
-                SlackProfileModel::miss_aware(),
-                self.slack.clone(),
-            )),
+    /// Locks the memo. Only lookups and inserts run under the lock, so
+    /// a panicking cell cannot leave it half-updated; a poisoned lock is
+    /// still consistent.
+    fn memo(&self) -> MutexGuard<'_, SelectionMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The starting candidate pool for `cfg`, enumerated on first use.
+    fn pool(&self, cfg: &SelectionConfig) -> Arc<Vec<Candidate>> {
+        let hit = self.memo().pools.get(cfg).cloned();
+        hit.unwrap_or_else(|| {
+            let pool = Arc::new(enumerate(&self.workload.program, cfg));
+            tele_counter!("mg_select_pools_total").inc();
+            Arc::clone(self.memo().pools.entry(*cfg).or_insert(pool))
+        })
+    }
+
+    /// The selection `key` makes under `cfg`: selected, rewritten and
+    /// re-executed on first use, shared afterwards.
+    fn selection(
+        &self,
+        scheme: Scheme,
+        key: SelectionKey,
+        cfg: &SelectionConfig,
+    ) -> Result<Arc<Selection>, BenchError> {
+        let hit = self.memo().selections.get(&(key, *cfg)).cloned();
+        if let Some(hit) = hit {
+            tele_counter!("mg_select_shared_total").inc();
+            return Ok(hit);
         }
+        let prepared = {
+            let _span = mg_obs::span("stage", format!("{}/select", self.spec.name));
+            let pool = self.pool(cfg);
+            let selector = key.selector(&self.slack);
+            try_prepare_from(&self.workload.program, &pool, &self.freqs, &selector, cfg).map_err(
+                |e| BenchError::Rewrite {
+                    bench: self.spec.name.clone(),
+                    scheme,
+                    detail: e.to_string(),
+                },
+            )?
+        };
+        let (trace, _) = {
+            let _span = mg_obs::span("stage", format!("{}/reexec", self.spec.name));
+            Executor::new(&prepared.program)
+                .run_with_mem(&self.workload.init_mem)
+                .map_err(|e| BenchError::Exec {
+                    bench: self.spec.name.clone(),
+                    stage: "rewritten-program execution".to_string(),
+                    detail: e.to_string(),
+                })?
+        };
+        tele_counter!("mg_select_prepared_total").inc();
+        let selection = Arc::new(Selection {
+            program: prepared.program,
+            trace,
+            est_coverage: prepared.est_coverage,
+        });
+        Ok(Arc::clone(
+            self.memo()
+                .selections
+                .entry((key, *cfg))
+                .or_insert(selection),
+        ))
+    }
+
+    /// Resolves one (scheme, machine) cell's simulation inputs.
+    fn cell_sim(
+        &self,
+        scheme: Scheme,
+        machine: &MachineConfig,
+        mg: Option<MgConfig>,
+        sel: Option<&SelectionConfig>,
+    ) -> Result<CellSim, BenchError> {
+        let Some(key) = SelectionKey::of(scheme) else {
+            return Ok(CellSim {
+                selection: None,
+                machine: machine.clone(),
+                opts: SimOptions::default(),
+            });
+        };
+        let selection = self.selection(scheme, key, sel.unwrap_or(&self.sel_cfg))?;
+        Ok(CellSim {
+            selection: Some(selection),
+            machine: machine.clone().with_mg(mg.unwrap_or_else(MgConfig::paper)),
+            opts: SimOptions {
+                dyn_mg: scheme.dyn_config(),
+                ..SimOptions::default()
+            },
+        })
+    }
+
+    /// The program and committed trace a cell simulates.
+    fn cell_inputs<'a>(&'a self, cell: &'a CellSim) -> (&'a mg_isa::Program, &'a Trace) {
+        match &cell.selection {
+            Some(s) => (&s.program, &s.trace),
+            None => (&self.workload.program, &self.trace),
+        }
+    }
+
+    /// Runs a cell's timing simulation with `opts`.
+    fn simulate_cell(&self, cell: &CellSim, opts: SimOptions) -> SimResult {
+        let _span = mg_obs::span("stage", format!("{}/simulate", self.spec.name));
+        let (program, trace) = self.cell_inputs(cell);
+        simulate(program, trace, &cell.machine, opts)
     }
 
     /// Runs one scheme on one machine configuration.
@@ -454,17 +634,18 @@ impl BenchContext {
         mg: Option<MgConfig>,
         sel: Option<&SelectionConfig>,
     ) -> Result<(SimResult, f64), BenchError> {
-        let p = self.prepare_sim(scheme, machine, mg, sel)?;
-        let est = p.est_coverage;
-        Ok((p.simulate(), est))
+        let cell = self.cell_sim(scheme, machine, mg, sel)?;
+        Ok((self.simulate_cell(&cell, cell.opts), cell.est_coverage()))
     }
 
-    /// Builds everything a timing simulation of one (scheme, machine)
-    /// cell needs — the (possibly rewritten) program, its committed
-    /// trace, the machine, and the simulator options — without running
-    /// it. This is the seam the engine-throughput harness (`perf`) uses
-    /// to time [`simulate`] in isolation, excluding selection and
-    /// functional re-execution.
+    /// Builds an owned copy of everything a timing simulation of one
+    /// (scheme, machine) cell needs — the (possibly rewritten) program,
+    /// its committed trace, the machine, and the simulator options —
+    /// without running it. Selection, rewriting and re-execution go
+    /// through the context's memo like any cell's, so repeated calls
+    /// copy the shared selection instead of redoing it. This is the seam
+    /// the engine-throughput harness (`perf`) uses to time [`simulate`]
+    /// in isolation.
     pub fn prepare_sim(
         &self,
         scheme: Scheme,
@@ -472,49 +653,15 @@ impl BenchContext {
         mg: Option<MgConfig>,
         sel: Option<&SelectionConfig>,
     ) -> Result<PreparedSim, BenchError> {
-        match self.selector_for(scheme) {
-            None => Ok(PreparedSim {
-                program: self.workload.program.clone(),
-                trace: self.trace.clone(),
-                machine: machine.clone(),
-                opts: SimOptions::default(),
-                est_coverage: 0.0,
-            }),
-            Some(selector) => {
-                let prepared = try_prepare(
-                    &self.workload.program,
-                    &self.freqs,
-                    &selector,
-                    sel.unwrap_or(&self.sel_cfg),
-                )
-                .map_err(|e| BenchError::Rewrite {
-                    bench: self.spec.name.clone(),
-                    scheme,
-                    detail: e.to_string(),
-                })?;
-                // The tagged program reorders blocks; its committed path
-                // must be re-derived functionally.
-                let (trace, _) = Executor::new(&prepared.program)
-                    .run_with_mem(&self.workload.init_mem)
-                    .map_err(|e| BenchError::Exec {
-                        bench: self.spec.name.clone(),
-                        stage: "rewritten-program execution".to_string(),
-                        detail: e.to_string(),
-                    })?;
-                let mg_machine = machine.clone().with_mg(mg.unwrap_or_else(MgConfig::paper));
-                let opts = SimOptions {
-                    dyn_mg: scheme.dyn_config(),
-                    ..SimOptions::default()
-                };
-                Ok(PreparedSim {
-                    program: prepared.program,
-                    trace,
-                    machine: mg_machine,
-                    opts,
-                    est_coverage: prepared.est_coverage,
-                })
-            }
-        }
+        let cell = self.cell_sim(scheme, machine, mg, sel)?;
+        let (program, trace) = self.cell_inputs(&cell);
+        Ok(PreparedSim {
+            program: program.clone(),
+            trace: trace.clone(),
+            est_coverage: cell.est_coverage(),
+            machine: cell.machine,
+            opts: cell.opts,
+        })
     }
 
     /// Runs one scheme on one machine with the pipeline observer
@@ -545,14 +692,17 @@ impl BenchContext {
         sel: Option<&SelectionConfig>,
         obs: mg_obs::ObsConfig,
     ) -> Result<(SchemeRun, mg_obs::ObsReport), BenchError> {
-        let mut p = self.prepare_sim(scheme, machine, mg, sel)?;
-        p.opts.obs = Some(obs);
-        let mut r = p.simulate();
+        let cell = self.cell_sim(scheme, machine, mg, sel)?;
+        let opts = SimOptions {
+            obs: Some(obs),
+            ..cell.opts
+        };
+        let mut r = self.simulate_cell(&cell, opts);
         let report = r
             .obs
             .take()
             .expect("simulate returns a report when an observer is configured");
-        let run = SchemeRun::try_from_sim(&self.spec.name, scheme, r, p.est_coverage)?;
+        let run = SchemeRun::try_from_sim(&self.spec.name, scheme, r, cell.est_coverage())?;
         Ok((run, report))
     }
 }

@@ -48,3 +48,10 @@ pub use supervisor::{
     clear_shutdown, request_shutdown, run_cli, shutdown_requested, supervise_cell,
     supervise_cell_until,
 };
+
+// Watchdog cells run on a helper thread against a shared
+// `Arc<BenchContext>`; keep the context, memo included, thread-safe.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<BenchContext>();
+};

@@ -14,7 +14,7 @@ use mg_isa::{BasicBlock, BlockId, Program, Reg};
 use serde::{Deserialize, Serialize};
 
 /// Knobs bounding candidate enumeration and selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SelectionConfig {
     /// Maximum constituents per mini-graph (the paper: 4, matching the
     /// ALU pipeline depth).

@@ -60,7 +60,9 @@ pub mod template;
 pub use candidate::{enumerate, Candidate, CandidateShape, SelectionConfig, MAX_CANDIDATE_LEN};
 pub use check::{assert_semantics_preserved, check_semantics_preserved, SemanticsViolation};
 pub use classify::{classify, Serialization};
-pub use pipeline::{prepare, profile_workload, try_prepare, try_profile_workload, Prepared};
+pub use pipeline::{
+    prepare, profile_workload, try_prepare, try_prepare_from, try_profile_workload, Prepared,
+};
 pub use rewrite::{rewrite, try_rewrite, ChosenInstance, RewriteError};
 pub use select::{greedy_select, SelectionResult, Selector, SlackProfileModel, SpKind};
 pub use template::{group_templates, Template, TemplateSig};

@@ -1,7 +1,7 @@
 //! End-to-end mini-graph preparation: profile → enumerate → filter →
 //! select → rewrite.
 
-use crate::candidate::{enumerate, SelectionConfig};
+use crate::candidate::{enumerate, Candidate, SelectionConfig};
 use crate::rewrite::{try_rewrite, RewriteError};
 use crate::select::{greedy_select, Selector};
 use mg_isa::Program;
@@ -66,9 +66,27 @@ pub fn try_prepare(
     selector: &Selector,
     cfg: &SelectionConfig,
 ) -> Result<Prepared, RewriteError> {
-    let pool = enumerate(program, cfg);
-    let pool = selector.filter(program, pool);
-    let result = greedy_select(program, &pool, freqs, cfg);
+    try_prepare_from(program, &enumerate(program, cfg), freqs, selector, cfg)
+}
+
+/// [`try_prepare`] over an already enumerated starting pool (as
+/// returned by [`enumerate`] for the same `program` and `cfg`). Every
+/// selector is a policy over the same pool, so callers running several
+/// selectors on one program enumerate once and pass the pool to each;
+/// only the candidates `selector` admits are cloned.
+pub fn try_prepare_from(
+    program: &Program,
+    pool: &[Candidate],
+    freqs: &[u64],
+    selector: &Selector,
+    cfg: &SelectionConfig,
+) -> Result<Prepared, RewriteError> {
+    let admitted: Vec<Candidate> = pool
+        .iter()
+        .filter(|c| selector.admits(program, c))
+        .cloned()
+        .collect();
+    let result = greedy_select(program, &admitted, freqs, cfg);
     let instances = result.chosen.len();
     let templates = result.templates;
     let est_coverage = result.est_coverage;
@@ -101,6 +119,7 @@ pub fn prepare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::{SlackProfileModel, SpKind};
     use mg_workloads::benchmark;
 
     #[test]
@@ -134,5 +153,54 @@ mod tests {
         // The link register holds a layout-dependent return token; all
         // data registers must match exactly.
         assert_eq!(s0.regs[..31], s1.regs[..31]);
+    }
+
+    #[test]
+    fn prepare_from_a_shared_pool_matches_prepare() {
+        let spec = benchmark("mib_crc32").unwrap();
+        let w = spec.generate();
+        let (_, freqs, slack) = profile_workload(&w, &MachineConfig::reduced());
+        let sel_cfg = SelectionConfig::default();
+        let pool = enumerate(&w.program, &sel_cfg);
+        let sp = |kind| {
+            Selector::SlackProfile(
+                SlackProfileModel {
+                    kind,
+                    ..Default::default()
+                },
+                slack.clone(),
+            )
+        };
+        let selectors = [
+            Selector::StructAll,
+            Selector::StructNone,
+            Selector::StructBounded,
+            sp(SpKind::Full),
+            sp(SpKind::DelayOnly),
+            sp(SpKind::Sial),
+            Selector::SlackProfile(SlackProfileModel::miss_aware(), slack.clone()),
+        ];
+        // One pool serves every selector, each compared with `try_prepare`
+        // and with the stage-by-stage public calls it replaces.
+        for selector in &selectors {
+            let direct = try_prepare(&w.program, &freqs, selector, &sel_cfg).unwrap();
+            let shared = try_prepare_from(&w.program, &pool, &freqs, selector, &sel_cfg).unwrap();
+            let admitted = selector.filter(&w.program, enumerate(&w.program, &sel_cfg));
+            let staged = greedy_select(&w.program, &admitted, &freqs, &sel_cfg);
+            let staged_program = try_rewrite(&w.program, &staged.chosen).unwrap();
+            let name = selector.name();
+            // `Program` has no `PartialEq`; its `Debug` form is complete.
+            let shared_program = format!("{:?}", shared.program);
+            assert_eq!(shared_program, format!("{:?}", direct.program), "{name}");
+            assert_eq!(shared_program, format!("{staged_program:?}"), "{name}");
+            assert_eq!(shared.instances, staged.chosen.len(), "{name}");
+            assert_eq!(shared.instances, direct.instances, "{name}");
+            assert_eq!(shared.templates, direct.templates, "{name}");
+            assert_eq!(
+                shared.est_coverage.to_bits(),
+                direct.est_coverage.to_bits(),
+                "{name}"
+            );
+        }
     }
 }

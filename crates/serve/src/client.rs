@@ -63,6 +63,8 @@ impl Client {
     /// Connects and consumes the `Hello` line.
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        // Requests are small line writes; send each one immediately.
+        let _ = stream.set_nodelay(true);
         let read_half = stream
             .try_clone()
             .map_err(|e| format!("clone stream: {e}"))?;

@@ -128,6 +128,9 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     connections += 1;
+                    // Replies are small line writes; without this, Nagle
+                    // holds each one back waiting on the peer's ACK.
+                    let _ = stream.set_nodelay(true);
                     mg_obs::tele_counter!(metrics::CONNECTIONS).inc();
                     let client = client_ids.fetch_add(1, Ordering::Relaxed);
                     let store = Arc::clone(&self.store);
