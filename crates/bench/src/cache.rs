@@ -1,44 +1,48 @@
 //! Content-keyed cache for expensive per-benchmark artifacts.
 //!
 //! Building a [`crate::BenchContext`] is the hot path of every sweep: it
-//! generates the train and run workloads, executes both functionally, and
-//! runs a full slack-profiling timing simulation. The artifacts depend
-//! only on (benchmark, generation parameters, train input, run input,
-//! train machine config), so they are cached behind a stable content key:
+//! generates the train workload, executes it functionally, and runs a
+//! full slack-profiling timing simulation of it on the train machine,
+//! then generates and executes the run workload (when the train and run
+//! inputs are equal, the training workload and trace serve as the run
+//! side instead). The artifacts depend only on (benchmark, generation
+//! parameters, train input, run input, train machine config), so they
+//! are cached behind a stable content key:
 //!
 //! * **in memory** (process-wide, shared by all sweep workers), holding
 //!   the complete [`ContextArtifacts`];
 //! * **on disk** under `results/cache/`, holding the *timing-derived*
-//!   half (execution frequencies and the slack profile). The run-input
-//!   workload and committed trace are deterministic and cheap to
-//!   regenerate functionally, and serializing 100k-instruction traces
-//!   would bloat the cache two orders of magnitude for little gain, so a
-//!   disk hit replays only the functional run, skipping the profiling
-//!   simulation that dominates context construction.
+//!   half. A v3 entry holds the training run's execution frequencies,
+//!   its slack profile, and its outcome as a [`TrainingRun`] (the
+//!   profiling simulation's statistics and cycle-cap flag, which serve
+//!   the training machine's no-mini-graph cell). The run-input workload
+//!   and committed trace are deterministic and cheap to regenerate
+//!   functionally, and serializing 100k-instruction traces would bloat
+//!   the cache two orders of magnitude for little gain, so a disk hit
+//!   replays only the functional run, skipping the profiling simulation
+//!   that dominates context construction.
 //!
 //! Disk entries are versioned ([`CACHE_SCHEMA`]) and integrity-checked:
 //! each `ctx-*.mgb` file is a [`crate::binfmt`] binary record (magic +
-//! schema header, FNV-1a trailer), verified end-to-end on load. Entries
-//! written by the previous, JSON-era generation (`ctx-*.json`, a
-//! checksummed [`DiskRecord`] envelope) are still read transparently
-//! for one schema generation and rewritten in the binary format on
-//! their first hit. A mismatched schema or kind is stale and silently
-//! treated as a miss; a corrupt or truncated entry (checksum/decode
-//! failure) is *quarantined* to `results/cache/quarantine/` with an
-//! `MG_LOG` warning so it never surfaces as a deserialize error and the
-//! evidence survives for inspection. Cache I/O is best-effort — a
-//! read-only or missing `results/` directory degrades to the in-memory
-//! layer — but no longer *silently* so: failed writes are logged via
-//! `mg_error!` and counted (`mg_cache_write_errors_total`), because a
-//! swallowed serialization or I/O failure otherwise looks identical to
-//! a cache miss forever.
+//! schema header, FNV-1a trailer), verified end-to-end on load. An entry
+//! of another schema generation (a v2 `ctx-*.mgb`, or a JSON-era
+//! `ctx-*.json`, which is never read) or of another kind is stale and
+//! silently treated as a miss; a corrupt or truncated entry
+//! (checksum/decode failure) is *quarantined* to
+//! `results/cache/quarantine/` with an `MG_LOG` warning so it never
+//! surfaces as a deserialize error and the evidence survives for
+//! inspection. Cache I/O is best-effort — a read-only or missing
+//! `results/` directory degrades to the in-memory layer — but no longer
+//! *silently* so: failed writes are logged via `mg_error!` and counted
+//! (`mg_cache_write_errors_total`), because a swallowed serialization
+//! or I/O failure otherwise looks identical to a cache miss forever.
 
 use crate::binfmt::{self, RecordKind};
 use crate::fault;
 use crate::harness::BenchError;
-use mg_core::pipeline::try_profile_workload;
-use mg_obs::{mg_error, mg_info};
-use mg_sim::{MachineConfig, SlackProfile};
+use mg_core::pipeline::try_profile;
+use mg_obs::mg_error;
+use mg_sim::{MachineConfig, SimStats, SlackProfile};
 use mg_workloads::{BenchmarkSpec, Executor, InputSet, Trace, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -49,11 +53,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Version tag for on-disk cache entries. Bump when the cached payload or
 /// its semantics change; stale entries are then ignored.
 ///
-/// v2: entries are wrapped in a checksummed envelope. The payload shape
-/// is unchanged across the JSON-era [`DiskRecord`] envelope and the
-/// current [`crate::binfmt`] container, so v2 JSON entries remain
-/// readable (for one generation) alongside v2 binary entries.
-pub const CACHE_SCHEMA: u32 = 2;
+/// v2: entries are wrapped in a checksummed envelope.
+/// v3: entries also carry the training run's outcome ([`TrainingRun`]);
+/// v2 entries (binary or JSON-era) are stale misses.
+pub const CACHE_SCHEMA: u32 = 3;
 
 /// Directory holding on-disk context cache entries, relative to the
 /// working directory (the workspace root for `cargo run`).
@@ -72,9 +75,21 @@ const QUARANTINE_KEEP: usize = 32;
 /// trees from accumulating stale keys without bound.
 pub const DEFAULT_CACHE_MAX_MB: u64 = 256;
 
+/// The outcome of a context's slack-profiling simulation: the train
+/// workload simulated, unmodified, on the train machine. Profiling
+/// perturbs no timing, so when the train and run inputs are equal this
+/// is the result of the training machine's no-mini-graph cell.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct TrainingRun {
+    /// Statistics of the profiling simulation.
+    pub stats: SimStats,
+    /// Whether the profiling simulation hit its cycle cap.
+    pub hit_cycle_cap: bool,
+}
+
 /// Everything expensive a [`crate::BenchContext`] needs: the run-input
 /// workload, its committed trace, and the train-input execution
-/// frequencies and slack profile.
+/// frequencies, slack profile and training-run outcome.
 #[derive(Clone, Debug)]
 pub struct ContextArtifacts {
     /// Workload generated on the run input.
@@ -85,6 +100,8 @@ pub struct ContextArtifacts {
     pub freqs: Vec<u64>,
     /// Local slack profile trained on the train config.
     pub slack: SlackProfile,
+    /// Outcome of the training run's simulation.
+    pub training: TrainingRun,
 }
 
 /// How a single context request was served, for per-benchmark reporting
@@ -211,14 +228,27 @@ struct DiskEntry {
     bench: String,
     freqs: Vec<u64>,
     slack: SlackProfile,
+    training: TrainingRun,
 }
 
-/// The checksummed envelope a *legacy* (JSON-era) cache file holds.
-/// `payload` is the [`DiskEntry`] JSON *as a string*, so the checksum is
-/// over exact bytes and never depends on re-serialization being
-/// canonical. Kept for one schema generation so existing caches and
-/// journals migrate transparently; new records are [`crate::binfmt`]
-/// containers.
+/// What a disk hit restores: the timing-derived half of
+/// [`ContextArtifacts`].
+#[doc(hidden)]
+#[derive(Clone, Debug)]
+pub struct DiskHit {
+    /// Per-static execution frequencies from the training run.
+    pub freqs: Vec<u64>,
+    /// Local slack profile trained on the train config.
+    pub slack: SlackProfile,
+    /// Outcome of the training run's simulation.
+    pub training: TrainingRun,
+}
+
+/// The checksummed envelope a JSON-era record holds. `payload` is the
+/// record's JSON *as a string*, so the checksum is over exact bytes and
+/// never depends on re-serialization being canonical. The cache no
+/// longer reads it; the sweep journal still replays JSON-era rows, and
+/// the format benchmark renders records in it for comparison.
 #[derive(Serialize, Deserialize)]
 struct DiskRecord {
     /// FNV-1a of `payload`'s UTF-8 bytes, in zero-padded hex.
@@ -226,10 +256,10 @@ struct DiskRecord {
     payload: String,
 }
 
-/// Wraps serialized payload bytes in the legacy checksummed JSON
-/// envelope. Exposed (hidden) so the mixed-directory tests and the
-/// format benchmark can fabricate JSON-era records; production code
-/// only ever *reads* this envelope now.
+/// Wraps serialized payload bytes in the JSON-era checksummed
+/// envelope. Exposed (hidden) so the journal tests and the format
+/// benchmark can fabricate JSON-era records; production code only ever
+/// *reads* this envelope now.
 #[doc(hidden)]
 pub fn seal_record(payload: String) -> Option<Vec<u8>> {
     let record = DiskRecord {
@@ -251,10 +281,6 @@ pub fn open_record(bytes: &[u8]) -> Option<String> {
 
 fn disk_path_in(dir: &std::path::Path, key: u64) -> PathBuf {
     dir.join(format!("ctx-{key:016x}.{}", binfmt::EXT))
-}
-
-fn legacy_disk_path_in(dir: &std::path::Path, key: u64) -> PathBuf {
-    dir.join(format!("ctx-{key:016x}.json"))
 }
 
 /// Moves a corrupt record into `quarantine_dir` (best-effort), warns
@@ -322,9 +348,12 @@ fn quarantine(dir: &std::path::Path, path: &std::path::Path, why: &str) {
 
 /// Validates a decoded entry against the request; stale entries (other
 /// schema generation or bench) miss without quarantine.
-fn validate_entry(entry: DiskEntry, spec: &BenchmarkSpec) -> Option<(Vec<u64>, SlackProfile)> {
-    (entry.schema_version == CACHE_SCHEMA && entry.bench == spec.name)
-        .then_some((entry.freqs, entry.slack))
+fn validate_entry(entry: DiskEntry, spec: &BenchmarkSpec) -> Option<DiskHit> {
+    (entry.schema_version == CACHE_SCHEMA && entry.bench == spec.name).then_some(DiskHit {
+        freqs: entry.freqs,
+        slack: entry.slack,
+        training: entry.training,
+    })
 }
 
 /// LRU touch: freshen the entry's mtime so hot entries survive size-cap
@@ -335,68 +364,27 @@ fn touch(path: &std::path::Path) {
     }
 }
 
-/// Loads one disk entry from `dir` (binary first, then the legacy
-/// JSON fallback). Hidden from docs: the supported surface is
-/// [`context`]; this is exposed for the format fixtures and tests.
+/// Loads one disk entry from `dir`. Hidden from docs: the supported
+/// surface is [`context`]; this is exposed for the format fixtures and
+/// tests.
 #[doc(hidden)]
-pub fn disk_load_from(
-    dir: &std::path::Path,
-    key: u64,
-    spec: &BenchmarkSpec,
-) -> Option<(Vec<u64>, SlackProfile)> {
+pub fn disk_load_from(dir: &std::path::Path, key: u64, spec: &BenchmarkSpec) -> Option<DiskHit> {
     let path = disk_path_in(dir, key);
-    match std::fs::read(&path) {
-        Ok(mut bytes) => {
-            fault::corrupt_cache_bytes(key, &mut bytes);
-            match binfmt::from_record::<DiskEntry>(&bytes, RecordKind::CacheEntry, CACHE_SCHEMA) {
-                Ok(entry) => {
-                    let hit = validate_entry(entry, spec)?;
-                    touch(&path);
-                    Some(hit)
-                }
-                Err(e) if e.is_corrupt() => {
-                    quarantine(dir, &path, &e.to_string());
-                    None
-                }
-                // Stale container/schema/kind: a miss rewrites it in place.
-                Err(_) => None,
-            }
-        }
-        // No binary entry: fall back to a legacy JSON-era record.
-        Err(_) => disk_load_legacy(dir, key, spec),
-    }
-}
-
-/// Reads a legacy JSON entry (previous schema generation) and, on a
-/// hit, rewrites it as a binary record so the next load takes the fast
-/// path — the transparent migration promised in the README.
-fn disk_load_legacy(
-    dir: &std::path::Path,
-    key: u64,
-    spec: &BenchmarkSpec,
-) -> Option<(Vec<u64>, SlackProfile)> {
-    let path = legacy_disk_path_in(dir, key);
     let mut bytes = std::fs::read(&path).ok()?;
     fault::corrupt_cache_bytes(key, &mut bytes);
-    let Some(payload) = open_record(&bytes) else {
-        quarantine(dir, &path, "bad legacy envelope or checksum");
-        return None;
-    };
-    let entry: DiskEntry = match serde_json::from_str(&payload) {
-        Ok(entry) => entry,
-        Err(_) => {
-            quarantine(dir, &path, "legacy payload does not parse");
-            return None;
+    match binfmt::from_record::<DiskEntry>(&bytes, RecordKind::CacheEntry, CACHE_SCHEMA) {
+        Ok(entry) => {
+            let hit = validate_entry(entry, spec)?;
+            touch(&path);
+            Some(hit)
         }
-    };
-    let hit = validate_entry(entry, spec)?;
-    disk_store_to(dir, key, spec, &hit.0, &hit.1);
-    let _ = std::fs::remove_file(&path);
-    mg_info!(
-        "cache: migrated legacy entry {} to the binary format",
-        path.display()
-    );
-    Some(hit)
+        Err(e) if e.is_corrupt() => {
+            quarantine(dir, &path, &e.to_string());
+            None
+        }
+        // Stale container/schema/kind: a miss rewrites it in place.
+        Err(_) => None,
+    }
 }
 
 /// Configured size cap in megabytes. `u64::MAX` is the "unset"
@@ -423,11 +411,10 @@ fn cache_cap_bytes() -> u64 {
 }
 
 /// Evicts least-recently-used cache entries from `dir` until the
-/// remaining `ctx-*.mgb` (and not-yet-migrated `ctx-*.json`) files
-/// total at most `cap_bytes`. "Least recently used" is by mtime:
-/// loads freshen entries on every hit, and stores write them new. Ties
-/// break by file name so eviction order is deterministic. Best-effort:
-/// I/O errors skip the affected entry.
+/// remaining `ctx-*.mgb` files total at most `cap_bytes`. "Least
+/// recently used" is by mtime: loads freshen entries on every hit, and
+/// stores write them new. Ties break by file name so eviction order is
+/// deterministic. Best-effort: I/O errors skip the affected entry.
 fn evict_lru(dir: &std::path::Path, cap_bytes: u64) {
     let Ok(listing) = std::fs::read_dir(dir) else {
         return;
@@ -437,7 +424,7 @@ fn evict_lru(dir: &std::path::Path, cap_bytes: u64) {
         .filter_map(|e| {
             let path = e.path();
             let name = path.file_name()?.to_str()?;
-            if !(name.starts_with("ctx-") && (name.ends_with(".mgb") || name.ends_with(".json"))) {
+            if !(name.starts_with("ctx-") && name.ends_with(".mgb")) {
                 return None;
             }
             let meta = e.metadata().ok()?;
@@ -482,12 +469,14 @@ pub fn disk_store_to(
     spec: &BenchmarkSpec,
     freqs: &[u64],
     slack: &SlackProfile,
+    training: &TrainingRun,
 ) {
     let entry = DiskEntry {
         schema_version: CACHE_SCHEMA,
         bench: spec.name.clone(),
         freqs: freqs.to_vec(),
         slack: slack.clone(),
+        training: *training,
     };
     let bytes = binfmt::to_record(RecordKind::CacheEntry, CACHE_SCHEMA, &entry);
     // Best-effort: write via a unique temp file + rename so concurrent
@@ -539,7 +528,9 @@ fn run_side(spec: &BenchmarkSpec, run_input: &InputSet) -> Result<(Workload, Tra
     Ok((workload, trace))
 }
 
-/// Builds the full artifact set with no cache involvement.
+/// Builds the full artifact set with no cache involvement. When the
+/// train and run inputs are equal, the training workload and its trace
+/// are the run side: the input is generated and executed once.
 pub(crate) fn compute_uncached(
     spec: &BenchmarkSpec,
     train_cfg: &MachineConfig,
@@ -547,14 +538,22 @@ pub(crate) fn compute_uncached(
     run_input: &InputSet,
 ) -> Result<ContextArtifacts, BenchError> {
     let train_w = spec.generate_with_input(train_input);
-    let (_, freqs, slack) = try_profile_workload(&train_w, train_cfg)
-        .map_err(|e| exec_err(spec, "train-input execution", e))?;
-    let (workload, trace) = run_side(spec, run_input)?;
+    let profile =
+        try_profile(&train_w, train_cfg).map_err(|e| exec_err(spec, "train-input execution", e))?;
+    let (workload, trace) = if train_input == run_input {
+        (train_w, profile.trace)
+    } else {
+        run_side(spec, run_input)?
+    };
     Ok(ContextArtifacts {
         workload,
         trace,
-        freqs,
-        slack,
+        freqs: profile.freqs,
+        slack: profile.slack,
+        training: TrainingRun {
+            stats: profile.stats,
+            hit_cycle_cap: profile.hit_cycle_cap,
+        },
     })
 }
 
@@ -583,7 +582,11 @@ pub(crate) fn context(
         None
     };
     let (artifacts, outcome) = match disk_entry {
-        Some((freqs, slack)) => {
+        Some(DiskHit {
+            freqs,
+            slack,
+            training,
+        }) => {
             let (workload, trace) = run_side(spec, run_input)?;
             (
                 ContextArtifacts {
@@ -591,6 +594,7 @@ pub(crate) fn context(
                     trace,
                     freqs,
                     slack,
+                    training,
                 },
                 CacheOutcome::DiskHit,
             )
@@ -615,6 +619,7 @@ pub(crate) fn context(
                     spec,
                     &artifacts.freqs,
                     &artifacts.slack,
+                    &artifacts.training,
                 );
             }
         }
@@ -632,6 +637,18 @@ pub(crate) fn context(
 mod tests {
     use super::*;
     use mg_workloads::Suite;
+
+    /// A training-run outcome with distinctive, non-default counters.
+    fn demo_training() -> TrainingRun {
+        TrainingRun {
+            stats: SimStats {
+                cycles: 4_321,
+                committed_instrs: 9_876,
+                ..SimStats::default()
+            },
+            hit_cycle_cap: false,
+        }
+    }
 
     #[test]
     fn keys_separate_specs_inputs_and_configs() {
@@ -705,14 +722,15 @@ mod tests {
                 2
             ],
         };
-        disk_store_to(&dir, 42, &spec, &freqs, &slack);
+        disk_store_to(&dir, 42, &spec, &freqs, &slack, &demo_training());
         assert!(disk_path_in(&dir, 42).exists(), "binary entry written");
-        let (f, s) = disk_load_from(&dir, 42, &spec).expect("hit");
-        assert_eq!(f, freqs);
-        assert_eq!(s.per_static.len(), 2);
-        assert_eq!(s.per_static[0].count, 7);
+        let hit = disk_load_from(&dir, 42, &spec).expect("hit");
+        assert_eq!(hit.freqs, freqs);
+        assert_eq!(hit.training, demo_training());
+        assert_eq!(hit.slack.per_static.len(), 2);
+        assert_eq!(hit.slack.per_static[0].count, 7);
         assert_eq!(
-            s.per_static[0].issue_rel.to_bits(),
+            hit.slack.per_static[0].issue_rel.to_bits(),
             1.5f64.to_bits(),
             "floats replay by bit"
         );
@@ -730,7 +748,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
         let slack = SlackProfile::default();
-        disk_store_to(&dir, 7, &spec, &[1, 2, 3], &slack);
+        disk_store_to(&dir, 7, &spec, &[1, 2, 3], &slack, &demo_training());
         let path = disk_path_in(&dir, 7);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -748,47 +766,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A JSON-era entry under a requested key is never read: a silent
+    /// miss that leaves the file where it is, with nothing quarantined.
     #[test]
-    fn legacy_json_entries_load_and_migrate_to_binary() {
+    fn json_era_entries_are_silent_misses() {
         let dir = std::env::temp_dir().join(format!("mg-cache-legacy-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
-        let entry = DiskEntry {
-            schema_version: CACHE_SCHEMA,
-            bench: spec.name.clone(),
-            freqs: vec![9, 8, 7],
-            slack: SlackProfile::default(),
-        };
-        let payload = serde_json::to_string(&entry).unwrap();
-        let legacy = legacy_disk_path_in(&dir, 99);
-        std::fs::write(&legacy, seal_record(payload).unwrap()).unwrap();
-
-        let (f, _) = disk_load_from(&dir, 99, &spec).expect("legacy entry hits");
-        assert_eq!(f, vec![9, 8, 7]);
-        assert!(!legacy.exists(), "legacy file removed after migration");
-        assert!(
-            disk_path_in(&dir, 99).exists(),
-            "binary replacement written"
-        );
-        // Second load comes from the binary record.
-        let (f2, _) = disk_load_from(&dir, 99, &spec).expect("binary entry hits");
-        assert_eq!(f2, vec![9, 8, 7]);
+        let legacy = dir.join(format!("ctx-{:016x}.json", 99));
+        let payload = r#"{"schema_version":2,"bench":"mib_sha","freqs":[9,8,7]}"#;
+        std::fs::write(&legacy, seal_record(payload.to_string()).unwrap()).unwrap();
+        assert!(disk_load_from(&dir, 99, &spec).is_none());
+        assert!(legacy.exists(), "JSON-era entry left alone");
+        assert!(!disk_path_in(&dir, 99).exists(), "nothing migrated");
+        assert!(!dir.join("quarantine").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Regenerates the checked-in cache fixtures under `tests/format/`
-    /// — one legacy JSON entry and one binary entry of the same
-    /// deterministic payload. Run explicitly when the record shape
-    /// changes generation:
+    /// Regenerates the current-generation cache fixture under
+    /// `tests/format/` (`ctx-000000000000002c.mgb`), a binary entry of a
+    /// deterministic payload. The v2 fixtures next to it (`…2a.json`,
+    /// `…2b.mgb`) came from earlier writers and are kept as they are.
+    /// Run explicitly when the record shape changes generation:
     /// `cargo test -p mg-bench --lib -- --ignored regenerate_cache_fixtures`
     #[test]
     #[ignore = "writes checked-in fixtures; run on schema generation changes"]
     fn regenerate_cache_fixtures() {
         let dir = std::path::PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/format"));
         std::fs::create_dir_all(&dir).unwrap();
-        let _ = std::fs::remove_file(legacy_disk_path_in(&dir, 0x2a));
-        let _ = std::fs::remove_file(disk_path_in(&dir, 0x2b));
+        let _ = std::fs::remove_file(disk_path_in(&dir, 0x2c));
         let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
         let freqs = vec![1u64, 1, 449, 449, 449, 0, 0, 0, 253];
         let slack = SlackProfile {
@@ -801,18 +808,7 @@ mod tests {
                 mg_sim::StaticProfile::default(),
             ],
         };
-        // Binary entry via the current writer.
-        disk_store_to(&dir, 0x2b, &spec, &freqs, &slack);
-        // Legacy entry byte-for-byte as the JSON-era writer produced it.
-        let entry = DiskEntry {
-            schema_version: CACHE_SCHEMA,
-            bench: spec.name.clone(),
-            freqs,
-            slack,
-        };
-        let payload = serde_json::to_string(&entry).unwrap();
-        let sealed = seal_record(payload).unwrap();
-        std::fs::write(legacy_disk_path_in(&dir, 0x2a), sealed).unwrap();
+        disk_store_to(&dir, 0x2c, &spec, &freqs, &slack, &demo_training());
     }
 
     #[test]
@@ -824,7 +820,7 @@ mod tests {
         // Four 100-byte entries with strictly increasing mtimes, plus one
         // non-entry file that must never be touched.
         let payload = [0u8; 100];
-        for (i, name) in ["ctx-a.json", "ctx-b.json", "ctx-c.json", "ctx-d.json"]
+        for (i, name) in ["ctx-a.mgb", "ctx-b.mgb", "ctx-c.mgb", "ctx-d.mgb"]
             .iter()
             .enumerate()
         {
@@ -838,26 +834,26 @@ mod tests {
 
         // Cap fits two entries: the two oldest go, the two newest stay.
         evict_lru(&dir, 200);
-        assert!(!dir.join("ctx-a.json").exists());
-        assert!(!dir.join("ctx-b.json").exists());
-        assert!(dir.join("ctx-c.json").exists());
-        assert!(dir.join("ctx-d.json").exists());
+        assert!(!dir.join("ctx-a.mgb").exists());
+        assert!(!dir.join("ctx-b.mgb").exists());
+        assert!(dir.join("ctx-c.mgb").exists());
+        assert!(dir.join("ctx-d.mgb").exists());
         assert!(dir.join("unrelated.txt").exists());
 
         // A "touched" (recently used) old entry survives over a newer one.
         let f = std::fs::File::options()
             .append(true)
-            .open(dir.join("ctx-c.json"))
+            .open(dir.join("ctx-c.mgb"))
             .unwrap();
         f.set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(9_000))
             .unwrap();
         evict_lru(&dir, 100);
-        assert!(dir.join("ctx-c.json").exists());
-        assert!(!dir.join("ctx-d.json").exists());
+        assert!(dir.join("ctx-c.mgb").exists());
+        assert!(!dir.join("ctx-d.mgb").exists());
 
         // Under-cap directories are left alone.
         evict_lru(&dir, 10_000);
-        assert!(dir.join("ctx-c.json").exists());
+        assert!(dir.join("ctx-c.mgb").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,7 @@
 //! and continue. This is the only construction path — the old
 //! panicking wrappers are gone.
 
-use crate::cache::{self, CacheOutcome, ContextArtifacts};
+use crate::cache::{self, CacheOutcome, ContextArtifacts, TrainingRun};
 use mg_core::candidate::{enumerate, Candidate, SelectionConfig};
 use mg_core::pipeline::try_prepare_from;
 use mg_core::select::{Selector, SlackProfileModel, SpKind};
@@ -299,7 +299,7 @@ impl BenchContextBuilder {
             .train_input
             .unwrap_or_else(|| self.spec.primary_input());
         let run_input = self.run_input.unwrap_or_else(|| self.spec.primary_input());
-        let (workload, trace, freqs, slack, cache_outcome) = if self.cache {
+        let (artifacts, cache_outcome) = if self.cache {
             let (a, outcome) = cache::context(
                 &self.spec,
                 &self.train_cfg,
@@ -307,22 +307,18 @@ impl BenchContextBuilder {
                 &run_input,
                 self.disk_cache,
             )?;
-            (
-                a.workload.clone(),
-                a.trace.clone(),
-                a.freqs.clone(),
-                a.slack.clone(),
-                outcome,
-            )
+            (ContextArtifacts::clone(&a), outcome)
         } else {
-            let ContextArtifacts {
-                workload,
-                trace,
-                freqs,
-                slack,
-            } = cache::compute_uncached(&self.spec, &self.train_cfg, &train_input, &run_input)?;
-            (workload, trace, freqs, slack, CacheOutcome::Miss)
+            let a = cache::compute_uncached(&self.spec, &self.train_cfg, &train_input, &run_input)?;
+            (a, CacheOutcome::Miss)
         };
+        let ContextArtifacts {
+            workload,
+            trace,
+            freqs,
+            slack,
+            training,
+        } = artifacts;
         Ok(BenchContext {
             spec: self.spec,
             workload,
@@ -331,6 +327,10 @@ impl BenchContextBuilder {
             slack,
             sel_cfg: self.sel_cfg,
             cache_outcome,
+            // The profiling run simulated the train workload; it is this
+            // context's own no-mini-graph run only on the same input.
+            training: (train_input == run_input).then_some(training),
+            train_cfg: self.train_cfg,
             memo: Mutex::default(),
         })
     }
@@ -345,6 +345,12 @@ impl BenchContextBuilder {
 /// scheme making it (the dynamic-disabling schemes run Struct-All's)
 /// on every machine. The memo is derived from `workload`, `freqs` and
 /// `slack`; replacing those after running a cell leaves it stale.
+///
+/// When the train and run inputs are equal, the profiling run that
+/// trained the slack profile was a plain simulation of `workload` on
+/// the train machine, so the no-mini-graph cell on that machine returns
+/// its stored result instead of simulating again. Replacing `workload`
+/// or `trace` leaves that result stale too.
 pub struct BenchContext {
     /// The benchmark spec.
     pub spec: BenchmarkSpec,
@@ -358,6 +364,10 @@ pub struct BenchContext {
     pub slack: mg_sim::SlackProfile,
     sel_cfg: SelectionConfig,
     cache_outcome: CacheOutcome,
+    /// The profiling run's outcome, when it is the training machine's
+    /// no-mini-graph cell (train input == run input).
+    training: Option<TrainingRun>,
+    train_cfg: MachineConfig,
     memo: Mutex<SelectionMemo>,
 }
 
@@ -591,6 +601,22 @@ impl BenchContext {
         }
     }
 
+    /// The profiling run's result, if the (scheme, machine) cell is the
+    /// one it simulated: no mini-graphs, on the train machine, with the
+    /// run input profiled. Mini-graph and selection overrides do not
+    /// apply to a no-mini-graph cell.
+    fn training_cell(&self, scheme: Scheme, machine: &MachineConfig) -> Option<SimResult> {
+        let run = self
+            .training
+            .filter(|_| scheme == Scheme::NoMg && *machine == self.train_cfg)?;
+        tele_counter!("mg_sim_training_cell_reused_total").inc();
+        Some(SimResult {
+            stats: run.stats,
+            hit_cycle_cap: run.hit_cycle_cap,
+            ..SimResult::default()
+        })
+    }
+
     /// Runs a cell's timing simulation with `opts`.
     fn simulate_cell(&self, cell: &CellSim, opts: SimOptions) -> SimResult {
         let _span = mg_obs::span("stage", format!("{}/simulate", self.spec.name));
@@ -627,6 +653,10 @@ impl BenchContext {
     /// error at this layer — `hit_cycle_cap` is reported in the result —
     /// so callers like the golden-stats digest can still observe the full
     /// statistics.
+    ///
+    /// The training machine's no-mini-graph cell is served from the
+    /// profiling run when the context has it (see [`BenchContext`]); its
+    /// result carries the run's statistics and cycle-cap flag only.
     pub fn try_sim_with(
         &self,
         scheme: Scheme,
@@ -634,6 +664,9 @@ impl BenchContext {
         mg: Option<MgConfig>,
         sel: Option<&SelectionConfig>,
     ) -> Result<(SimResult, f64), BenchError> {
+        if let Some(r) = self.training_cell(scheme, machine) {
+            return Ok((r, 0.0));
+        }
         let cell = self.cell_sim(scheme, machine, mg, sel)?;
         Ok((self.simulate_cell(&cell, cell.opts), cell.est_coverage()))
     }

@@ -1,6 +1,7 @@
 //! Integration tests for the on-disk binary record format: checked-in
-//! fixtures from the previous schema generation (legacy JSON era) must
-//! keep loading next to current binary records, and corruption of a
+//! journal fixtures from the previous schema generation (legacy JSON
+//! era) must keep loading next to current binary records, previous-
+//! generation cache fixtures must miss cleanly, and corruption of a
 //! journaled sweep must be survived — quarantined and re-run, never
 //! fatal, with bit-identical results.
 //!
@@ -8,7 +9,8 @@
 //! `#[ignore]`d `regenerate_*_fixtures` unit tests
 //! (`cargo test -p mg-bench --lib -- --ignored regenerate`); CI's
 //! `format-smoke` job runs this suite to guarantee a schema-generation
-//! bump cannot silently orphan existing caches and journals.
+//! bump cannot silently orphan existing journals, nor turn a stale cache
+//! entry into an error.
 
 use mg_bench::{CacheOutcome, Journal, Scheme, SweepCell, SweepSpec};
 use mg_sim::MachineConfig;
@@ -20,8 +22,7 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Copies fixtures into a scratch directory: loads may mutate the
-/// record set (legacy migration, quarantine), and the checked-in files
-/// must stay pristine.
+/// record set (quarantine), and the checked-in files must stay pristine.
 fn scratch_copy(tag: &str, names: &[&str], sub: Option<&str>) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mg-binfmt-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -73,49 +74,50 @@ fn journal_fixtures_from_previous_generation_still_load() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The previous-generation cache fixtures still load, and the legacy
-/// JSON entry is transparently rewritten as a binary record on its
-/// first hit.
+/// Previous-generation cache entries (a v2 binary record and a JSON-era
+/// one) are stale: each misses silently, stays where it is, and nothing
+/// lands in `quarantine/`. The current-generation fixture next to them
+/// hits, with float bits and the training-run outcome intact.
 #[test]
-fn cache_fixtures_from_previous_generation_still_load_and_migrate() {
+fn cache_fixtures_from_previous_generation_miss_cleanly() {
     let dir = scratch_copy(
         "cache",
-        &["ctx-000000000000002a.json", "ctx-000000000000002b.mgb"],
+        &[
+            "ctx-000000000000002a.json",
+            "ctx-000000000000002b.mgb",
+            "ctx-000000000000002c.mgb",
+        ],
         None,
     );
     let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
-    let (freqs, slack) =
-        mg_bench::cache::disk_load_from(&dir, 0x2b, &spec).expect("binary fixture hits");
-    assert_eq!(freqs, vec![1, 1, 449, 449, 449, 0, 0, 0, 253]);
+    for key in [0x2a, 0x2b] {
+        assert!(
+            mg_bench::cache::disk_load_from(&dir, key, &spec).is_none(),
+            "v2 fixture {key:#x} misses"
+        );
+    }
+    assert!(dir.join("ctx-000000000000002a.json").exists());
+    assert!(dir.join("ctx-000000000000002b.mgb").exists());
+    assert!(
+        !dir.join("ctx-000000000000002a.mgb").exists(),
+        "JSON-era entry is not migrated"
+    );
+    assert!(
+        !dir.join("quarantine").exists(),
+        "stale fixtures must not be quarantined"
+    );
+
+    let hit = mg_bench::cache::disk_load_from(&dir, 0x2c, &spec).expect("v3 fixture hits");
+    assert_eq!(hit.freqs, vec![1, 1, 449, 449, 449, 0, 0, 0, 253]);
     assert_eq!(
-        slack.per_static[0].issue_rel.to_bits(),
+        hit.slack.per_static[0].issue_rel.to_bits(),
         1.5f64.to_bits(),
         "floats replay by bit"
     );
-
-    let (legacy_freqs, legacy_slack) =
-        mg_bench::cache::disk_load_from(&dir, 0x2a, &spec).expect("legacy fixture hits");
-    assert_eq!(legacy_freqs, freqs, "both eras decode the same payload");
-    assert_eq!(
-        legacy_slack.per_static[0].issue_rel.to_bits(),
-        slack.per_static[0].issue_rel.to_bits()
-    );
-    // The hit migrated the entry: JSON gone, binary in its place, and
-    // the next load comes off the binary path.
-    assert!(
-        !dir.join("ctx-000000000000002a.json").exists(),
-        "legacy entry removed after migration"
-    );
-    assert!(
-        dir.join("ctx-000000000000002a.mgb").exists(),
-        "migrated entry written as binary"
-    );
-    let (again, _) = mg_bench::cache::disk_load_from(&dir, 0x2a, &spec).expect("migrated hit");
-    assert_eq!(again, freqs);
-    assert!(
-        !dir.join("quarantine").exists(),
-        "valid fixtures must not be quarantined"
-    );
+    assert_eq!(hit.training.stats.cycles, 4_321);
+    assert_eq!(hit.training.stats.committed_instrs, 9_876);
+    assert!(!hit.training.hit_cycle_cap);
+    assert!(!dir.join("quarantine").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -195,11 +197,11 @@ fn header_short_truncation_is_quarantined_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
-    let src = fixture_root().join("ctx-000000000000002b.mgb");
+    let src = fixture_root().join("ctx-000000000000002c.mgb");
     let bytes = std::fs::read(src).expect("fixture exists");
-    std::fs::write(dir.join("ctx-000000000000002b.mgb"), &bytes[..5]).unwrap();
+    std::fs::write(dir.join("ctx-000000000000002c.mgb"), &bytes[..5]).unwrap();
     assert!(
-        mg_bench::cache::disk_load_from(&dir, 0x2b, &spec).is_none(),
+        mg_bench::cache::disk_load_from(&dir, 0x2c, &spec).is_none(),
         "truncated record misses"
     );
     assert!(

@@ -61,7 +61,8 @@ pub use candidate::{enumerate, Candidate, CandidateShape, SelectionConfig, MAX_C
 pub use check::{assert_semantics_preserved, check_semantics_preserved, SemanticsViolation};
 pub use classify::{classify, Serialization};
 pub use pipeline::{
-    prepare, profile_workload, try_prepare, try_prepare_from, try_profile_workload, Prepared,
+    prepare, profile_workload, try_prepare, try_prepare_from, try_profile, try_profile_workload,
+    Prepared, Profile,
 };
 pub use rewrite::{rewrite, try_rewrite, ChosenInstance, RewriteError};
 pub use select::{greedy_select, SelectionResult, Selector, SlackProfileModel, SpKind};

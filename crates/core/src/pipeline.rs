@@ -5,7 +5,7 @@ use crate::candidate::{enumerate, Candidate, SelectionConfig};
 use crate::rewrite::{try_rewrite, RewriteError};
 use crate::select::{greedy_select, Selector};
 use mg_isa::Program;
-use mg_sim::{simulate, MachineConfig, SimOptions, SlackProfile};
+use mg_sim::{simulate, MachineConfig, SimOptions, SimStats, SlackProfile};
 use mg_workloads::{ExecError, Executor, Trace, Workload};
 
 /// Everything produced by preparing a workload with a selector.
@@ -21,13 +21,29 @@ pub struct Prepared {
     pub est_coverage: f64,
 }
 
-/// Profiles a workload on `cfg`: returns the committed trace, per-static
-/// frequencies, and the local slack profile. Fails if the workload's
-/// functional execution fails.
-pub fn try_profile_workload(
-    workload: &Workload,
-    cfg: &MachineConfig,
-) -> Result<(Trace, Vec<u64>, SlackProfile), ExecError> {
+/// The outcome of a profiling run: the committed trace, per-static
+/// frequencies and local slack profile the selectors train on, plus the
+/// run's own statistics. Recording the slack profile perturbs no timing,
+/// so `stats` and `hit_cycle_cap` are those of a plain [`simulate`] of
+/// the same program and trace on the same machine.
+#[derive(Clone, Debug)]
+pub struct Profile {
+    /// Committed-path trace of the profiled workload.
+    pub trace: Trace,
+    /// Per-static execution frequencies.
+    pub freqs: Vec<u64>,
+    /// Local slack profile.
+    pub slack: SlackProfile,
+    /// Statistics of the profiling simulation.
+    pub stats: SimStats,
+    /// Whether the profiling simulation hit its cycle cap.
+    pub hit_cycle_cap: bool,
+}
+
+/// Profiles a workload on `cfg`: executes it functionally, then runs one
+/// slack-profiling timing simulation. Fails if the workload's functional
+/// execution fails.
+pub fn try_profile(workload: &Workload, cfg: &MachineConfig) -> Result<Profile, ExecError> {
     let (trace, _) = Executor::new(&workload.program).run_with_mem(&workload.init_mem)?;
     let freqs = trace.static_freqs(&workload.program);
     let result = simulate(
@@ -39,8 +55,22 @@ pub fn try_profile_workload(
             ..SimOptions::default()
         },
     );
-    let slack = result.slack.expect("profiling requested");
-    Ok((trace, freqs, slack))
+    Ok(Profile {
+        trace,
+        freqs,
+        slack: result.slack.expect("profiling requested"),
+        stats: result.stats,
+        hit_cycle_cap: result.hit_cycle_cap,
+    })
+}
+
+/// [`try_profile`] without the run's statistics: returns the committed
+/// trace, per-static frequencies, and the local slack profile.
+pub fn try_profile_workload(
+    workload: &Workload,
+    cfg: &MachineConfig,
+) -> Result<(Trace, Vec<u64>, SlackProfile), ExecError> {
+    try_profile(workload, cfg).map(|p| (p.trace, p.freqs, p.slack))
 }
 
 /// Panicking wrapper around [`try_profile_workload`].
@@ -153,6 +183,20 @@ mod tests {
         // The link register holds a layout-dependent return token; all
         // data registers must match exactly.
         assert_eq!(s0.regs[..31], s1.regs[..31]);
+    }
+
+    #[test]
+    fn profiling_run_has_the_plain_runs_stats() {
+        let w = benchmark("mib_crc32").unwrap().generate();
+        let cfg = MachineConfig::reduced();
+        let profile = try_profile(&w, &cfg).unwrap();
+        let plain = simulate(&w.program, &profile.trace, &cfg, SimOptions::default());
+        assert_eq!(profile.stats, plain.stats);
+        assert_eq!(profile.hit_cycle_cap, plain.hit_cycle_cap);
+        let (trace, freqs, slack) = try_profile_workload(&w, &cfg).unwrap();
+        assert_eq!(trace.len(), profile.trace.len());
+        assert_eq!(freqs, profile.freqs);
+        assert_eq!(format!("{slack:?}"), format!("{:?}", profile.slack));
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct SimOptions {
 }
 
 /// Result of a timing simulation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SimResult {
     /// Statistics, including cycles and IPC.
     pub stats: SimStats,
