@@ -13,8 +13,7 @@
 //! Each record is also rendered to the byte-exact legacy JSON form
 //! (checksummed `DiskRecord` envelope) so both formats decode the same
 //! data. The span-trace and obs-pipeline layers use deterministic
-//! synthetic documents of realistic shape, so the bench does not need
-//! the `obs` feature.
+//! synthetic documents of realistic shape.
 //!
 //! Exits non-zero if the binary format fails its acceptance gates on
 //! the durability layers (journal + cache): records at least 3x

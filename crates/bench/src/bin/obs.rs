@@ -1,38 +1,34 @@
 //! Observability driver: runs one benchmark with the pipeline observer
-//! attached and dumps everything it produced — the trace JSON (under
-//! `results/`), a Konata-style text pipeview of the run's tail, the
-//! per-slot stall-attribution table, and the queue-occupancy summary.
+//! attached and dumps everything it produced — the binary trace record
+//! `results/OBS_<bench>.mgb`, a Konata-style text pipeview of the run's
+//! tail, the per-slot stall-attribution table, and the queue-occupancy
+//! summary.
 //!
-//! Usage: `obs [BENCH] [SCHEME] [TARGET_DYN] [--export-json]`
+//! Usage: `obs [BENCH] [SCHEME] [TARGET_DYN]`
 //!
 //! * `BENCH` — benchmark name from the suite (default `mib_crc32`)
 //! * `SCHEME` — scheme display name, e.g. `Struct-All`, `no-minigraphs`,
 //!   `Slack-Profile` (default `Struct-All`)
 //! * `TARGET_DYN` — dynamic-instruction target (default 30000)
-//! * `--export-json` — besides the binary `results/OBS_<bench>.mgb`
-//!   record, also write the legacy `results/OBS_<bench>.json` debug
-//!   view (pretty-printed, ~50k lines; the binary record is the
-//!   canonical artifact)
 //!
-//! Only built with `--features obs`; without the feature the simulator
-//! carries no instrumentation. The process exits non-zero if the stall
-//! attribution fails its conservation check (every issue-slot cycle
-//! charged exactly once) — CI's `obs-smoke` job relies on this.
+//! `export_json results/OBS_<bench>.mgb` writes the record's
+//! pretty-printed JSON debug view. The process exits non-zero if the
+//! stall attribution fails its conservation check (every issue-slot
+//! cycle charged exactly once) — CI's `obs-smoke` job relies on this.
 
-#[cfg(feature = "obs")]
+use mg_bench::binfmt::{self, RecordKind};
+use mg_bench::{save_bin, BenchContext, ObsSection, Scheme, SCHEMA_VERSION};
+use mg_sim::MachineConfig;
+use mg_workloads::suite;
+
 fn main() {
-    use mg_bench::binfmt::{self, RecordKind};
-    use mg_bench::harness::ObsSection;
-    use mg_bench::{save_bin, save_json, BenchContext, Scheme, SCHEMA_VERSION};
-    use mg_sim::MachineConfig;
-    use mg_workloads::suite;
-
     mg_bench::Config::init_cli();
-    let (flags, positional): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a.starts_with("--"));
-    let export_json = flags.iter().any(|f| f == "--export-json");
-    if let Some(unknown) = flags.iter().find(|f| *f != "--export-json") {
-        eprintln!("unknown flag {unknown:?}; the only flag is --export-json");
+    let positional: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = positional.iter().find(|a| a.starts_with("--")) {
+        eprintln!(
+            "unknown flag {flag:?}; usage: obs [BENCH] [SCHEME] [TARGET_DYN] \
+             (export_json FILE.mgb writes the JSON view)"
+        );
         std::process::exit(2);
     }
     let bench = positional
@@ -122,10 +118,6 @@ fn main() {
     let name = format!("OBS_{}", spec.name);
     let path = save_bin(&name, RecordKind::ObsDump, &section);
     println!("\ntrace dump written to {}", path.display());
-    if export_json {
-        let json_path = save_json(&name, &section);
-        println!("trace JSON view written to {}", json_path.display());
-    }
 
     // When run from the workspace root (as CI does), validate the dump
     // just written against the checked-in schema — decoded straight
@@ -152,10 +144,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("stall attribution conserves cycles: ok");
-}
-
-#[cfg(not(feature = "obs"))]
-fn main() {
-    eprintln!("the obs driver needs the observer compiled in: rerun with --features obs");
-    std::process::exit(2);
 }

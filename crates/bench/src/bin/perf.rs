@@ -13,15 +13,16 @@
 //! are excluded from the timed region — this harness tracks the engine
 //! hot loop, nothing else.
 //!
-//! With `--features alloc-count`, a counting global allocator also
-//! reports steady-state heap allocations per simulated cycle, measured
-//! as the allocation-count *slope* between a short and a long run of the
-//! same benchmark (setup allocations cancel out).
+//! A counting global allocator also reports steady-state heap
+//! allocations per simulated cycle, measured as the allocation-count
+//! *slope* between a short and a long run of the same benchmark (setup
+//! allocations cancel out). The timed region allocates nothing per
+//! cycle, so counting costs it nothing.
 //!
-//! With `--features obs`, one benchmark is additionally timed with the
-//! pipeline observer attached vs. detached, recording the observer's
-//! run-time overhead ratio (and checking stall-attribution
-//! conservation) in the report's `obs` section.
+//! One benchmark is additionally timed with the pipeline observer
+//! attached vs. detached, recording the observer's run-time overhead
+//! ratio (and checking stall-attribution conservation) in the report's
+//! `obs` section.
 
 use mg_bench::harness::PreparedSim;
 use mg_bench::{machine_fingerprint, BenchContext, Scheme, SCHEMA_VERSION};
@@ -32,7 +33,6 @@ use std::time::Instant;
 
 const REPEATS: usize = 3;
 
-#[cfg(feature = "alloc-count")]
 mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +43,9 @@ mod alloc_count {
     /// grow-realloc; frees are not events of interest).
     pub struct Counting;
 
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // so the caller's guarantees are exactly the ones `System` needs;
+    // the counter is a statistic and publishes no other data.
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -94,7 +97,7 @@ struct ObsPerf {
     plain_wall_sec: f64,
     observed_wall_sec: f64,
     /// Observed wall over plain wall: the run-time price of attaching
-    /// the observer (the compile-it-out price is zero by construction).
+    /// the observer.
     overhead_ratio: f64,
     conservation_ok: bool,
 }
@@ -176,7 +179,6 @@ fn time_cell(prepared: &[(String, Vec<PreparedSim>)], cell: usize) -> (u64, f64)
     (cycles, best_wall)
 }
 
-#[cfg(feature = "alloc-count")]
 fn alloc_profile(target_dyn: usize) -> Option<AllocPerf> {
     // One benchmark, two trace lengths: the allocation-count slope
     // between them is the steady-state allocations per simulated cycle.
@@ -211,15 +213,8 @@ fn alloc_profile(target_dyn: usize) -> Option<AllocPerf> {
     })
 }
 
-#[cfg(not(feature = "alloc-count"))]
-fn alloc_profile(_target_dyn: usize) -> Option<AllocPerf> {
-    None
-}
-
 /// Times one benchmark with and without the pipeline observer attached:
-/// the ratio is the run-time cost of observing (the cost with the `obs`
-/// feature off is zero — the hooks compile away).
-#[cfg(feature = "obs")]
+/// the ratio is the run-time cost of observing.
 fn obs_profile(target_dyn: usize) -> Option<ObsPerf> {
     let red = MachineConfig::reduced();
     let mut spec = suite().into_iter().find(|s| s.name == "mib_crc32")?;
@@ -252,11 +247,6 @@ fn obs_profile(target_dyn: usize) -> Option<ObsPerf> {
         overhead_ratio: observed_wall_sec / plain_wall_sec.max(1e-12),
         conservation_ok: report.conservation_ok(),
     })
-}
-
-#[cfg(not(feature = "obs"))]
-fn obs_profile(_target_dyn: usize) -> Option<ObsPerf> {
-    None
 }
 
 fn main() {

@@ -20,6 +20,9 @@
 //! * `rand-panic:seed=S,ppm=P` — panic any cell whose FNV-1a hash of
 //!   `(seed, bench, cell)` falls below `P` parts per million. Purely
 //!   hash-based, so the same seed always fails the same cells.
+//! * `write-delay:ms=N` — sleep `N` ms before mg-serve writes each reply
+//!   line to its socket (holds the final lines of a stream back past
+//!   the end of a drain).
 //!
 //! The plan comes from `MG_FAULT`, parsed by [`crate::config`] at a
 //! binary's entry point and installed via [`set_plan`] (tests call
@@ -28,8 +31,7 @@
 //!
 //! **Zero-cost contract:** without the `fault-inject` feature every
 //! hook in this module is an empty `#[inline]` function — the compiled
-//! sweep path is byte-for-byte the production one, matching the `obs`
-//! feature's discipline.
+//! sweep path is byte-for-byte the production one.
 
 #[cfg(feature = "fault-inject")]
 pub use enabled::{parse_plan, set_plan, FaultPlan};
@@ -71,6 +73,9 @@ mod enabled {
         RandPanic {
             seed: u64,
             ppm: u64,
+        },
+        WriteDelay {
+            ms: u64,
         },
     }
 
@@ -164,6 +169,9 @@ mod enabled {
                     seed: seed.ok_or_else(|| bad(spec, "rand-panic requires seed=S"))?,
                     ppm: ppm.ok_or_else(|| bad(spec, "rand-panic requires ppm=P"))?,
                 },
+                "write-delay" => Directive::WriteDelay {
+                    ms: ms.ok_or_else(|| bad(spec, "write-delay requires ms=N"))?,
+                },
                 _ => return Err(bad(spec, "unknown fault directive")),
             });
         }
@@ -246,6 +254,20 @@ mod enabled {
         }
     }
 
+    /// Fault point before mg-serve writes one reply line to a client
+    /// socket: sleeps for every `write-delay` directive.
+    pub fn before_write() {
+        let plan = state().plan.read().expect("fault plan lock");
+        let Some(plan) = plan.as_ref() else {
+            return;
+        };
+        for d in &plan.directives {
+            if let Directive::WriteDelay { ms } = d {
+                std::thread::sleep(std::time::Duration::from_millis(*ms));
+            }
+        }
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -255,10 +277,11 @@ mod enabled {
             let plan = parse_plan(
                 "panic:bench=gzip-like,cell=2; slow:ms=5000; \
                  flaky:times=2,bench=mib_sha; cache-corrupt:all; \
-                 cache-corrupt:key=00ff; rand-panic:seed=7,ppm=1000",
+                 cache-corrupt:key=00ff; rand-panic:seed=7,ppm=1000; \
+                 write-delay:ms=300",
             )
             .unwrap();
-            assert_eq!(plan.directives.len(), 6);
+            assert_eq!(plan.directives.len(), 7);
             assert_eq!(
                 plan.directives[0],
                 Directive::Panic {
@@ -270,6 +293,7 @@ mod enabled {
                 plan.directives[4],
                 Directive::CacheCorrupt { key: Some(0xff) }
             );
+            assert_eq!(plan.directives[6], Directive::WriteDelay { ms: 300 });
             assert_eq!(parse_plan("").unwrap(), FaultPlan::default());
         }
 
@@ -281,6 +305,7 @@ mod enabled {
                 "flaky:bench=x",
                 "cache-corrupt",
                 "rand-panic:seed=1",
+                "write-delay",
                 "panic:cell=abc",
                 "panic:wat=1",
             ] {
@@ -321,3 +346,12 @@ pub(crate) fn corrupt_cache_bytes(_key: u64, _bytes: &mut Vec<u8>) {}
 
 #[cfg(feature = "fault-inject")]
 pub(crate) use enabled::corrupt_cache_bytes;
+
+/// Fault point before mg-serve writes a reply line (a no-op without
+/// `fault-inject`).
+#[cfg(not(feature = "fault-inject"))]
+#[inline]
+pub fn before_write() {}
+
+#[cfg(feature = "fault-inject")]
+pub use enabled::before_write;

@@ -700,10 +700,6 @@ impl BenchContext {
     /// Runs one scheme on one machine with the pipeline observer
     /// attached, returning both the condensed row and the full
     /// observability report (trace, stall attribution, occupancy).
-    ///
-    /// Only available with the `obs` feature; without it the simulator
-    /// carries no instrumentation at all.
-    #[cfg(feature = "obs")]
     pub fn try_run_obs(
         &self,
         scheme: Scheme,
@@ -716,7 +712,6 @@ impl BenchContext {
     /// [`BenchContext::try_run_obs`] with the full per-cell overrides of
     /// [`BenchContext::try_run_with`] — the sweep runner's instrumented
     /// cell path.
-    #[cfg(feature = "obs")]
     pub fn try_run_with_obs(
         &self,
         scheme: Scheme,
@@ -820,7 +815,6 @@ impl SchemeRun {
 /// with the observer enabled: identifies the (benchmark, scheme) cell and
 /// carries the full [`mg_obs::ObsReport`] (trace tail, stall attribution,
 /// occupancy, windowed IPC).
-#[cfg(feature = "obs")]
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ObsSection {
     /// Benchmark name.
@@ -831,7 +825,6 @@ pub struct ObsSection {
     pub report: mg_obs::ObsReport,
 }
 
-#[cfg(feature = "obs")]
 impl ObsSection {
     /// Wraps a report with its cell identity.
     pub fn new(bench: &str, scheme: Scheme, report: mg_obs::ObsReport) -> ObsSection {

@@ -193,8 +193,6 @@ impl Journal {
             cache: row.cache.as_deref().and_then(CacheOutcome::from_tag),
             replayed: true,
             retries: 0,
-            #[cfg(feature = "obs")]
-            obs: None,
         })
     }
 
@@ -231,9 +229,7 @@ impl Journal {
 
     /// Persists one finished cell outcome as a single-cell record — the
     /// granularity `mg-serve` workers journal at, so a daemon killed
-    /// mid-job loses at most the one cell in flight. Keeping the
-    /// [`BenchRows`] construction here (rather than in `mg-serve`) keeps
-    /// the feature-gated observer field out of downstream crates.
+    /// mid-job loses at most the one cell in flight.
     pub fn store_cell(
         &self,
         idx: usize,
@@ -248,8 +244,6 @@ impl Journal {
             cache: None,
             replayed: false,
             retries: 0,
-            #[cfg(feature = "obs")]
-            obs: None,
         };
         self.store_row(idx, &rows);
     }
@@ -382,8 +376,6 @@ mod tests {
             cache: Some(CacheOutcome::DiskHit),
             replayed: false,
             retries: 0,
-            #[cfg(feature = "obs")]
-            obs: None,
         }
     }
 

@@ -32,11 +32,9 @@ pub mod supervisor;
 
 pub use cache::CacheOutcome;
 pub use config::{default_jobs, parse_jobs, try_default_jobs, Config};
-#[cfg(feature = "obs")]
-pub use harness::ObsSection;
 pub use harness::{
     machine_fingerprint, save_bin, save_json, BenchContext, BenchContextBuilder, BenchError,
-    Envelope, Scheme, SchemeRun, SCHEMA_VERSION,
+    Envelope, ObsSection, Scheme, SchemeRun, SCHEMA_VERSION,
 };
 pub use journal::Journal;
 pub use runner::{

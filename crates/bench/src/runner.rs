@@ -119,7 +119,6 @@ pub struct SweepSpec {
     resume: bool,
     journal_root: PathBuf,
     graceful: bool,
-    #[cfg(feature = "obs")]
     obs: Option<mg_obs::ObsConfig>,
 }
 
@@ -141,7 +140,6 @@ impl SweepSpec {
             resume: false,
             journal_root: PathBuf::from(journal::JOURNAL_DIR),
             graceful: false,
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -267,9 +265,9 @@ impl SweepSpec {
     }
 
     /// Attaches the pipeline observer to every cell run: each benchmark
-    /// row then carries a per-benchmark [`mg_obs::ObsAggregate`] and
-    /// [`SweepResult::obs_aggregate`] merges them sweep-wide.
-    #[cfg(feature = "obs")]
+    /// row then gets a per-benchmark [`mg_obs::ObsAggregate`] in
+    /// [`SweepResult::obs`], and [`SweepResult::obs_aggregate`] merges
+    /// them sweep-wide.
     pub fn observe(mut self, cfg: mg_obs::ObsConfig) -> SweepSpec {
         self.obs = Some(cfg);
         self
@@ -305,14 +303,7 @@ impl SweepSpec {
     /// journal cannot replay observer reports, so a replayed row would
     /// silently lose its instrumentation.
     fn journal_active(&self) -> bool {
-        #[cfg(feature = "obs")]
-        {
-            self.journal && self.obs.is_none()
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            self.journal
-        }
+        self.journal && self.obs.is_none()
     }
 
     /// Executes the sweep with configuration errors reported as values.
@@ -379,9 +370,9 @@ impl SweepSpec {
                 if !quiet {
                     mg_obs::log::raw("r");
                 }
-                return rows.clone();
+                return (rows.clone(), None);
             }
-            let rows = self.run_bench_task(spec);
+            let (rows, obs) = self.run_bench_task(spec);
             // Interrupted rows are unfinished by definition: journaling
             // them would make resume skip work that never ran.
             if let Some(j) = journal_ref {
@@ -396,36 +387,37 @@ impl SweepSpec {
             if !quiet {
                 mg_obs::log::raw(".");
             }
-            rows
+            (rows, obs)
         });
         // run_bench_task isolates cell and context panics itself, so a
         // panic escaping it is a harness bug — still turned into an
         // error row rather than tearing down the other 77 benchmarks.
-        let rows: Vec<BenchRows> = outcomes
+        let (rows, obs): (Vec<BenchRows>, Vec<_>) = outcomes
             .into_iter()
             .enumerate()
             .map(|(i, r)| match r {
-                Ok(rows) => rows,
-                Err(p) => BenchRows {
-                    bench: self.benches[i].name.clone(),
-                    runs: (0..self.cells.len())
-                        .map(|j| {
-                            Err(BenchError::Panicked {
-                                bench: self.benches[i].name.clone(),
-                                cell: j,
-                                payload: p.payload.clone(),
+                Ok(row) => row,
+                Err(p) => (
+                    BenchRows {
+                        bench: self.benches[i].name.clone(),
+                        runs: (0..self.cells.len())
+                            .map(|j| {
+                                Err(BenchError::Panicked {
+                                    bench: self.benches[i].name.clone(),
+                                    cell: j,
+                                    payload: p.payload.clone(),
+                                })
                             })
-                        })
-                        .collect(),
-                    wall: Duration::ZERO,
-                    cache: None,
-                    replayed: false,
-                    retries: 0,
-                    #[cfg(feature = "obs")]
-                    obs: None,
-                },
+                            .collect(),
+                        wall: Duration::ZERO,
+                        cache: None,
+                        replayed: false,
+                        retries: 0,
+                    },
+                    None,
+                ),
             })
-            .collect();
+            .unzip();
         if !quiet {
             mg_obs::log::raw("\n");
         }
@@ -479,20 +471,16 @@ impl SweepSpec {
                 ),
             }
         }
-        Ok(SweepResult { rows, summary })
+        Ok(SweepResult { rows, obs, summary })
     }
 
     /// One benchmark's task: supervised context construction, then every
     /// cell under the supervision stack
-    /// ([`supervisor::run_cell_supervised`]).
-    fn run_bench_task(&self, spec: &BenchmarkSpec) -> BenchRows {
+    /// ([`supervisor::run_cell_supervised`]). Returns the row and, when
+    /// the sweep observes, the aggregate of its cells' observer reports.
+    fn run_bench_task(&self, spec: &BenchmarkSpec) -> (BenchRows, Option<mg_obs::ObsAggregate>) {
         let task0 = Instant::now();
         let _bench_span = mg_obs::span("bench", spec.name.clone());
-        #[cfg(feature = "obs")]
-        let obs_arg: supervisor::ObsArg = self.obs;
-        #[cfg(not(feature = "obs"))]
-        let obs_arg: supervisor::ObsArg = ();
-        #[cfg(feature = "obs")]
         let mut obs_agg = self.obs.map(|_| mg_obs::ObsAggregate::new());
         let mut runs: Vec<Result<SchemeRun, BenchError>> = Vec::with_capacity(self.cells.len());
         let mut retries_total = 0u32;
@@ -529,12 +517,11 @@ impl SweepSpec {
                         j,
                         self.watchdog,
                         self.retries,
-                        obs_arg,
+                        self.obs,
                     );
                     retries_total += retries;
-                    runs.push(res.map(|(run, _payload)| {
-                        #[cfg(feature = "obs")]
-                        if let (Some(agg), Some(report)) = (obs_agg.as_mut(), _payload) {
+                    runs.push(res.map(|(run, report)| {
+                        if let (Some(agg), Some(report)) = (obs_agg.as_mut(), report) {
                             agg.absorb(&report);
                         }
                         run
@@ -549,16 +536,15 @@ impl SweepSpec {
         };
         let wall = task0.elapsed();
         tele_hist!("mg_sweep_bench_us").record_duration(wall);
-        BenchRows {
+        let rows = BenchRows {
             bench: spec.name.clone(),
             runs,
             wall,
             cache: cache_outcome,
             replayed: false,
             retries: retries_total,
-            #[cfg(feature = "obs")]
-            obs: obs_agg,
-        }
+        };
+        (rows, obs_agg)
     }
 }
 
@@ -580,10 +566,6 @@ pub struct BenchRows {
     /// Retries spent on this row's cells (transient-class failures
     /// only; see [`SweepSpec::retries`]).
     pub retries: u32,
-    /// Observer aggregate over this benchmark's cells (populated only
-    /// when the sweep ran with [`SweepSpec::observe`]).
-    #[cfg(feature = "obs")]
-    pub obs: Option<mg_obs::ObsAggregate>,
 }
 
 impl BenchRows {
@@ -604,20 +586,20 @@ impl BenchRows {
 pub struct SweepResult {
     /// Per-benchmark rows, in spec order (deterministic).
     pub rows: Vec<BenchRows>,
+    /// Observer aggregate over each row's cells, parallel to `rows`
+    /// (`None` unless the sweep ran with [`SweepSpec::observe`]).
+    pub obs: Vec<Option<mg_obs::ObsAggregate>>,
     /// Execution metadata: timings, worker count, cache behaviour.
     pub summary: SweepSummary,
 }
 
-#[cfg(feature = "obs")]
 impl SweepResult {
     /// Merges the per-benchmark observer aggregates into one sweep-wide
     /// stall-attribution aggregate (empty if the sweep did not observe).
     pub fn obs_aggregate(&self) -> mg_obs::ObsAggregate {
         let mut agg = mg_obs::ObsAggregate::new();
-        for row in &self.rows {
-            if let Some(a) = &row.obs {
-                agg.merge(a);
-            }
+        for a in self.obs.iter().flatten() {
+            agg.merge(a);
         }
         agg
     }

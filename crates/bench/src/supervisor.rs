@@ -34,7 +34,7 @@
 
 use crate::harness::{BenchContext, BenchError, SchemeRun};
 use crate::runner::{SweepCell, SweepResult, SweepSpec};
-use mg_obs::{mg_debug, mg_error, mg_info, tele_counter};
+use mg_obs::{mg_debug, mg_error, mg_info, tele_counter, ObsConfig, ObsReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -75,20 +75,8 @@ pub(crate) fn panic_payload(e: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// What a cell returns besides the condensed run: the observer report
-/// when the sweep is instrumented, nothing otherwise.
-#[cfg(feature = "obs")]
-pub(crate) type ObsPayload = Option<Box<mg_obs::ObsReport>>;
-/// See the `obs` variant.
-#[cfg(not(feature = "obs"))]
-pub(crate) type ObsPayload = ();
-
-/// The observer configuration handed to each cell (absent without the
-/// `obs` feature).
-#[cfg(feature = "obs")]
-pub(crate) type ObsArg = Option<mg_obs::ObsConfig>;
-/// See the `obs` variant.
-#[cfg(not(feature = "obs"))]
-pub(crate) type ObsArg = ();
+/// when the sweep observes.
+pub(crate) type ObsPayload = Option<Box<ObsReport>>;
 
 /// The raw cell body: fault hooks, then the (optionally instrumented)
 /// scheme run. Everything that can panic or stall lives in here, so the
@@ -97,25 +85,16 @@ fn run_cell_once(
     ctx: &BenchContext,
     cell: &SweepCell,
     cell_idx: usize,
-    obs: ObsArg,
+    obs: Option<ObsConfig>,
 ) -> Result<(SchemeRun, ObsPayload), BenchError> {
     crate::fault::before_cell(&ctx.spec.name, cell_idx);
-    #[cfg(feature = "obs")]
-    {
-        if let Some(oc) = obs {
-            return ctx
-                .try_run_with_obs(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref(), oc)
-                .map(|(run, report)| (run, Some(Box::new(report))));
-        }
-        ctx.try_run_with(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
-            .map(|run| (run, None))
+    if let Some(oc) = obs {
+        return ctx
+            .try_run_with_obs(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref(), oc)
+            .map(|(run, report)| (run, Some(Box::new(report))));
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        let () = obs;
-        ctx.try_run_with(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
-            .map(|run| (run, ()))
-    }
+    ctx.try_run_with(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
+        .map(|run| (run, None))
 }
 
 /// One supervised attempt: panic isolation always, watchdog when a limit
@@ -125,7 +104,7 @@ fn attempt_cell(
     cell: &SweepCell,
     cell_idx: usize,
     watchdog: Option<Duration>,
-    obs: ObsArg,
+    obs: Option<ObsConfig>,
 ) -> Result<(SchemeRun, ObsPayload), BenchError> {
     let bench = ctx.spec.name.clone();
     let Some(limit) = watchdog else {
@@ -190,7 +169,7 @@ pub(crate) fn run_cell_supervised(
     cell_idx: usize,
     watchdog: Option<Duration>,
     max_retries: u32,
-    obs: ObsArg,
+    obs: Option<ObsConfig>,
 ) -> (Result<(SchemeRun, ObsPayload), BenchError>, u32) {
     let mut retries = 0u32;
     loop {
@@ -242,11 +221,7 @@ pub fn supervise_cell(
     watchdog: Option<Duration>,
     max_retries: u32,
 ) -> (Result<SchemeRun, BenchError>, u32) {
-    #[cfg(feature = "obs")]
-    let obs: ObsArg = None;
-    #[cfg(not(feature = "obs"))]
-    let obs: ObsArg = ();
-    let (res, retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, obs);
+    let (res, retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, None);
     (res.map(|(run, _payload)| run), retries)
 }
 

@@ -1,14 +1,11 @@
-//! End-to-end smoke of the observability stack (`--features obs`):
-//! conservation of stall attribution against the engine's own cycle
-//! count, schema validity of the emitted trace JSON, pipeview rendering,
-//! sweep-level aggregation, and — the zero-cost contract's run-time
-//! half — bit-identical statistics with the observer attached.
+//! End-to-end smoke of the observability stack: conservation of stall
+//! attribution against the engine's own cycle count, schema validity of
+//! the emitted trace JSON, pipeview rendering, sweep-level aggregation,
+//! and bit-identical statistics with the observer attached.
 
-#![cfg(feature = "obs")]
-
-use mg_bench::harness::ObsSection;
 use mg_bench::{
-    machine_fingerprint, BenchContext, Envelope, Scheme, SweepCell, SweepSpec, SCHEMA_VERSION,
+    machine_fingerprint, BenchContext, Envelope, ObsSection, Scheme, SweepCell, SweepSpec,
+    SCHEMA_VERSION,
 };
 use mg_sim::{MachineConfig, ObsConfig};
 use mg_workloads::{suite, BenchmarkSpec};
@@ -120,9 +117,9 @@ fn observed_sweep_aggregates_and_conserves() {
         .observe(ObsConfig::default())
         .run();
     assert_eq!(result.summary.failures, 0);
-    for row in &result.rows {
-        let agg = row
-            .obs
+    assert_eq!(result.obs.len(), result.rows.len());
+    for (row, agg) in result.rows.iter().zip(&result.obs) {
+        let agg = agg
             .as_ref()
             .expect("observed sweep fills per-bench aggregates");
         assert_eq!(agg.runs, 2, "{}: one report per cell", row.bench);

@@ -30,13 +30,12 @@
 //! - [`span`]: hierarchical wall-time spans (sweep → bench → cell →
 //!   stage) serializing to Chrome-trace-event JSON for Perfetto.
 //!
-//! The *pipeline* instrumentation above is only linked when the
-//! simulator is built with its `obs` cargo feature; with the feature
-//! off, every hook site compiles to nothing and simulation results are
-//! bit-exact with an uninstrumented build. The `telemetry` and `span`
-//! modules are different: they observe the harness, not the simulated
-//! machine, and are compiled in unconditionally (spans additionally
-//! gate on the `MG_TRACE` knob at runtime).
+//! The *pipeline* instrumentation above is collected only for a run
+//! whose `SimOptions::obs` asks for it; an unobserved run pays one
+//! `Option` check per hook and its results are bit-exact with an
+//! observed one. The `telemetry` and `span` modules are different: they
+//! observe the harness, not the simulated machine, and are always on
+//! (spans additionally gate on the `MG_TRACE` knob at runtime).
 
 #![warn(missing_docs)]
 

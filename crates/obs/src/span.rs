@@ -212,36 +212,6 @@ pub fn chrome_trace(events: Vec<TraceEvent>) -> ChromeTrace {
     }
 }
 
-/// Serializes events to a Chrome trace JSON string loadable in
-/// Perfetto.
-///
-/// Serialization failure is not allowed to take the process down at
-/// drain time (this runs during shutdown, after the real work
-/// succeeded): it degrades to a logged error and a valid empty trace
-/// document.
-pub fn to_chrome_json(events: Vec<TraceEvent>) -> String {
-    let n = events.len();
-    match serde_json::to_string(&chrome_trace(events)) {
-        Ok(json) => json,
-        Err(err) => {
-            crate::tele_counter!("mg_trace_serialize_errors_total").inc();
-            crate::mg_error!(
-                "trace: failed to serialize {n} span events ({err}); writing an empty trace"
-            );
-            r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#.to_string()
-        }
-    }
-}
-
-/// Drains the buffer and writes it as Chrome trace JSON to `path`.
-/// Returns the number of events written.
-pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<usize> {
-    let events = drain();
-    let n = events.len();
-    std::fs::write(path, to_chrome_json(events))?;
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

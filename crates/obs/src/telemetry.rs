@@ -1,10 +1,10 @@
 //! `mg-telemetry`: always-on runtime metrics for the harness and service.
 //!
-//! This is the *system* telemetry layer — distinct from the
-//! `#[cfg(feature = "obs")]` pipeline instrumentation, which explains
-//! simulated cycles. Telemetry explains the machinery around the
-//! simulator: the work-stealing runner, the retry/watchdog supervisor,
-//! the cache tiers, the journal, and the mg-serve queue/worker pool.
+//! This is the *system* telemetry layer — distinct from the pipeline
+//! observer (`SimOptions::obs`), which explains simulated cycles.
+//! Telemetry explains the machinery around the simulator: the
+//! work-stealing runner, the retry/watchdog supervisor, the cache
+//! tiers, the journal, and the mg-serve queue/worker pool.
 //! It is compiled in unconditionally and designed so an idle metric
 //! costs nothing and a hot one costs a relaxed atomic.
 //!

@@ -8,8 +8,8 @@
 //!   reader both just `send` strings, so interleaving is a channel
 //!   property, not a locking discipline;
 //! * a *reader* thread parses request lines (with a read timeout so it
-//!   can observe shutdown), validates them into jobs, and registers
-//!   them on the [`ResultStore`].
+//!   can observe the end of a drain), validates them into jobs, and
+//!   registers them on the [`ResultStore`].
 //!
 //! The worker pool pops jobs off the [`FairQueue`] (round-robin across
 //! clients) and commits rows through the store as each cell finishes.
@@ -18,7 +18,11 @@
 //! queued (cells started after the request come back `Interrupted`,
 //! so a drain is prompt but every stream still terminates with `Done`),
 //! and leftover jobs that no worker will run are aborted with a typed
-//! `ShuttingDown` reject.
+//! `ShuttingDown` reject. Only then do the readers stop and drop their
+//! senders; each writer flushes what is still queued for its socket,
+//! and [`Server::run`] joins every connection before it returns, so the
+//! final `Done` or `ShuttingDown` line is on the wire before the process
+//! can exit.
 
 use crate::config::ServeConfig;
 use crate::jobs::JobSpec;
@@ -34,7 +38,7 @@ use mg_obs::mg_error;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -106,7 +110,8 @@ impl Server {
     /// Serves until [`mg_bench::request_shutdown`] (typically wired to
     /// SIGINT/SIGTERM by the daemon binary), then drains: the queue
     /// closes, workers finish what was queued, jobs nothing will run
-    /// are aborted with `ShuttingDown`. Returns lifetime stats.
+    /// are aborted with `ShuttingDown`, and every connection flushes its
+    /// pending replies and closes. Returns lifetime stats.
     pub fn run(self) -> ServeStats {
         mg_obs::tele_gauge!(metrics::WORKERS).set(self.cfg.workers as i64);
         let workers: Vec<JoinHandle<()>> = (0..self.cfg.workers)
@@ -124,10 +129,14 @@ impl Server {
 
         let client_ids = AtomicU64::new(0);
         let mut connections = 0u64;
+        // Set once the drain is over: readers stop taking requests.
+        let closing = Arc::new(AtomicBool::new(false));
+        let mut conns: Vec<JoinHandle<()>> = Vec::new();
         while !shutdown_requested() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     connections += 1;
+                    conns.retain(|c| !c.is_finished());
                     // Replies are small line writes; without this, Nagle
                     // holds each one back waiting on the peer's ACK.
                     let _ = stream.set_nodelay(true);
@@ -137,15 +146,13 @@ impl Server {
                     let queue = Arc::clone(&self.queue);
                     let shed = Arc::clone(&self.shed);
                     let cfg = self.cfg.clone();
-                    // Connection threads are detached: they exit when
-                    // the peer hangs up (or at process exit); the store
-                    // prunes their subscriptions on the first failed
-                    // send either way.
-                    let _ = std::thread::Builder::new()
+                    let closing = Arc::clone(&closing);
+                    let conn = std::thread::Builder::new()
                         .name(format!("mg-serve-conn-{client}"))
                         .spawn(move || {
-                            serve_connection(stream, client, &store, &queue, &shed, &cfg)
+                            serve_connection(stream, client, &store, &queue, &shed, &cfg, &closing)
                         });
+                    conns.extend(conn);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
                 Err(_) => std::thread::sleep(POLL),
@@ -163,6 +170,15 @@ impl Server {
                 .abort(job.key, ErrorCode::ShuttingDown, "server is draining", None);
         }
         mg_obs::tele_gauge!(metrics::QUEUE_DEPTH).set(0);
+        // Every job has now finished or been aborted, so the store holds
+        // no senders: once the readers drop theirs, each writer drains
+        // its channel and exits.
+        closing.store(true, Ordering::SeqCst);
+        for conn in conns {
+            if conn.join().is_err() {
+                mg_error!("a connection thread panicked during the drain");
+            }
+        }
         ServeStats {
             connections,
             store: self.store.counters(),
@@ -300,6 +316,8 @@ fn run_job(job: QueuedJob, store: &ResultStore, cfg: &ServeConfig) {
     finish(job.key);
 }
 
+/// One connection: spawns its writer, runs the reader until the peer
+/// hangs up or the drain ends, then waits for the writer to flush.
 fn serve_connection(
     stream: TcpStream,
     client: u64,
@@ -307,6 +325,7 @@ fn serve_connection(
     queue: &FairQueue<QueuedJob>,
     shed: &Shed,
     cfg: &ServeConfig,
+    closing: &AtomicBool,
 ) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -324,32 +343,39 @@ fn serve_connection(
         return;
     }
     let (tx, rx) = channel::<String>();
-    let writer = std::thread::Builder::new()
+    let Ok(writer) = std::thread::Builder::new()
         .name(format!("mg-serve-write-{client}"))
         .spawn(move || {
             let mut out = write_half;
             while let Ok(line) = rx.recv() {
+                mg_bench::fault::before_write();
                 if out.write_all(line.as_bytes()).is_err() || out.flush().is_err() {
                     // Peer is gone; drain and drop remaining lines so
                     // senders keep succeeding until the store prunes us.
                     break;
                 }
             }
-        });
-    if writer.is_err() {
+        })
+    else {
         return;
-    }
+    };
     let _ = tx.send(reply_line(Reply::Hello {
         protocol: PROTOCOL_VERSION,
         fingerprint: machine_fingerprint(),
     }));
-    read_requests(stream, client, &tx, store, queue, shed, cfg);
-    // Dropping `tx` here does NOT end the writer: the store may still
-    // hold subscription clones streaming rows for this client's jobs.
+    read_requests(stream, client, &tx, store, queue, shed, cfg, closing);
+    // The writer ends once the store has also dropped its subscription
+    // clones, that is when this client's jobs have finished.
+    drop(tx);
+    if writer.join().is_err() {
+        mg_error!("conn {client}: writer thread panicked");
+    }
 }
 
 /// The reader loop: one request line at a time, with overlong lines
 /// rejected once and then discarded up to their terminating newline.
+/// Returns when the peer hangs up or `closing` is set.
+#[allow(clippy::too_many_arguments)]
 fn read_requests(
     stream: TcpStream,
     client: u64,
@@ -358,11 +384,12 @@ fn read_requests(
     queue: &FairQueue<QueuedJob>,
     shed: &Shed,
     cfg: &ServeConfig,
+    closing: &AtomicBool,
 ) {
     let mut reader = BufReader::new(stream);
     let mut buf = String::new();
     let mut discarding = false;
-    loop {
+    while !closing.load(Ordering::SeqCst) {
         match reader.read_line(&mut buf) {
             Ok(0) => return, // peer closed its sending half
             Ok(_) => {

@@ -14,12 +14,17 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
-/// Spawns the daemon on an ephemeral port and returns it with the
-/// bound address parsed from its startup banner.
-fn spawn_daemon(extra: &[&str]) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mg-serve"))
-        .args(["--addr", "127.0.0.1:0", "--no-disk-cache"])
-        .args(extra)
+/// Spawns the daemon on an ephemeral port, with `fault` as its
+/// `MG_FAULT` plan, and returns it with the bound address parsed from
+/// its startup banner.
+fn spawn_daemon(extra: &[&str], fault: Option<&str>) -> (Child, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mg-serve"));
+    cmd.args(["--addr", "127.0.0.1:0", "--no-disk-cache"])
+        .args(extra);
+    if let Some(plan) = fault {
+        cmd.env("MG_FAULT", plan);
+    }
+    let mut child = cmd
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -72,7 +77,7 @@ fn request(id: &str, target_dyn: u64) -> Request {
 
 #[test]
 fn first_signal_drains_gracefully_under_load() {
-    let (mut child, addr) = spawn_daemon(&[]);
+    let (mut child, addr) = spawn_daemon(&[], None);
     let mut client = Client::connect_with_retry(&addr, Duration::from_secs(10)).expect("connect");
     client.submit(&request("drain-load", 200_000)).unwrap();
     assert!(matches!(
@@ -94,12 +99,39 @@ fn first_signal_drains_gracefully_under_load() {
     assert_eq!(status.code(), Some(0), "graceful drain exits 0");
 }
 
+/// A drain must flush every reply line already handed to a connection
+/// before the process exits. The `write-delay` fault holds each line in
+/// the connection's writer thread, so the job's cells finish (and the
+/// workers drain) long before its rows and `Done` reach the socket.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn drain_flushes_replies_still_queued_for_the_socket() {
+    let (mut child, addr) = spawn_daemon(&[], Some("write-delay:ms=300"));
+    let mut client = Client::connect_with_retry(&addr, Duration::from_secs(10)).expect("connect");
+    client.submit(&request("drain-flush", 20_000)).unwrap();
+    assert!(matches!(
+        client.read_reply().unwrap(),
+        Reply::Accepted { .. }
+    ));
+
+    signal(&child, "-TERM");
+
+    let outcome = client
+        .collect("drain-flush")
+        .expect("rows and Done arrive before the daemon exits");
+    assert!(outcome.rejected.is_none(), "queued job drains: {outcome:?}");
+    assert_eq!(outcome.rows.len(), 2, "both cells streamed");
+
+    let status = wait_timeout(&mut child, Duration::from_secs(60)).expect("daemon exited");
+    assert_eq!(status.code(), Some(0), "graceful drain exits 0");
+}
+
 #[test]
 fn second_signal_aborts_immediately_with_the_conventional_code() {
     // One worker and a heavy job (6 cells at a 5M-instruction target)
     // so the graceful drain genuinely has work to wait on when the
     // second signal lands.
-    let (mut child, addr) = spawn_daemon(&["--workers", "1"]);
+    let (mut child, addr) = spawn_daemon(&["--workers", "1"], None);
     let mut client = Client::connect_with_retry(&addr, Duration::from_secs(10)).expect("connect");
     let mut heavy = request("heavy", 5_000_000);
     heavy.schemes = vec![

@@ -182,7 +182,6 @@ pub struct MachineConfig {
     pub mg: MgConfig,
 }
 
-#[cfg(feature = "obs")]
 impl MachineConfig {
     /// The queue capacities the observability collector sizes its
     /// occupancy histograms and stall table from.

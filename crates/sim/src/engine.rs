@@ -46,7 +46,6 @@ pub struct SimOptions {
     /// Hard cycle cap (0 = automatic: generous multiple of trace length).
     pub max_cycles: u64,
     /// Collect pipeline trace, stall attribution, and occupancy metrics.
-    #[cfg(feature = "obs")]
     pub obs: Option<mg_obs::ObsConfig>,
 }
 
@@ -60,7 +59,6 @@ pub struct SimResult {
     /// Whether the cycle cap was hit (indicates a modeling bug).
     pub hit_cycle_cap: bool,
     /// The observability report, when `SimOptions::obs` requested one.
-    #[cfg(feature = "obs")]
     pub obs: Option<mg_obs::ObsReport>,
 }
 
@@ -235,11 +233,9 @@ struct Engine<'a> {
     stats: SimStats,
 
     /// Observability collector, present when the run requests one.
-    #[cfg(feature = "obs")]
     obs: Option<mg_obs::ObsCollector>,
     /// Why fetch last stalled (consulted by stall attribution while
     /// `cycle < fetch_resume`).
-    #[cfg(feature = "obs")]
     obs_redirect: mg_obs::RedirectKind,
 }
 
@@ -286,11 +282,9 @@ impl<'a> Engine<'a> {
             last_fetch_line: u64::MAX,
             cycle: 0,
             stats: SimStats::default(),
-            #[cfg(feature = "obs")]
             obs: opts
                 .obs
                 .map(|oc| mg_obs::ObsCollector::new(oc, cfg.obs_caps())),
-            #[cfg(feature = "obs")]
             obs_redirect: mg_obs::RedirectKind::None,
         }
     }
@@ -319,8 +313,9 @@ impl<'a> Engine<'a> {
             self.issue();
             self.dispatch();
             self.fetch();
-            #[cfg(feature = "obs")]
-            self.obs_end_cycle();
+            if self.obs.is_some() {
+                self.obs_end_cycle();
+            }
             self.cycle += 1;
             if self.cycle - tele_flushed >= TELE_BATCH {
                 tele_cycles.add(self.cycle - tele_flushed);
@@ -339,13 +334,11 @@ impl<'a> Engine<'a> {
         self.stats.l2 = self.mem.l2.stats();
         self.stats.storesets = self.storesets.stats();
         let slack = self.opts.profile_slack.then(|| self.build_profile());
-        #[cfg(feature = "obs")]
         let obs = self.obs.take().map(|c| c.finish(self.stats.cycles));
         SimResult {
             stats: self.stats,
             slack,
             hit_cycle_cap: hit_cap,
-            #[cfg(feature = "obs")]
             obs,
         }
     }
@@ -353,12 +346,11 @@ impl<'a> Engine<'a> {
     /// Closes the current cycle out in the observability collector:
     /// exactly one call per loop iteration, so attributed cycles equal
     /// `stats.cycles` by construction (the cap check breaks *before* any
-    /// stage runs).
-    #[cfg(feature = "obs")]
+    /// stage runs). Observer helpers stay out of line and cold, so an
+    /// unobserved run's hot loop carries only the `is_some` checks.
+    #[cold]
+    #[inline(never)]
     fn obs_end_cycle(&mut self) {
-        if self.obs.is_none() {
-            return;
-        }
         // Entries surviving in the ready list at end of cycle are exactly
         // the ops that were ready but not granted (port limits or a
         // memory-disambiguation hold).
@@ -381,7 +373,8 @@ impl<'a> Engine<'a> {
     /// window. The fetch cycle is recovered from `avail_at` (fetch cycle
     /// plus front-end depth); the operand-ready cycle is recomputed from
     /// the producers, whose completion times are final by now.
-    #[cfg(feature = "obs")]
+    #[cold]
+    #[inline(never)]
     fn obs_trace_of(&self, oi: u32, commit: Option<u64>, squash: Option<u64>) -> mg_obs::OpTrace {
         let op = &self.ops[oi as usize];
         let class = match op.kind {
@@ -481,7 +474,6 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            #[cfg(feature = "obs")]
             if self.obs.is_some() {
                 let t = self.obs_trace_of(head, Some(self.cycle), None);
                 let n = self.ops[head as usize].trace_len as u64;
@@ -648,7 +640,6 @@ impl<'a> Engine<'a> {
                 }
             }
             granted += 1;
-            #[cfg(feature = "obs")]
             if let Some(obs) = self.obs.as_mut() {
                 obs.note_issue();
             }
@@ -778,7 +769,6 @@ impl<'a> Engine<'a> {
                 let op = &mut self.ops[oi as usize];
                 op.ready_at = now + 1 + lat as u64;
                 op.done_at = op.ready_at;
-                #[cfg(feature = "obs")]
                 if lat > self.cfg.dl1.hit_lat {
                     let done = op.done_at;
                     if let Some(obs) = self.obs.as_mut() {
@@ -877,7 +867,6 @@ impl<'a> Engine<'a> {
                     } else {
                         self.mem.data_latency(addr)
                     };
-                    #[cfg(feature = "obs")]
                     if l > l1_hit {
                         let avail = start + 1 + l as u64;
                         if let Some(obs) = self.obs.as_mut() {
@@ -910,7 +899,6 @@ impl<'a> Engine<'a> {
             .expect("instances are non-empty");
         // A handle occupying more than one execution cycle is running its
         // constituents serially: that window is serialization latency.
-        #[cfg(feature = "obs")]
         if cur > now + 1 {
             if let Some(obs) = self.obs.as_mut() {
                 obs.note_handle_exec(cur);
@@ -949,10 +937,7 @@ impl<'a> Engine<'a> {
         let from = load.group_leader.unwrap_or(load_oi).min(load_oi);
         self.squash_from(from);
         self.fetch_resume = self.cycle + 2; // detect + redirect
-        #[cfg(feature = "obs")]
-        {
-            self.obs_redirect = mg_obs::RedirectKind::Other;
-        }
+        self.obs_redirect = mg_obs::RedirectKind::Other;
     }
 
     fn squash_from(&mut self, from: u32) {
@@ -989,7 +974,6 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            #[cfg(feature = "obs")]
             if self.obs.is_some() {
                 let t = self.obs_trace_of(oi as u32, None, Some(self.cycle));
                 if let Some(obs) = self.obs.as_mut() {
@@ -1025,35 +1009,30 @@ impl<'a> Engine<'a> {
             // Resource checks. Each taken break reports the structural
             // cause that stopped in-order dispatch to the collector.
             if self.rob.len() >= self.cfg.rob_entries as usize {
-                #[cfg(feature = "obs")]
                 if let Some(obs) = self.obs.as_mut() {
                     obs.note_dispatch_block(mg_obs::DispatchBlock::Rob);
                 }
                 break;
             }
             if op.needs_iq && self.iq_free == 0 {
-                #[cfg(feature = "obs")]
                 if let Some(obs) = self.obs.as_mut() {
                     obs.note_dispatch_block(mg_obs::DispatchBlock::Iq);
                 }
                 break;
             }
             if op.dest.is_some() && self.free_regs == 0 {
-                #[cfg(feature = "obs")]
                 if let Some(obs) = self.obs.as_mut() {
                     obs.note_dispatch_block(mg_obs::DispatchBlock::Regs);
                 }
                 break;
             }
             if op.is_load && self.lq_free == 0 {
-                #[cfg(feature = "obs")]
                 if let Some(obs) = self.obs.as_mut() {
                     obs.note_dispatch_block(mg_obs::DispatchBlock::Lq);
                 }
                 break;
             }
             if op.is_store && self.sq_free == 0 {
-                #[cfg(feature = "obs")]
                 if let Some(obs) = self.obs.as_mut() {
                     obs.note_dispatch_block(mg_obs::DispatchBlock::Sq);
                 }
@@ -1221,10 +1200,7 @@ impl<'a> Engine<'a> {
                             // Miss: stall fetch; the op is fetched after
                             // the fill (the line now hits).
                             self.fetch_resume = self.cycle + (lat - self.cfg.il1.hit_lat) as u64;
-                            #[cfg(feature = "obs")]
-                            {
-                                self.obs_redirect = mg_obs::RedirectKind::Icache;
-                            }
+                            self.obs_redirect = mg_obs::RedirectKind::Icache;
                             return;
                         }
                     }
@@ -1399,10 +1375,7 @@ impl<'a> Engine<'a> {
                 if pred != taken {
                     self.ops[oi as usize].mispredicted = true;
                     self.fetch_resume = NEVER; // released at resolve
-                    #[cfg(feature = "obs")]
-                    {
-                        self.obs_redirect = mg_obs::RedirectKind::Mispredict;
-                    }
+                    self.obs_redirect = mg_obs::RedirectKind::Mispredict;
                     return true;
                 }
                 if taken {
@@ -1421,10 +1394,7 @@ impl<'a> Engine<'a> {
                     self.dirpred.note_ras_mispredict();
                     self.ops[oi as usize].mispredicted = true;
                     self.fetch_resume = NEVER;
-                    #[cfg(feature = "obs")]
-                    {
-                        self.obs_redirect = mg_obs::RedirectKind::Mispredict;
-                    }
+                    self.obs_redirect = mg_obs::RedirectKind::Mispredict;
                     return true;
                 }
                 true // taken transfer always breaks fetch
@@ -1446,10 +1416,7 @@ impl<'a> Engine<'a> {
                 self.dirpred.note_btb_miss();
                 self.btb.update(pc, target);
                 self.fetch_resume = self.cycle + 2; // one-bubble redirect
-                #[cfg(feature = "obs")]
-                {
-                    self.obs_redirect = mg_obs::RedirectKind::Other;
-                }
+                self.obs_redirect = mg_obs::RedirectKind::Other;
             }
         }
         true

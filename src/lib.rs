@@ -1,5 +1,6 @@
 //! Facade crate for the minigraphs workspace: re-exports the ISA,
-//! workload, simulator, and selection crates under one roof, plus a
+//! workload, simulator, selection and observability crates under one
+//! roof, plus a
 //! convenience [`prelude`].
 //!
 //! This workspace reproduces *"Serialization-Aware Mini-Graphs:
@@ -20,7 +21,6 @@
 
 pub use mg_core as core;
 pub use mg_isa as isa;
-#[cfg(feature = "obs")]
 pub use mg_obs as obs;
 pub use mg_sim as sim;
 pub use mg_workloads as workloads;
