@@ -868,21 +868,32 @@ pub fn machine_fingerprint() -> String {
     format!("{:016x}", cache::stable_hash64(repr.as_bytes()))
 }
 
-/// Writes a JSON result file under `results/` at the workspace root,
-/// wrapping `rows` in the versioned [`Envelope`] and creating the
-/// directory if needed. Returns the path written.
-pub fn save_json<T: Serialize>(name: &str, rows: &T) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
+/// `rows` wrapped in the versioned [`Envelope`], as the pretty-printed
+/// JSON document [`save_json`] writes.
+pub(crate) fn envelope_json<T: Serialize>(rows: &T) -> String {
     let envelope = Envelope {
         schema_version: SCHEMA_VERSION,
         machine_fingerprint: machine_fingerprint(),
         rows,
     };
-    let json = serde_json::to_string_pretty(&envelope).expect("serialize results");
-    std::fs::write(&path, json).expect("write results file");
+    serde_json::to_string_pretty(&envelope).expect("serialize results")
+}
+
+/// Writes `contents` to `results/<file>` at the workspace root, creating
+/// the directory if needed. Returns the path written.
+pub fn save_result(file: &str, contents: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new("results");
+    std::fs::create_dir_all(dir).expect("create results dir");
+    let path = dir.join(file);
+    std::fs::write(&path, contents).expect("write results file");
     path
+}
+
+/// Writes a JSON result file under `results/` at the workspace root,
+/// wrapping `rows` in the versioned [`Envelope`]. Returns the path
+/// written.
+pub fn save_json<T: Serialize>(name: &str, rows: &T) -> std::path::PathBuf {
+    save_result(&format!("{name}.json"), &envelope_json(rows))
 }
 
 /// Writes a binary result record under `results/` at the workspace

@@ -32,8 +32,8 @@
 //!
 //! # Key derivation
 //!
-//! Row identity is shared by every front end — a CLI figure binary and
-//! an `mg-serve` submitted job that describe the same work derive the
+//! Row identity is shared by every front end — the CLI `figures` binary
+//! and an `mg-serve` submitted job that describe the same work derive the
 //! same keys, so results coalesce and replay across them:
 //!
 //! 1. [`sweep_repr`] renders the sweep *shape*: the machine-family

@@ -1,16 +1,18 @@
 //! Experiment harness regenerating every table and figure of
 //! *"Serialization-Aware Mini-Graphs"* (MICRO 2006).
 //!
-//! Each figure has a binary under `src/bin/`; the shared machinery lives
-//! in [`harness`] (benchmark contexts and scheme runs), [`runner`] (the
-//! parallel [`SweepSpec`] executor), [`supervisor`] (panic isolation,
-//! watchdogs, retry, and graceful shutdown around it), [`config`] (the
-//! single typed parse point for every `MG_*` environment knob),
-//! [`journal`] (crash-safe resume for interrupted sweeps), [`fault`]
-//! (deterministic fault injection behind the `fault-inject` feature),
-//! [`cache`] (content-keyed context memoization), and [`stats`]. See
-//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! record.
+//! Every figure is an entry of one table in [`figures`], run by the
+//! `figures` binary (`figures fig1 fig6 …`, `figures --all`), which
+//! groups the suite sweeps so shared cells run once. The shared
+//! machinery lives in [`harness`] (benchmark contexts and scheme runs),
+//! [`runner`] (the parallel [`SweepSpec`] executor), [`supervisor`]
+//! (panic isolation, watchdogs, retry, and graceful shutdown around it),
+//! [`config`] (the single typed parse point for every `MG_*` environment
+//! knob), [`journal`] (crash-safe resume for interrupted sweeps),
+//! [`fault`] (deterministic fault injection behind the `fault-inject`
+//! feature), [`cache`] (content-keyed context memoization), and
+//! [`stats`]. See `EXPERIMENTS.md` at the repository root for the
+//! paper-vs-measured record.
 
 #![warn(missing_docs)]
 // `signals` needs two `asm!`-wrapped syscalls for libc-free

@@ -1,6 +1,6 @@
 //! The parallel sweep runner.
 //!
-//! Every figure binary runs the same shape of experiment: a cross product
+//! Every figure sweep has the same shape of experiment: a cross product
 //! of (benchmarks × scheme/machine cells), where per-benchmark context
 //! construction is expensive and every cell is independent. A
 //! [`SweepSpec`] declares that sweep; [`SweepSpec::run`] executes it on a
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 /// One (scheme, machine) cell of a sweep, with optional per-cell
 /// overrides for the mini-graph hardware and the selection configuration
 /// (ablations).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepCell {
     /// The selection scheme to run.
     pub scheme: Scheme,
@@ -231,7 +231,7 @@ impl SweepSpec {
     /// journal (one atomically-written, checksummed file per row under
     /// `results/journal/`), so an interrupted sweep can be resumed.
     /// Default: off for library callers; [`crate::supervisor::run_cli`]
-    /// turns it on for every figure binary.
+    /// turns it on for every figure sweep.
     pub fn journal(mut self, on: bool) -> SweepSpec {
         self.journal = on;
         self
@@ -291,7 +291,7 @@ impl SweepSpec {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Executes the sweep as a figure binary should:
+    /// Executes the sweep as a command-line binary should:
     /// [`crate::supervisor::run_cli`] — journaled, resumable via
     /// `MG_RESUME=1`, graceful on SIGINT/SIGTERM, exiting `2` on
     /// configuration errors and `130` after an interrupt.

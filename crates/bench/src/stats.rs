@@ -1,4 +1,4 @@
-//! Summary statistics shared by the figure binaries.
+//! Summary statistics shared by the figures.
 //!
 //! These used to live in [`crate::harness`]; they are re-exported at the
 //! old paths (`mg_bench::{geomean, mean, s_curve}`) for compatibility.

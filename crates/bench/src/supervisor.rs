@@ -310,7 +310,7 @@ pub fn run_cli(spec: SweepSpec) -> SweepResult {
 }
 
 /// The invoking binary's file stem, sanitized for use in a results
-/// file name (`fig1`, `perf`, ...).
+/// file name (`figures`, `perf`, ...).
 fn bin_name() -> String {
     let name = std::env::args()
         .next()

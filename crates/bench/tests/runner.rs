@@ -6,7 +6,7 @@
 //! that touches them serializes on [`LOCK`].
 
 use mg_bench::cache;
-use mg_bench::figures::{fig6_rows, fig6_spec};
+use mg_bench::figures;
 use mg_bench::{Scheme, SweepCell, SweepSpec};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
@@ -15,23 +15,24 @@ use std::sync::Mutex;
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// The acceptance bar of the runner: a parallel sweep's JSON is
-/// byte-identical to a serial (`MG_JOBS=1`-equivalent) sweep's.
+/// byte-identical to a serial (`MG_JOBS=1`-equivalent) sweep's, on the
+/// sweep the `figures` table defines for Figure 6.
 #[test]
 fn parallel_fig6_json_is_byte_identical_to_serial() {
     let _guard = LOCK.lock().unwrap();
-    let parallel = {
-        let result = fig6_spec(6).jobs(4).disk_cache(false).quiet(true).run();
-        let (rows, failures) = fig6_rows(&result);
+    let fig6 = &figures::groups(&[figures::figure("fig6").unwrap()], Some(6))[0];
+    let json = |jobs: usize| {
+        let result = fig6.spec().jobs(jobs).disk_cache(false).quiet(true).run();
+        let failures: Vec<_> = result
+            .rows
+            .iter()
+            .filter_map(|r| r.all_ok().err())
+            .collect();
         assert!(failures.is_empty(), "failures: {failures:?}");
-        serde_json::to_string_pretty(&rows).unwrap()
+        let (_, report) = fig6.reports(&result).remove(0);
+        report.json.expect("fig6 saves rows")
     };
-    let serial = {
-        let result = fig6_spec(6).jobs(1).disk_cache(false).quiet(true).run();
-        let (rows, failures) = fig6_rows(&result);
-        assert!(failures.is_empty(), "failures: {failures:?}");
-        serde_json::to_string_pretty(&rows).unwrap()
-    };
-    assert_eq!(parallel, serial);
+    assert_eq!(json(4), json(1));
 }
 
 /// A second sweep over the same spec rebuilds nothing: every context
