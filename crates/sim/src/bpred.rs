@@ -3,6 +3,7 @@
 
 use crate::config::BPredConfig;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Direction/target prediction statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -186,30 +187,32 @@ impl Btb {
 /// A return address stack.
 #[derive(Clone, Debug)]
 pub struct Ras {
-    stack: Vec<u64>,
+    /// Oldest entry at the front, top of stack at the back.
+    stack: VecDeque<u64>,
     cap: usize,
 }
 
 impl Ras {
     /// Creates an empty RAS with the given capacity.
     pub fn new(entries: u32) -> Ras {
+        let cap = entries.max(1) as usize;
         Ras {
-            stack: Vec::new(),
-            cap: entries.max(1) as usize,
+            stack: VecDeque::with_capacity(cap),
+            cap,
         }
     }
 
     /// Pushes a return address (oldest entry drops when full).
     pub fn push(&mut self, addr: u64) {
         if self.stack.len() == self.cap {
-            self.stack.remove(0);
+            self.stack.pop_front();
         }
-        self.stack.push(addr);
+        self.stack.push_back(addr);
     }
 
     /// Pops the predicted return address.
     pub fn pop(&mut self) -> Option<u64> {
-        self.stack.pop()
+        self.stack.pop_back()
     }
 }
 

@@ -33,7 +33,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 const NEVER: u64 = u64::MAX;
-/// Null link in the intrusive waiter lists (no op ever has this index).
+/// Null op link: no op ever has this sequence number.
 const NO_OP: u32 = u32::MAX;
 
 /// Simulation options beyond the machine configuration.
@@ -87,34 +87,40 @@ enum OpKind {
     RetJump(u32),
 }
 
-#[derive(Clone, Copy, Debug)]
-struct SrcDep {
-    producer: Option<u32>,
-}
-
+/// One op in flight. It lives in ring slot `seq & mask` from fetch until
+/// a younger op reuses the slot; times read `NEVER` and op links `NO_OP`
+/// until set. Data that outlives the slot sits in per-seq logs instead
+/// (`Engine::ready_at`, `SlackLog`).
 #[derive(Clone, Debug)]
 struct Op {
+    /// The op's sequence number. A slot holding another `seq` was reused,
+    /// so the op being looked up has left the window.
+    seq: u32,
     kind: OpKind,
-    trace_lo: u32,
+    /// Trace position fetch restarts from when a flush squashes from this
+    /// op: its own first entry, or its outline-group leader's (the leader
+    /// may have committed and lost its slot by the time the flush fires).
+    restart_lo: u32,
     trace_len: u8,
     pc: u64,
     dest: Option<Reg>,
-    srcs: [Option<SrcDep>; 3],
+    /// Source producers resolved at rename; the first `n_srcs` are
+    /// operands, `NO_OP` marking an operand with no in-flight producer.
+    srcs: [u32; 3],
+    n_srcs: u8,
     is_load: bool,
     is_store: bool,
     mem_addr: u64,
     needs_iq: bool,
     exec_class: ExecClass,
-    /// First op of the outlined group this op belongs to (flush rounding).
-    group_leader: Option<u32>,
+    /// First op of the outlined group this op belongs to (flush
+    /// rounding), or `NO_OP`.
+    group_leader: u32,
     avail_at: u64,
-    dispatched_at: Option<u64>,
-    issued_at: Option<u64>,
-    /// When the output value is available to consumers.
-    ready_at: u64,
+    dispatched_at: u64,
+    issued_at: u64,
     /// When the op has fully completed (commit eligibility).
     done_at: u64,
-    resolve_at: u64,
     committed: bool,
     squashed: bool,
     mispredicted: bool,
@@ -122,55 +128,135 @@ struct Op {
     sial: bool,
     ser_delayed: bool,
     consumer_delayed: bool,
-    /// Minimum consumer margin observed (local slack sample).
-    min_margin: u64,
-    /// Per-src value ready times captured at issue (profiling).
-    src_ready: [Option<u64>; 2],
     /// Head of the intrusive list of IQ ops waiting on this op's value.
     waiter_head: u32,
     /// Next op in whatever waiter list this op is chained into.
     waiter_next: u32,
 }
 
+// Moving an `Op` must stay a few inline stores, not a `memmove` call.
+const _: () = assert!(std::mem::size_of::<Op>() <= 128);
+
 impl Op {
     fn new(kind: OpKind, pc: u64, avail_at: u64) -> Op {
         Op {
+            seq: NO_OP,
             kind,
-            trace_lo: 0,
+            restart_lo: 0,
             trace_len: 0,
             pc,
             dest: None,
-            srcs: [None; 3],
+            srcs: [NO_OP; 3],
+            n_srcs: 0,
             is_load: false,
             is_store: false,
             mem_addr: 0,
             needs_iq: false,
             exec_class: ExecClass::SimpleInt,
-            group_leader: None,
+            group_leader: NO_OP,
             avail_at,
-            dispatched_at: None,
-            issued_at: None,
-            ready_at: NEVER,
+            dispatched_at: NEVER,
+            issued_at: NEVER,
             done_at: NEVER,
-            resolve_at: NEVER,
             committed: false,
             squashed: false,
             mispredicted: false,
             sial: false,
             ser_delayed: false,
             consumer_delayed: false,
-            min_margin: NEVER,
-            src_ready: [None; 2],
             waiter_head: NO_OP,
             waiter_next: NO_OP,
         }
     }
 }
 
+/// The ops in flight: a power-of-two ring in which op `seq` occupies
+/// slot `seq & mask`. Indexing by `seq` never checks that the slot still
+/// holds that op; [`live`](Self::live) does.
+struct OpRing {
+    slots: Vec<Op>,
+    mask: u32,
+}
+
+impl OpRing {
+    fn with_capacity(cap: usize) -> OpRing {
+        debug_assert!(cap.is_power_of_two());
+        let vacant = Op::new(OpKind::Singleton(StaticId(0)), 0, 0);
+        OpRing {
+            slots: vec![vacant; cap],
+            mask: cap as u32 - 1,
+        }
+    }
+
+    /// Whether op `seq` still holds its slot and was not squashed.
+    fn live(&self, seq: u32) -> bool {
+        let op = &self[seq];
+        op.seq == seq && !op.squashed
+    }
+
+    /// Doubles the ring, carrying over ops `oldest..next`.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, oldest: u32, next: u32) {
+        let mut grown = OpRing::with_capacity(2 * self.slots.len());
+        for seq in oldest..next {
+            grown[seq] = self[seq].clone();
+        }
+        *self = grown;
+    }
+}
+
+impl std::ops::Index<u32> for OpRing {
+    type Output = Op;
+    fn index(&self, seq: u32) -> &Op {
+        &self.slots[(seq & self.mask) as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for OpRing {
+    fn index_mut(&mut self, seq: u32) -> &mut Op {
+        &mut self.slots[(seq & self.mask) as usize]
+    }
+}
+
+/// Slack-profiling data that outlives ring slots, kept only when
+/// `SimOptions::profile_slack` asks for a profile.
+struct SlackLog {
+    /// Per-seq minimum consumer margin (local slack sample). Consumers
+    /// keep landing margins on producers after those commit.
+    min_margin: Vec<u64>,
+    /// Per-seq source value-ready times captured at issue (`NEVER`: no
+    /// such operand).
+    src_ready: Vec<[u64; 2]>,
+    /// Committed singletons, in commit order.
+    committed: Vec<CommittedSingleton>,
+}
+
+impl SlackLog {
+    /// Lowers producer `p`'s minimum consumer margin, when profiling.
+    fn note_margin(log: &mut Option<SlackLog>, p: u32, margin: u64) {
+        if let Some(log) = log {
+            let m = &mut log.min_margin[p as usize];
+            *m = (*m).min(margin);
+        }
+    }
+}
+
+/// What the profile needs of a committed singleton besides its margin.
+struct CommittedSingleton {
+    seq: u32,
+    id: StaticId,
+    issued: u64,
+    out_ready: u64,
+    mispredicted: bool,
+}
+
 #[derive(Clone, Copy, Debug)]
 struct OutlineProgress {
     inst_idx: u32,
     leader: u32,
+    /// The leader's first trace entry (its members' `restart_lo`).
+    leader_lo: u32,
     next_pos: usize,
     /// Whether this disabled instance pays the outlining penalty (two
     /// jumps + outlined addresses) or executes idealized inline
@@ -201,7 +287,16 @@ struct Engine<'a> {
     storesets: StoreSets,
     dynctl: Option<DynMgController>,
 
-    ops: Vec<Op>,
+    ops: OpRing,
+    /// Sequence number of the next fetched op. Sequence numbers are never
+    /// reused, so a squash's replay gets fresh ones.
+    next_seq: u32,
+    /// Per-seq output-ready time (`NEVER` until the op executes).
+    /// Consumers, the rename table and pipeline traces read producers of
+    /// any age, long after their slots are reused.
+    ready_at: Vec<u64>,
+    /// Profiling-only logs, present when `opts.profile_slack` is set.
+    slack_log: Option<SlackLog>,
     rob: VecDeque<u32>,
     /// IQ ops whose operands are all ready, sorted oldest-first. Entries
     /// persist across cycles while port- or disambiguation-blocked;
@@ -214,7 +309,8 @@ struct Engine<'a> {
     lq: VecDeque<u32>,
     sq: VecDeque<u32>,
     fetchq: VecDeque<u32>,
-    rename: [Option<u32>; mg_isa::reg::NUM_ARCH_REGS],
+    /// Youngest writer of each architectural register, or `NO_OP`.
+    rename: [u32; mg_isa::reg::NUM_ARCH_REGS],
     /// Scratch: per-constituent finish times during handle execution.
     handle_finish: Vec<u64>,
 
@@ -250,6 +346,15 @@ impl<'a> Engine<'a> {
         let dynctl = opts
             .dyn_mg
             .map(|dc| DynMgController::new(dc, imap.template_count.max(1)));
+        let fetchq_cap = (cfg.fetch_width * cfg.front_depth) as usize + 8;
+        // Twice the ROB plus fetch queue: the live window never wraps the
+        // ring on the paper's machines, so `grow` stays a cold path.
+        let ring_cap = (2 * (cfg.rob_entries as usize + fetchq_cap)).next_power_of_two();
+        let slack_log = opts.profile_slack.then(|| SlackLog {
+            min_margin: Vec::with_capacity(trace.len() + 64),
+            src_ready: Vec::with_capacity(trace.len() + 64),
+            committed: Vec::with_capacity(trace.len()),
+        });
         Engine {
             program,
             trace,
@@ -262,20 +367,23 @@ impl<'a> Engine<'a> {
             storesets: StoreSets::new(&cfg.storesets),
             dynctl,
             imap,
-            ops: Vec::with_capacity(trace.len() + 64),
+            ops: OpRing::with_capacity(ring_cap),
+            next_seq: 0,
+            ready_at: Vec::with_capacity(trace.len() + 64),
+            slack_log,
             rob: VecDeque::with_capacity(cfg.rob_entries as usize),
             ready: Vec::with_capacity(cfg.iq_entries as usize),
             wakeups: BinaryHeap::with_capacity(2 * cfg.iq_entries as usize),
             lq: VecDeque::with_capacity(cfg.lq_entries as usize),
             sq: VecDeque::with_capacity(cfg.sq_entries as usize),
-            fetchq: VecDeque::with_capacity((cfg.fetch_width * cfg.front_depth) as usize + 8),
-            rename: [None; mg_isa::reg::NUM_ARCH_REGS],
+            fetchq: VecDeque::with_capacity(fetchq_cap),
+            rename: [NO_OP; mg_isa::reg::NUM_ARCH_REGS],
             handle_finish: Vec::with_capacity(8),
             free_regs: cfg.phys_regs - mg_isa::reg::NUM_ARCH_REGS as u32,
             iq_free: cfg.iq_entries,
             lq_free: cfg.lq_entries,
             sq_free: cfg.sq_entries,
-            fetchq_cap: (cfg.fetch_width * cfg.front_depth) as usize + 8,
+            fetchq_cap,
             fetch_ptr: 0,
             outline: None,
             fetch_resume: 0,
@@ -289,7 +397,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self) -> SimResult {
+    fn run(&mut self) -> SimResult {
         let cap = if self.opts.max_cycles > 0 {
             self.opts.max_cycles
         } else {
@@ -333,7 +441,7 @@ impl<'a> Engine<'a> {
         self.stats.dl1 = self.mem.dl1.stats();
         self.stats.l2 = self.mem.l2.stats();
         self.stats.storesets = self.storesets.stats();
-        let slack = self.opts.profile_slack.then(|| self.build_profile());
+        let slack = self.slack_log.as_ref().map(|log| self.build_profile(log));
         let obs = self.obs.take().map(|c| c.finish(self.stats.cycles));
         SimResult {
             stats: self.stats,
@@ -376,7 +484,7 @@ impl<'a> Engine<'a> {
     #[cold]
     #[inline(never)]
     fn obs_trace_of(&self, oi: u32, commit: Option<u64>, squash: Option<u64>) -> mg_obs::OpTrace {
-        let op = &self.ops[oi as usize];
+        let op = &self.ops[oi];
         let class = match op.kind {
             OpKind::Singleton(_) => mg_obs::OpClass::Singleton,
             OpKind::Handle(_) => mg_obs::OpClass::Handle,
@@ -384,30 +492,29 @@ impl<'a> Engine<'a> {
             OpKind::RetJump(_) => mg_obs::OpClass::ReturnJump,
         };
         let mut ready = None;
-        if op.needs_iq {
-            if let Some(d) = op.dispatched_at {
-                // First issue opportunity is the cycle after dispatch.
-                let mut r = d + 1;
-                for dep in op.srcs.iter().flatten() {
-                    if let Some(p) = dep.producer {
-                        let pr = self.ops[p as usize].ready_at;
-                        if pr != NEVER {
-                            r = r.max(pr);
-                        }
+        if op.needs_iq && op.dispatched_at != NEVER {
+            // First issue opportunity is the cycle after dispatch.
+            let mut r = op.dispatched_at + 1;
+            for &p in &op.srcs[..op.n_srcs as usize] {
+                if p != NO_OP {
+                    let pr = self.ready_at[p as usize];
+                    if pr != NEVER {
+                        r = r.max(pr);
                     }
                 }
-                ready = Some(r);
             }
+            ready = Some(r);
         }
+        let at = |t: u64| (t != NEVER).then_some(t);
         mg_obs::OpTrace {
             seq: oi as u64,
             pc: op.pc,
             class,
             fetch: op.avail_at.saturating_sub(self.cfg.front_depth as u64),
-            dispatch: op.dispatched_at,
+            dispatch: at(op.dispatched_at),
             ready,
-            issue: op.issued_at,
-            done: (op.done_at != NEVER).then_some(op.done_at),
+            issue: at(op.issued_at),
+            done: at(op.done_at),
             commit,
             squash,
         }
@@ -427,12 +534,12 @@ impl<'a> Engine<'a> {
     fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
             let Some(&head) = self.rob.front() else { break };
-            let op = &self.ops[head as usize];
+            let op = &self.ops[head];
             if op.done_at > self.cycle {
                 break;
             }
             self.rob.pop_front();
-            let op = &mut self.ops[head as usize];
+            let op = &mut self.ops[head];
             op.committed = true;
             if op.dest.is_some() {
                 self.free_regs += 1;
@@ -472,11 +579,21 @@ impl<'a> Engine<'a> {
                     if self.program.inst(id).mg.is_some() {
                         self.stats.outlined_instrs += 1;
                     }
+                    // A committed op has issued and its value is ready.
+                    if let Some(log) = self.slack_log.as_mut() {
+                        log.committed.push(CommittedSingleton {
+                            seq: head,
+                            id,
+                            issued: op.issued_at,
+                            out_ready: self.ready_at[head as usize],
+                            mispredicted: op.mispredicted,
+                        });
+                    }
                 }
             }
             if self.obs.is_some() {
                 let t = self.obs_trace_of(head, Some(self.cycle), None);
-                let n = self.ops[head as usize].trace_len as u64;
+                let n = self.ops[head].trace_len as u64;
                 if let Some(obs) = self.obs.as_mut() {
                     obs.note_commit_instrs(n);
                     obs.note_op(t);
@@ -489,10 +606,12 @@ impl<'a> Engine<'a> {
     // Issue
     // ------------------------------------------------------------------
 
-    fn src_ready_time(&self, dep: &SrcDep) -> u64 {
-        match dep.producer {
-            Some(p) => self.ops[p as usize].ready_at,
-            None => 0,
+    /// When source producer `p` (`NO_OP`: none in flight) has its value.
+    fn src_ready_time(&self, p: u32) -> u64 {
+        if p == NO_OP {
+            0
+        } else {
+            self.ready_at[p as usize]
         }
     }
 
@@ -504,12 +623,12 @@ impl<'a> Engine<'a> {
     fn schedule_for_issue(&mut self, oi: u32) {
         let mut wake = 0u64;
         let mut wait_on = None;
-        for s in 0..3 {
-            let Some(dep) = self.ops[oi as usize].srcs[s] else {
+        let op = &self.ops[oi];
+        for &p in &op.srcs[..op.n_srcs as usize] {
+            if p == NO_OP {
                 continue;
-            };
-            let Some(p) = dep.producer else { continue };
-            let r = self.ops[p as usize].ready_at;
+            }
+            let r = self.ready_at[p as usize];
             if r == NEVER {
                 wait_on = Some(p);
                 break;
@@ -518,8 +637,8 @@ impl<'a> Engine<'a> {
         }
         match wait_on {
             Some(p) => {
-                self.ops[oi as usize].waiter_next = self.ops[p as usize].waiter_head;
-                self.ops[p as usize].waiter_head = oi;
+                self.ops[oi].waiter_next = self.ops[p].waiter_head;
+                self.ops[p].waiter_head = oi;
             }
             // An op is first considered the cycle after dispatch, exactly
             // as when it sat in a queue scanned by the next issue pass.
@@ -531,12 +650,14 @@ impl<'a> Engine<'a> {
     /// has just become known. Waiters blocked on a further unissued
     /// producer re-chain onto it; squashed waiters are dropped.
     fn wake_waiters(&mut self, producer: u32) {
-        let mut w = self.ops[producer as usize].waiter_head;
-        self.ops[producer as usize].waiter_head = NO_OP;
+        let mut w = self.ops[producer].waiter_head;
+        self.ops[producer].waiter_head = NO_OP;
         while w != NO_OP {
-            let next = self.ops[w as usize].waiter_next;
-            self.ops[w as usize].waiter_next = NO_OP;
-            if !self.ops[w as usize].squashed {
+            // Waiters are younger than their in-flight producer, so they
+            // still hold their slots, squashed or not.
+            let next = self.ops[w].waiter_next;
+            self.ops[w].waiter_next = NO_OP;
+            if self.ops.live(w) {
                 self.schedule_for_issue(w);
             }
             w = next;
@@ -552,14 +673,15 @@ impl<'a> Engine<'a> {
                 break;
             }
             self.wakeups.pop();
-            if !self.ops[oi as usize].squashed {
+            // A squashed op's entry may outlive its slot: check the seq.
+            if self.ops.live(oi) {
                 self.ready.push(oi);
             }
         }
         if self.ready.is_empty() {
             return;
         }
-        // Oldest-first select: op indices are assigned in dispatch order.
+        // Oldest-first select: sequence numbers follow dispatch order.
         self.ready.sort_unstable();
 
         let mut simple = self.cfg.issue_simple;
@@ -580,15 +702,14 @@ impl<'a> Engine<'a> {
         // itself is not edited mid-pass).
         for i in 0..self.ready.len() {
             let oi = self.ready[i];
-            let op = &self.ops[oi as usize];
-            if op.squashed {
+            if !self.ops.live(oi) {
                 continue; // squashed by a flush earlier in this pass
             }
+            let op = &self.ops[oi];
             // Operand-arrival time (sources are ready by construction).
             let mut max_ready = 0u64;
-            for dep in op.srcs.iter().flatten() {
-                let r = self.src_ready_time(dep);
-                max_ready = max_ready.max(r);
+            for &p in &op.srcs[..op.n_srcs as usize] {
+                max_ready = max_ready.max(self.src_ready_time(p));
             }
             debug_assert!(max_ready <= self.cycle, "op {oi} woke before its operands");
             // Port availability.
@@ -650,10 +771,8 @@ impl<'a> Engine<'a> {
             // Drop issued ops, and any entries squashed by a mid-pass
             // flush (flushes only happen on issue, so between passes the
             // list stays clean).
-            self.ready.retain(|&oi| {
-                let op = &self.ops[oi as usize];
-                !op.squashed && op.issued_at.is_none()
-            });
+            self.ready
+                .retain(|&oi| self.ops.live(oi) && self.ops[oi].issued_at == NEVER);
         }
     }
 
@@ -661,7 +780,7 @@ impl<'a> Engine<'a> {
     /// Returns `false` if it must wait (predicted dependence on an
     /// unissued older store).
     fn load_may_issue(&mut self, load_oi: u32) -> bool {
-        let load_pc = self.ops[load_oi as usize].pc;
+        let load_pc = self.ops[load_oi].pc;
         let Some(load_set) = self.storesets.set_of(load_pc) else {
             // A load outside every store set never stalls.
             return true;
@@ -670,8 +789,8 @@ impl<'a> Engine<'a> {
         // older than the load can constrain it.
         let older = self.sq.partition_point(|&si| si < load_oi);
         for &si in self.sq.range(..older) {
-            let st = &self.ops[si as usize];
-            if st.issued_at.is_none() && Some(load_set) == self.storesets.set_of(st.pc) {
+            let st = &self.ops[si];
+            if st.issued_at == NEVER && Some(load_set) == self.storesets.set_of(st.pc) {
                 // Unresolved older store with a predicted dependence.
                 self.storesets.note_stall();
                 return false;
@@ -686,8 +805,8 @@ impl<'a> Engine<'a> {
     fn forwarding_store(&self, load_oi: u32, addr: u64) -> Option<u32> {
         let older = self.sq.partition_point(|&si| si < load_oi);
         for &si in self.sq.range(..older).rev() {
-            let st = &self.ops[si as usize];
-            if st.issued_at.is_some() && st.mem_addr & !7 == addr & !7 {
+            let st = &self.ops[si];
+            if st.issued_at != NEVER && st.mem_addr & !7 == addr & !7 {
                 return Some(si);
             }
         }
@@ -700,8 +819,8 @@ impl<'a> Engine<'a> {
     fn violating_load(&self, store_oi: u32, addr: u64) -> Option<u32> {
         let younger = self.lq.partition_point(|&li| li <= store_oi);
         for &li in self.lq.range(younger..) {
-            let ld = &self.ops[li as usize];
-            if ld.issued_at.is_some() && ld.mem_addr & !7 == addr & !7 {
+            let ld = &self.ops[li];
+            if ld.issued_at != NEVER && ld.mem_addr & !7 == addr & !7 {
                 return Some(li);
             }
         }
@@ -713,33 +832,40 @@ impl<'a> Engine<'a> {
         // Consumer-delay propagation for Slack-Dynamic: if a source's
         // producer is a serialization-delayed handle, the value arrived at
         // `max_src_ready`, and we are issuing exactly then, the delay
-        // propagated.
-        for s in 0..3 {
-            let Some(dep) = self.ops[oi as usize].srcs[s] else {
+        // propagated. The flag is read only when the handle commits, so a
+        // producer that has committed (or lost its slot) is skipped.
+        let (srcs, n_srcs) = (self.ops[oi].srcs, self.ops[oi].n_srcs as usize);
+        for &p in &srcs[..n_srcs] {
+            if p == NO_OP {
                 continue;
-            };
-            let Some(p) = dep.producer else { continue };
-            let p_ready = self.ops[p as usize].ready_at;
+            }
+            let p_ready = self.ready_at[p as usize];
             // Local-slack sample: how long after the value arrived did
             // this consumer issue?
-            let margin = now.saturating_sub(p_ready);
-            let prod = &mut self.ops[p as usize];
-            prod.min_margin = prod.min_margin.min(margin);
-            if prod.ser_delayed && p_ready == max_src_ready && now == p_ready {
+            SlackLog::note_margin(&mut self.slack_log, p, now.saturating_sub(p_ready));
+            let prod = &mut self.ops[p];
+            if prod.seq == p
+                && !prod.committed
+                && prod.ser_delayed
+                && p_ready == max_src_ready
+                && now == p_ready
+            {
                 prod.consumer_delayed = true;
             }
         }
         // Record per-slot value ready times for profiling.
-        if self.opts.profile_slack {
-            for s in 0..2 {
-                if let Some(dep) = self.ops[oi as usize].srcs[s] {
-                    self.ops[oi as usize].src_ready[s] = Some(self.src_ready_time(&dep));
-                }
+        if self.slack_log.is_some() {
+            let mut src_ready = [NEVER; 2];
+            for s in 0..n_srcs.min(2) {
+                src_ready[s] = self.src_ready_time(srcs[s]);
+            }
+            if let Some(log) = self.slack_log.as_mut() {
+                log.src_ready[oi as usize] = src_ready;
             }
         }
 
-        let kind = self.ops[oi as usize].kind;
-        self.ops[oi as usize].issued_at = Some(now);
+        let kind = self.ops[oi].kind;
+        self.ops[oi].issued_at = now;
         match kind {
             OpKind::Handle(idx) => self.execute_handle(oi, idx, max_src_ready),
             OpKind::Singleton(id) => self.execute_singleton(oi, id),
@@ -756,53 +882,54 @@ impl<'a> Engine<'a> {
         let inst = self.program.inst(id);
         match inst.op {
             Opcode::Load => {
-                let addr = self.ops[oi as usize].mem_addr;
+                let addr = self.ops[oi].mem_addr;
                 let lat = if let Some(si) = self.forwarding_store(oi, addr) {
                     // Store-to-load forwarding: fast, and a slack sample
                     // for the store's "memory output".
-                    let st = &mut self.ops[si as usize];
-                    st.min_margin = st.min_margin.min(now.saturating_sub(st.done_at));
+                    SlackLog::note_margin(
+                        &mut self.slack_log,
+                        si,
+                        now.saturating_sub(self.ops[si].done_at),
+                    );
                     2
                 } else {
                     self.mem.data_latency(addr)
                 };
-                let op = &mut self.ops[oi as usize];
-                op.ready_at = now + 1 + lat as u64;
-                op.done_at = op.ready_at;
+                let done = now + 1 + lat as u64;
+                self.complete(oi, done, done);
                 if lat > self.cfg.dl1.hit_lat {
-                    let done = op.done_at;
                     if let Some(obs) = self.obs.as_mut() {
                         obs.note_load_miss(done);
                     }
                 }
             }
             Opcode::Store => {
-                let addr = self.ops[oi as usize].mem_addr;
-                let op = &mut self.ops[oi as usize];
-                op.done_at = now + 1;
-                op.ready_at = now + 1;
+                let addr = self.ops[oi].mem_addr;
+                self.complete(oi, now + 1, now + 1);
                 if let Some(li) = self.violating_load(oi, addr) {
                     self.flush_from_violation(oi, li);
                 }
             }
             Opcode::Br(_) => {
-                let op = &mut self.ops[oi as usize];
-                op.done_at = now + 1;
-                op.ready_at = now + 1;
-                op.resolve_at = now + self.cfg.sched_to_exec as u64 + 1;
-                if op.mispredicted {
-                    op.min_margin = 0; // delaying a mispredict delays redirect
-                    let resume = op.resolve_at + 1;
-                    self.fetch_resume = resume;
+                self.complete(oi, now + 1, now + 1);
+                if self.ops[oi].mispredicted {
+                    // Delaying a mispredict delays the redirect.
+                    SlackLog::note_margin(&mut self.slack_log, oi, 0);
+                    let resolve = now + self.cfg.sched_to_exec as u64 + 1;
+                    self.fetch_resume = resolve + 1;
                 }
             }
             _ => {
                 let lat = inst.op.latency() as u64;
-                let op = &mut self.ops[oi as usize];
-                op.ready_at = now + lat;
-                op.done_at = now + lat;
+                self.complete(oi, now + lat, now + lat);
             }
         }
+    }
+
+    /// Sets op `oi`'s completion and value-ready times once it executes.
+    fn complete(&mut self, oi: u32, done_at: u64, ready_at: u64) {
+        self.ops[oi].done_at = done_at;
+        self.ready_at[oi as usize] = ready_at;
     }
 
     fn execute_handle(&mut self, oi: u32, idx: u32, max_src_ready: u64) {
@@ -819,15 +946,17 @@ impl<'a> Engine<'a> {
             if first_pos == 0 {
                 continue;
             }
-            if let Some(dep) = self.ops[oi as usize].srcs[s] {
-                if self.src_ready_time(&dep) == max_src_ready && max_src_ready > 0 {
-                    sial = true;
-                }
+            let op = &self.ops[oi];
+            if s < op.n_srcs as usize
+                && self.src_ready_time(op.srcs[s]) == max_src_ready
+                && max_src_ready > 0
+            {
+                sial = true;
             }
         }
         let delayed = sial && now == max_src_ready;
         {
-            let op = &mut self.ops[oi as usize];
+            let op = &mut self.ops[oi];
             op.sial = sial;
             op.ser_delayed = delayed;
         }
@@ -859,10 +988,13 @@ impl<'a> Engine<'a> {
             }
             let data_lat = match inst.op {
                 Opcode::Load => {
-                    let addr = self.ops[oi as usize].mem_addr;
+                    let addr = self.ops[oi].mem_addr;
                     let l = if let Some(si) = self.forwarding_store(oi, addr) {
-                        let st = &mut self.ops[si as usize];
-                        st.min_margin = st.min_margin.min(start.saturating_sub(st.done_at));
+                        SlackLog::note_margin(
+                            &mut self.slack_log,
+                            si,
+                            start.saturating_sub(self.ops[si].done_at),
+                        );
                         2
                     } else {
                         self.mem.data_latency(addr)
@@ -876,7 +1008,7 @@ impl<'a> Engine<'a> {
                     1 + l as u64
                 }
                 Opcode::Store => {
-                    store_event = Some((start, self.ops[oi as usize].mem_addr));
+                    store_event = Some((start, self.ops[oi].mem_addr));
                     1
                 }
                 op => op.latency() as u64,
@@ -904,16 +1036,11 @@ impl<'a> Engine<'a> {
                 obs.note_handle_exec(cur);
             }
         }
-        {
-            let op = &mut self.ops[oi as usize];
-            op.done_at = cur;
-            op.ready_at = if out_ready == NEVER { cur } else { out_ready };
-            if let Some(r) = resolve {
-                op.resolve_at = r;
-                if op.mispredicted {
-                    op.min_margin = 0;
-                    self.fetch_resume = r + 1;
-                }
+        self.complete(oi, cur, if out_ready == NEVER { cur } else { out_ready });
+        if let Some(r) = resolve {
+            if self.ops[oi].mispredicted {
+                SlackLog::note_margin(&mut self.slack_log, oi, 0);
+                self.fetch_resume = r + 1;
             }
         }
         if let Some((_, addr)) = store_event {
@@ -929,21 +1056,23 @@ impl<'a> Engine<'a> {
 
     fn flush_from_violation(&mut self, store_oi: u32, load_oi: u32) {
         self.stats.violation_flushes += 1;
-        let load = &self.ops[load_oi as usize];
-        let store = &self.ops[store_oi as usize];
+        let load = &self.ops[load_oi];
+        let store = &self.ops[store_oi];
         self.storesets.train_violation(load.pc, store.pc);
         // Round the squash point down to the load's outline-group leader
-        // so refetch reconstructs whole groups.
-        let from = load.group_leader.unwrap_or(load_oi).min(load_oi);
-        self.squash_from(from);
+        // (`NO_OP` when it has none) so refetch reconstructs whole groups.
+        let from = load.group_leader.min(load_oi);
+        let restart_lo = load.restart_lo;
+        self.squash_from(from, restart_lo);
         self.fetch_resume = self.cycle + 2; // detect + redirect
         self.obs_redirect = mg_obs::RedirectKind::Other;
     }
 
-    fn squash_from(&mut self, from: u32) {
-        // Fetch restarts at the squashed op's first trace entry. Synthetic
-        // jumps carry the trace position they were fetched at.
-        self.fetch_ptr = self.ops[from as usize].trace_lo as usize;
+    /// Squashes every op from `from` on and restarts fetch at trace
+    /// position `restart_lo`: the first entry of op `from`, which may have
+    /// committed already when it leads an outline group.
+    fn squash_from(&mut self, from: u32, restart_lo: u32) {
+        self.fetch_ptr = restart_lo as usize;
         self.outline = None;
         self.fetchq.retain(|&oi| oi < from);
         self.rob.retain(|&oi| oi < from);
@@ -952,18 +1081,19 @@ impl<'a> Engine<'a> {
         // The ready list and wakeup heap are filtered lazily: entries for
         // squashed ops are dropped on their next touch. (A flush can fire
         // mid-issue-pass, so the ready list must not be edited here.)
-        for oi in (from as usize)..self.ops.len() {
+        for oi in from..self.next_seq {
             {
                 let op = &mut self.ops[oi];
-                if op.squashed || op.committed {
+                // A reused slot means op `oi` left the window long ago.
+                if op.seq != oi || op.squashed || op.committed {
                     continue;
                 }
                 op.squashed = true;
-                if op.dispatched_at.is_some() {
+                if op.dispatched_at != NEVER {
                     if op.dest.is_some() {
                         self.free_regs += 1;
                     }
-                    if op.needs_iq && op.issued_at.is_none() {
+                    if op.needs_iq && op.issued_at == NEVER {
                         self.iq_free += 1;
                     }
                     if op.is_load {
@@ -975,7 +1105,7 @@ impl<'a> Engine<'a> {
                 }
             }
             if self.obs.is_some() {
-                let t = self.obs_trace_of(oi as u32, None, Some(self.cycle));
+                let t = self.obs_trace_of(oi, None, Some(self.cycle));
                 if let Some(obs) = self.obs.as_mut() {
                     obs.note_op(t);
                 }
@@ -983,11 +1113,13 @@ impl<'a> Engine<'a> {
         }
         // Rebuild the rename table from surviving in-flight writers,
         // walking the ROB in place (oldest to youngest, so the youngest
-        // writer of each register wins, as during dispatch).
-        self.rename = [None; mg_isa::reg::NUM_ARCH_REGS];
+        // writer of each register wins, as during dispatch). Committed
+        // writers are forgotten, so their later consumers read ready
+        // time 0: a modelling quirk the golden stats pin.
+        self.rename = [NO_OP; mg_isa::reg::NUM_ARCH_REGS];
         for &oi in &self.rob {
-            if let Some(d) = self.ops[oi as usize].dest {
-                self.rename[d.index()] = Some(oi);
+            if let Some(d) = self.ops[oi].dest {
+                self.rename[d.index()] = oi;
             }
         }
         self.last_fetch_line = u64::MAX;
@@ -1002,10 +1134,10 @@ impl<'a> Engine<'a> {
             let Some(&oi) = self.fetchq.front() else {
                 break;
             };
-            if self.ops[oi as usize].avail_at > self.cycle {
+            if self.ops[oi].avail_at > self.cycle {
                 break;
             }
-            let op = &self.ops[oi as usize];
+            let op = &self.ops[oi];
             // Resource checks. Each taken break reports the structural
             // cause that stopped in-order dispatch to the collector.
             if self.rob.len() >= self.cfg.rob_entries as usize {
@@ -1042,58 +1174,44 @@ impl<'a> Engine<'a> {
             // Resolve source producers through the rename table. At most
             // three sources exist (two singleton operands, or up to three
             // external inputs per the RISC-singleton interface bound).
-            let kind = self.ops[oi as usize].kind;
-            let mut src_regs = [None::<Reg>; 3];
-            let mut n_srcs = 0usize;
-            match kind {
+            let op = &mut self.ops[oi];
+            let mut add_src = |r: Reg| {
+                op.srcs[op.n_srcs as usize] = self.rename[r.index()];
+                op.n_srcs += 1;
+            };
+            match op.kind {
                 OpKind::Singleton(id) => {
                     let inst = self.program.inst(id);
                     for r in [inst.src1, inst.src2].into_iter().flatten() {
                         if !r.is_zero() {
-                            src_regs[n_srcs] = Some(r);
-                            n_srcs += 1;
+                            add_src(r);
                         }
                     }
                 }
                 OpKind::Handle(idx) => {
                     for &(r, _) in &self.imap.instances[idx as usize].ext_inputs {
-                        src_regs[n_srcs] = Some(r);
-                        n_srcs += 1;
+                        add_src(r);
                     }
                 }
                 _ => {}
             }
-            let mut renames = [None::<u32>; 3];
-            for s in 0..n_srcs {
-                renames[s] = self.rename[src_regs[s].expect("filled above").index()];
-            }
-            {
-                let op = &mut self.ops[oi as usize];
-                for (s, &producer) in renames.iter().enumerate().take(n_srcs) {
-                    op.srcs[s] = Some(SrcDep { producer });
-                }
-                op.dispatched_at = Some(self.cycle);
-            }
+            op.dispatched_at = self.cycle;
             // Allocate.
-            let op = &self.ops[oi as usize];
-            if op.needs_iq {
+            if self.ops[oi].needs_iq {
                 self.iq_free -= 1;
                 self.schedule_for_issue(oi);
             } else {
                 // Control-only ops complete immediately.
-                let sched = self.cfg.sched_to_exec as u64;
-                let op = &mut self.ops[oi as usize];
-                op.issued_at = Some(self.cycle);
-                op.ready_at = self.cycle + 1;
-                op.done_at = self.cycle + 1;
-                if op.mispredicted {
+                self.ops[oi].issued_at = self.cycle;
+                self.complete(oi, self.cycle + 1, self.cycle + 1);
+                if self.ops[oi].mispredicted {
                     // A mispredicted bypass transfer (e.g. a RAS miss on a
                     // return) resolves after register read.
-                    op.resolve_at = self.cycle + sched + 1;
-                    self.fetch_resume = op.resolve_at + 1;
+                    let resolve = self.cycle + self.cfg.sched_to_exec as u64 + 1;
+                    self.fetch_resume = resolve + 1;
                 }
             }
-            let op = &self.ops[oi as usize];
+            let op = &self.ops[oi];
             if op.is_load {
                 self.lq_free -= 1;
                 self.lq.push_back(oi);
@@ -1104,7 +1222,7 @@ impl<'a> Engine<'a> {
             }
             if let Some(d) = op.dest {
                 self.free_regs -= 1;
-                self.rename[d.index()] = Some(oi);
+                self.rename[d.index()] = oi;
             }
             self.rob.push_back(oi);
         }
@@ -1219,18 +1337,18 @@ impl<'a> Engine<'a> {
     /// (taken control transfer or redirect stall).
     fn fetch_one(&mut self, unit: FetchUnit, pc: u64) -> bool {
         let avail = self.cycle + self.cfg.front_depth as u64;
-        let oi = self.ops.len() as u32;
+        let oi = self.next_seq;
         match unit {
             FetchUnit::Singleton => {
                 let entry = self.trace.insts[self.fetch_ptr];
                 self.fetch_ptr += 1;
                 let mut op = Op::new(OpKind::Singleton(entry.id), pc, avail);
-                op.trace_lo = (self.fetch_ptr - 1) as u32;
+                op.restart_lo = (self.fetch_ptr - 1) as u32;
                 op.trace_len = 1;
                 self.init_singleton_op(&mut op, entry.id, entry.addr);
                 let inst = self.program.inst(entry.id);
                 let ctrl = inst.op.is_control();
-                self.ops.push(op);
+                self.push_op(op);
                 self.fetchq.push_back(oi);
                 if ctrl {
                     self.handle_control_fetch(oi, pc, inst.op, entry.taken)
@@ -1243,18 +1361,18 @@ impl<'a> Engine<'a> {
                 self.fetch_ptr += 1;
                 // A free-mode (no-penalty) group starts directly at its
                 // first constituent; it is its own flush leader.
-                let (leader, penalized) = match self.outline {
-                    Some(out) => (out.leader, out.penalized),
-                    None => (oi, false),
+                let (leader, leader_lo, penalized) = match self.outline {
+                    Some(out) => (out.leader, out.leader_lo, out.penalized),
+                    None => (oi, (self.fetch_ptr - 1) as u32, false),
                 };
                 let mut op = Op::new(OpKind::Singleton(entry.id), pc, avail);
-                op.trace_lo = (self.fetch_ptr - 1) as u32;
+                op.restart_lo = leader_lo;
                 op.trace_len = 1;
-                op.group_leader = Some(leader);
+                op.group_leader = leader;
                 self.init_singleton_op(&mut op, entry.id, entry.addr);
                 let inst = self.program.inst(entry.id);
                 let ctrl = inst.op.is_control();
-                self.ops.push(op);
+                self.push_op(op);
                 self.fetchq.push_back(oi);
                 let len = self.imap.instances[inst_idx as usize].len;
                 if !penalized && next_pos + 1 == len {
@@ -1263,6 +1381,7 @@ impl<'a> Engine<'a> {
                     self.outline = Some(OutlineProgress {
                         inst_idx,
                         leader,
+                        leader_lo,
                         next_pos: next_pos + 1,
                         penalized,
                     });
@@ -1297,7 +1416,7 @@ impl<'a> Engine<'a> {
                     self.fetch_ptr += 1;
                 }
                 let mut op = Op::new(OpKind::Handle(idx), pc, avail);
-                op.trace_lo = lo as u32;
+                op.restart_lo = lo as u32;
                 op.trace_len = info.len as u8;
                 op.needs_iq = true;
                 op.dest = info.output.map(|(r, _)| r);
@@ -1309,7 +1428,7 @@ impl<'a> Engine<'a> {
                 let ctrl_op = info
                     .control
                     .map(|p| self.program.block(info.block).insts[info.start + p].op);
-                self.ops.push(op);
+                self.push_op(op);
                 self.fetchq.push_back(oi);
                 if let Some(cop) = ctrl_op {
                     self.handle_control_fetch(oi, pc, cop, br_taken)
@@ -1325,13 +1444,14 @@ impl<'a> Engine<'a> {
                     ctl.note_disabled_encounter(template);
                 }
                 let mut op = Op::new(OpKind::OutJump(idx), pc, avail);
-                op.trace_lo = self.fetch_ptr as u32;
-                op.group_leader = Some(oi);
-                self.ops.push(op);
+                op.restart_lo = self.fetch_ptr as u32;
+                op.group_leader = oi;
+                self.push_op(op);
                 self.fetchq.push_back(oi);
                 self.outline = Some(OutlineProgress {
                     inst_idx: idx,
                     leader: oi,
+                    leader_lo: self.fetch_ptr as u32,
                     next_pos: 0,
                     penalized: true,
                 });
@@ -1339,15 +1459,35 @@ impl<'a> Engine<'a> {
                 self.handle_control_fetch(oi, pc, Opcode::Jmp, true)
             }
             FetchUnit::OutRetJump(idx) => {
-                let leader = self.outline.expect("outline in progress").leader;
+                let out = self.outline.expect("outline in progress");
                 let mut op = Op::new(OpKind::RetJump(idx), pc, avail);
-                op.trace_lo = self.fetch_ptr as u32;
-                op.group_leader = Some(leader);
-                self.ops.push(op);
+                op.restart_lo = out.leader_lo;
+                op.group_leader = out.leader;
+                self.push_op(op);
                 self.fetchq.push_back(oi);
                 self.outline = None;
                 self.handle_control_fetch(oi, pc, Opcode::Jmp, true)
             }
+        }
+    }
+
+    /// Places a just-fetched op in the ring as op `next_seq`, first
+    /// growing the ring if the slot is still held by the oldest op in
+    /// flight (the ROB head, or else the fetch-queue head).
+    fn push_op(&mut self, mut op: Op) {
+        let seq = self.next_seq;
+        if let Some(&oldest) = self.rob.front().or(self.fetchq.front()) {
+            if seq - oldest > self.ops.mask {
+                self.ops.grow(oldest, seq);
+            }
+        }
+        op.seq = seq;
+        self.ops[seq] = op;
+        self.next_seq += 1;
+        self.ready_at.push(NEVER);
+        if let Some(log) = self.slack_log.as_mut() {
+            log.min_margin.push(NEVER);
+            log.src_ready.push([NEVER; 2]);
         }
     }
 
@@ -1373,7 +1513,7 @@ impl<'a> Engine<'a> {
             Opcode::Br(_) => {
                 let pred = self.dirpred.predict_and_train(pc, taken);
                 if pred != taken {
-                    self.ops[oi as usize].mispredicted = true;
+                    self.ops[oi].mispredicted = true;
                     self.fetch_resume = NEVER; // released at resolve
                     self.obs_redirect = mg_obs::RedirectKind::Mispredict;
                     return true;
@@ -1392,7 +1532,7 @@ impl<'a> Engine<'a> {
                 let pred = self.ras.pop();
                 if pred != actual_target && actual_target.is_some() {
                     self.dirpred.note_ras_mispredict();
-                    self.ops[oi as usize].mispredicted = true;
+                    self.ops[oi].mispredicted = true;
                     self.fetch_resume = NEVER;
                     self.obs_redirect = mg_obs::RedirectKind::Mispredict;
                     return true;
@@ -1430,37 +1570,26 @@ impl<'a> Engine<'a> {
     // Slack profile construction
     // ------------------------------------------------------------------
 
-    fn build_profile(&self) -> SlackProfile {
+    fn build_profile(&self, log: &SlackLog) -> SlackProfile {
         let mut accums = vec![ProfileAccum::default(); self.program.static_count()];
         let mut base: i64 = 0;
-        for op in &self.ops {
-            if op.squashed || !op.committed {
-                continue;
-            }
-            let OpKind::Singleton(id) = op.kind else {
-                continue; // profiles are collected on singleton runs
-            };
-            let loc = self.program.loc_of(id);
-            let issued = op.issued_at.or(op.dispatched_at).unwrap_or(0) as i64;
+        // Profiles are collected on singleton runs: handles are not logged.
+        for op in &log.committed {
+            let loc = self.program.loc_of(op.id);
+            let issued = op.issued as i64;
             if loc.idx == 0 {
                 base = issued;
             }
-            let out_ready = if op.ready_at == NEVER {
-                op.done_at.min(op.ready_at)
-            } else {
-                op.ready_at
-            } as i64;
-            let margin = if op.min_margin == NEVER {
-                slack::SLACK_CAP
-            } else {
-                op.min_margin
+            let out_ready = op.out_ready as i64;
+            let margin = match log.min_margin[op.seq as usize] {
+                NEVER => slack::SLACK_CAP,
+                m => m,
             };
-            accums[id.index()].add(
+            let src_ready = log.src_ready[op.seq as usize];
+            let rel = |r: u64| (r != NEVER).then(|| r as i64 - base);
+            accums[op.id.index()].add(
                 issued - base,
-                [
-                    op.src_ready[0].map(|r| r as i64 - base),
-                    op.src_ready[1].map(|r| r as i64 - base),
-                ],
+                [rel(src_ready[0]), rel(src_ready[1])],
                 out_ready - base,
                 margin,
                 op.mispredicted,
@@ -1831,9 +1960,10 @@ mod tests {
         assert!(later.issue_rel > rec.issue_rel);
     }
 
-    #[test]
-    fn store_load_forwarding_and_violations() {
-        // store to addr; dependent load soon after, repeatedly.
+    /// A store to a fixed address whose data arrives late, then a load
+    /// of it, repeatedly: loads speculate past the store and violate until
+    /// StoreSets learns the dependence.
+    fn store_load_loop() -> Program {
         let mut pb = ProgramBuilder::new("fwd");
         let f = pb.func("main");
         let head = pb.block(f);
@@ -1851,7 +1981,12 @@ mod tests {
         pb.push(body, Instruction::br(BrCond::Ne, Reg::R1, Reg::ZERO, body));
         pb.set_fallthrough(body, exit);
         pb.push(exit, Instruction::halt());
-        let p = pb.build().unwrap();
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn store_load_forwarding_and_violations() {
+        let p = store_load_loop();
         let (t, _) = Executor::new(&p).run().unwrap();
         let r = simulate(&p, &t, &MachineConfig::baseline(), SimOptions::default());
         assert!(!r.hit_cycle_cap);
@@ -1873,23 +2008,7 @@ mod tests {
         // queue is saturated and the squashed suffix sits mid-ROB.
         // Regression for squash_from's in-place rename rebuild and the
         // lazy filtering of the ready list / wakeup heap.
-        let mut pb = ProgramBuilder::new("fwd-tiny");
-        let f = pb.func("main");
-        let head = pb.block(f);
-        let body = pb.block(f);
-        let exit = pb.block(f);
-        pb.push(head, Instruction::li(Reg::R1, 400));
-        pb.push(head, Instruction::li(Reg::R2, 0x8000));
-        pb.set_fallthrough(head, body);
-        pb.push(body, Instruction::mul(Reg::R3, Reg::R1, Reg::R1));
-        pb.push(body, Instruction::store(Reg::R2, Reg::R3, 0));
-        pb.push(body, Instruction::load(Reg::R4, Reg::R2, 0));
-        pb.push(body, Instruction::add(Reg::R5, Reg::R5, Reg::R4));
-        pb.push(body, Instruction::addi(Reg::R1, Reg::R1, -1));
-        pb.push(body, Instruction::br(BrCond::Ne, Reg::R1, Reg::ZERO, body));
-        pb.set_fallthrough(body, exit);
-        pb.push(exit, Instruction::halt());
-        let p = pb.build().unwrap();
+        let p = store_load_loop();
         let (t, _) = Executor::new(&p).run().unwrap();
         let mut cfg = MachineConfig::baseline();
         cfg.iq_entries = 4;
@@ -1958,6 +2077,101 @@ mod tests {
         // from below; hitting completion near that bound means every
         // waiter woke exactly when its producer finished.
         assert!(r.stats.cycles > 2300, "cycles {}", r.stats.cycles);
+    }
+
+    /// Tags every adjacent pair of mini-graph-eligible instructions in
+    /// which the second consumes the first's value and nothing else does:
+    /// a crude Struct-All selection, enough to put handles, serializing
+    /// inputs and outlined groups on a suite benchmark.
+    fn tag_dependent_pairs(p: &Program) -> Program {
+        use mg_isa::dataflow::{liveness, BlockDataflow};
+        use mg_isa::{BasicBlock, BlockId};
+        let live = liveness(p);
+        let mut templates = std::collections::HashMap::new();
+        let mut instance = 0u32;
+        let mut blocks = Vec::new();
+        for (bi, block) in p.blocks().iter().enumerate() {
+            let df = BlockDataflow::analyze(block, live.live_out(BlockId(bi as u32)));
+            let mut insts = block.insts.clone();
+            let mut i = 0;
+            while i + 1 < insts.len() {
+                let (a, b) = (insts[i], insts[i + 1]);
+                let pair = a.op.mg_eligible()
+                    && b.op.mg_eligible()
+                    && !a.op.is_control()
+                    && !(a.op.is_mem() && b.op.is_mem())
+                    && a.def().is_some()
+                    && [b.src1, b.src2].contains(&a.def())
+                    && !df.value_visible_outside(i, &[i, i + 1]);
+                if !pair {
+                    i += 1;
+                    continue;
+                }
+                let n = templates.len() as u16;
+                let template = *templates.entry((a.op, b.op)).or_insert(n);
+                insts[i] = a.with_mg(tag(instance, template, 0, 2));
+                insts[i + 1] = b.with_mg(tag(instance, template, 1, 2));
+                instance += 1;
+                i += 2;
+            }
+            blocks.push(BasicBlock {
+                insts,
+                fallthrough: block.fallthrough,
+            });
+        }
+        Program::new("pairs", blocks, p.funcs().to_vec(), p.entry_func()).unwrap()
+    }
+
+    /// Runs with the ring shrunk to 4 slots, so fetch grows it again and
+    /// again, checks the run equals the default-size one and returns it.
+    fn run_with_growing_ring(
+        program: &Program,
+        trace: &Trace,
+        cfg: &MachineConfig,
+        opts: SimOptions,
+    ) -> SimResult {
+        let expected = simulate(program, trace, cfg, opts);
+        let mut e = Engine::new(program, trace, cfg, opts);
+        e.ops = OpRing::with_capacity(4);
+        let got = e.run();
+        assert!(e.ops.slots.len() > 4, "the ring never grew");
+        let json = |r: &SimResult| {
+            (
+                serde_json::to_string(&r.stats).unwrap(),
+                serde_json::to_string(&r.slack).unwrap(),
+            )
+        };
+        assert_eq!(json(&got), json(&expected));
+        assert_eq!(got.obs, expected.obs);
+        expected
+    }
+
+    #[test]
+    fn ring_growth_preserves_results() {
+        let p = store_load_loop();
+        let (t, _) = Executor::new(&p).run().unwrap();
+        let opts = SimOptions {
+            obs: Some(mg_obs::ObsConfig::default()),
+            ..SimOptions::default()
+        };
+        let r = run_with_growing_ring(&p, &t, &MachineConfig::baseline(), opts);
+        assert!(r.stats.violation_flushes >= 1);
+
+        let mut spec = mg_workloads::benchmark("spec_gzip").unwrap();
+        spec.params.target_dyn = 20_000;
+        let w = spec.generate();
+        let p = tag_dependent_pairs(&w.program);
+        let (t, _) = Executor::new(&p).run_with_mem(&w.init_mem).unwrap();
+        let cfg = MachineConfig::reduced().with_mg(MgConfig::paper());
+        let opts = SimOptions {
+            profile_slack: true,
+            dyn_mg: Some(DynMgConfig::slack_dynamic()),
+            ..SimOptions::default()
+        };
+        let r = run_with_growing_ring(&p, &t, &cfg, opts);
+        assert!(!r.hit_cycle_cap);
+        assert!(r.stats.disabled_templates > 0 && r.stats.outline_jumps > 0);
+        assert!(r.stats.violation_flushes > 0, "{:?}", r.stats);
     }
 
     #[test]

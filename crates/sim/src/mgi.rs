@@ -11,7 +11,6 @@
 use mg_isa::dataflow::{self, BlockDataflow, UseSource};
 use mg_isa::{BlockId, Program, Reg, StaticId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Interface and shape of one mini-graph instance.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -91,8 +90,6 @@ impl InstanceInfo {
 pub struct InstanceMap {
     /// Instances ordered by handle static id.
     pub instances: Vec<InstanceInfo>,
-    /// Map from handle static id to index in `instances`.
-    by_handle: HashMap<u32, usize>,
     /// Number of distinct templates.
     pub template_count: usize,
 }
@@ -140,27 +137,25 @@ impl InstanceMap {
             }
         }
         instances.sort_by_key(|inst| inst.handle_id.0);
-        let by_handle = instances
-            .iter()
-            .enumerate()
-            .map(|(idx, inst)| (inst.handle_id.0, idx))
-            .collect();
         InstanceMap {
             instances,
-            by_handle,
             template_count: max_template,
         }
     }
 
     /// The instance whose handle is `id`, if any.
     pub fn at_handle(&self, id: StaticId) -> Option<&InstanceInfo> {
-        self.by_handle.get(&id.0).map(|&i| &self.instances[i])
+        self.index_of_handle(id)
+            .map(|i| &self.instances[i as usize])
     }
 
     /// The index (into [`instances`](Self::instances)) of the instance
     /// whose handle is `id`, if any.
     pub fn index_of_handle(&self, id: StaticId) -> Option<u32> {
-        self.by_handle.get(&id.0).map(|&i| i as u32)
+        self.instances
+            .binary_search_by_key(&id.0, |inst| inst.handle_id.0)
+            .ok()
+            .map(|i| i as u32)
     }
 
     /// Whether the program has any instances.
