@@ -1,6 +1,6 @@
-//! Before/after benchmark of the on-disk record formats: measures
-//! record size and load/replay time for the binary `mg_bench::binfmt`
-//! containers against their JSON-era equivalents, and writes
+//! Benchmark of the on-disk record format: measures record size and
+//! load/replay time for the binary `mg_bench::binfmt` containers against
+//! the JSON view of the same records, and writes
 //! `results/BENCH_format.json`.
 //!
 //! Usage: `format_bench [N]` limits the sweep to the first N
@@ -10,17 +10,18 @@
 //! The journal and cache layers are measured on *real* records: the
 //! bench runs a single-cell sweep over the suite with journaling kept,
 //! then re-reads every journal row and disk-cache entry it produced.
-//! Each record is also rendered to the byte-exact legacy JSON form
-//! (checksummed `DiskRecord` envelope) so both formats decode the same
-//! data. The span-trace and obs-pipeline layers use deterministic
-//! synthetic documents of realistic shape.
+//! Each record is also rendered as JSON of its decoded value (the view
+//! `export_json` writes, compact rather than pretty-printed), so both
+//! formats decode the same data. The span-trace and obs-pipeline layers
+//! use deterministic synthetic documents of realistic shape. Per-record
+//! columns divide the totals by the record count (sizes) and by `REPS`
+//! × records (load times).
 //!
 //! Exits non-zero if the binary format fails its acceptance gates on
 //! the durability layers (journal + cache): records at least 3x
 //! smaller than JSON and replay at least as fast.
 
 use mg_bench::binfmt::{self, RecordKind};
-use mg_bench::cache::{open_record, seal_record};
 use mg_bench::{save_json, Scheme, SweepCell, SweepSpec};
 use mg_obs::mg_info;
 use mg_sim::MachineConfig;
@@ -38,16 +39,20 @@ struct LayerRow {
     records: usize,
     bin_bytes: u64,
     json_bytes: u64,
-    /// JSON bytes per binary byte (bigger is better for the new format).
+    bin_bytes_per_record: f64,
+    json_bytes_per_record: f64,
+    /// JSON bytes per binary byte (bigger is better for the binary format).
     size_ratio: f64,
     bin_load_us: u64,
     json_load_us: u64,
+    bin_us_per_record: f64,
+    json_us_per_record: f64,
     /// JSON load time per binary load time.
     load_speedup: f64,
 }
 
 /// One record measured in both formats: the sealed binary container
-/// and the legacy checksummed-JSON envelope of the same decoded value.
+/// and the compact JSON view of the same decoded value.
 struct Pair {
     bin: Vec<u8>,
     json: Vec<u8>,
@@ -57,7 +62,7 @@ fn pair_from_record(bytes: Vec<u8>) -> Option<Pair> {
     let header = binfmt::peek_header(&bytes).ok()?;
     let kind = RecordKind::from_u16(header.kind)?;
     let value = binfmt::open_value(&bytes, kind, header.schema).ok()?;
-    let json = seal_record(serde_json::to_string(&value).ok()?)?;
+    let json = serde_json::to_string(&value).ok()?.into_bytes();
     Some(Pair { bin: bytes, json })
 }
 
@@ -68,8 +73,7 @@ fn decode_bin(bytes: &[u8]) -> Option<Value> {
 }
 
 fn decode_json(bytes: &[u8]) -> Option<Value> {
-    let payload = open_record(bytes)?;
-    serde_json::parse_value_str(&payload).ok()
+    serde_json::parse_value_str(std::str::from_utf8(bytes).ok()?).ok()
 }
 
 /// Measures one layer: total sizes, and wall time to decode every
@@ -91,20 +95,26 @@ fn measure(layer: &str, pairs: &[Pair]) -> LayerRow {
         }
     }
     let json_load_us = u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX);
+    let records = (pairs.len() as f64).max(1.0);
+    let loads = records * f64::from(REPS);
     LayerRow {
         layer: layer.to_string(),
         records: pairs.len(),
         bin_bytes,
         json_bytes,
+        bin_bytes_per_record: bin_bytes as f64 / records,
+        json_bytes_per_record: json_bytes as f64 / records,
         size_ratio: json_bytes as f64 / (bin_bytes as f64).max(1.0),
         bin_load_us,
         json_load_us,
+        bin_us_per_record: bin_load_us as f64 / loads,
+        json_us_per_record: json_load_us as f64 / loads,
         load_speedup: json_load_us as f64 / (bin_load_us as f64).max(1.0),
     }
 }
 
 /// Collects every `.mgb` record under `dir` whose file name starts with
-/// `prefix`, paired with its legacy JSON rendering.
+/// `prefix`, paired with its JSON view.
 fn pairs_from_dir(dir: &Path, prefix: &str) -> Vec<Pair> {
     let Ok(listing) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -154,7 +164,9 @@ fn synthetic_trace(n: u64) -> Vec<Pair> {
         ("displayTimeUnit".into(), Value::Str("ms".into())),
     ]);
     let bin = binfmt::to_record(RecordKind::SpanTrace, binfmt::SPAN_TRACE_SCHEMA, &doc);
-    let json = seal_record(serde_json::to_string(&doc).expect("trace renders")).expect("seals");
+    let json = serde_json::to_string(&doc)
+        .expect("trace renders")
+        .into_bytes();
     vec![Pair { bin, json }]
 }
 
@@ -185,9 +197,9 @@ fn synthetic_obs(n: u64) -> Vec<Pair> {
         ("trace".into(), Value::Seq(rows)),
     ]);
     let bin = binfmt::to_record(RecordKind::ObsDump, 1, &doc);
-    // The JSON-era obs artifact was written pretty-printed (save_json).
-    let json =
-        seal_record(serde_json::to_string_pretty(&doc).expect("dump renders")).expect("seals");
+    let json = serde_json::to_string(&doc)
+        .expect("dump renders")
+        .into_bytes();
     vec![Pair { bin, json }]
 }
 
@@ -229,21 +241,20 @@ fn main() {
     ];
     let _ = std::fs::remove_dir_all(&journal_root);
 
-    println!("FORMAT BENCH: binary records vs their JSON-era equivalents");
+    println!("FORMAT BENCH: binary records vs their JSON view");
     println!(
-        "{:<14} {:>7} {:>12} {:>12} {:>7} {:>12} {:>12} {:>8}",
-        "layer", "records", "bin B", "json B", "ratio", "bin us", "json us", "speedup"
+        "layer          records  bin B/rec json B/rec   ratio  bin us/rec json us/rec  speedup"
     );
     for r in &rows {
         println!(
-            "{:<14} {:>7} {:>12} {:>12} {:>6.2}x {:>12} {:>12} {:>7.2}x",
+            "{:<14} {:>7} {:>10.0} {:>10.0} {:>6.2}x {:>11.1} {:>11.1} {:>7.2}x",
             r.layer,
             r.records,
-            r.bin_bytes,
-            r.json_bytes,
+            r.bin_bytes_per_record,
+            r.json_bytes_per_record,
             r.size_ratio,
-            r.bin_load_us,
-            r.json_load_us,
+            r.bin_us_per_record,
+            r.json_us_per_record,
             r.load_speedup
         );
     }

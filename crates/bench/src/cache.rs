@@ -244,43 +244,12 @@ pub struct DiskHit {
     pub training: TrainingRun,
 }
 
-/// The checksummed envelope a JSON-era record holds. `payload` is the
-/// record's JSON *as a string*, so the checksum is over exact bytes and
-/// never depends on re-serialization being canonical. The cache no
-/// longer reads it; the sweep journal still replays JSON-era rows, and
-/// the format benchmark renders records in it for comparison.
-#[derive(Serialize, Deserialize)]
-struct DiskRecord {
-    /// FNV-1a of `payload`'s UTF-8 bytes, in zero-padded hex.
-    checksum: String,
-    payload: String,
-}
-
-/// Wraps serialized payload bytes in the JSON-era checksummed
-/// envelope. Exposed (hidden) so the journal tests and the format
-/// benchmark can fabricate JSON-era records; production code only ever
-/// *reads* this envelope now.
-#[doc(hidden)]
-pub fn seal_record(payload: String) -> Option<Vec<u8>> {
-    let record = DiskRecord {
-        checksum: format!("{:016x}", stable_hash64(payload.as_bytes())),
-        payload,
-    };
-    serde_json::to_vec(&record).ok()
-}
-
-/// Parses and verifies a legacy [`DiskRecord`], returning the payload
-/// string. `None` means the bytes are corrupt or truncated (parse or
-/// checksum failure) — not merely stale.
-#[doc(hidden)]
-pub fn open_record(bytes: &[u8]) -> Option<String> {
-    let record: DiskRecord = serde_json::from_slice(bytes).ok()?;
-    let sum = format!("{:016x}", stable_hash64(record.payload.as_bytes()));
-    (sum == record.checksum).then_some(record.payload)
+fn disk_name(key: u64) -> String {
+    format!("ctx-{key:016x}.{}", binfmt::EXT)
 }
 
 fn disk_path_in(dir: &std::path::Path, key: u64) -> PathBuf {
-    dir.join(format!("ctx-{key:016x}.{}", binfmt::EXT))
+    dir.join(disk_name(key))
 }
 
 /// Moves a corrupt record into `quarantine_dir` (best-effort), warns
@@ -335,6 +304,34 @@ pub(crate) fn quarantine_into(
             let _ = std::fs::remove_file(old);
         }
     }
+}
+
+/// Publishes `bytes` as `dir/name`: creates `dir`, writes a unique
+/// `<name>.tmp.<pid>.<seq>` next to the destination and renames it into
+/// place, so a reader or a concurrent writer of the same record never
+/// sees a torn file. The temp file is removed on failure. Shared by the
+/// cache and the sweep journal, which count and log failures their own
+/// way: the error carries the failed step (`create the directory of`,
+/// `write` or `publish`) with the I/O error.
+pub(crate) fn publish(
+    dir: &std::path::Path,
+    name: &str,
+    bytes: &[u8],
+) -> Result<(), (&'static str, std::io::Error)> {
+    std::fs::create_dir_all(dir).map_err(|e| ("create the directory of", e))?;
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = dir.join(format!(
+        "{name}.tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let published = std::fs::write(&tmp, bytes)
+        .map_err(|e| ("write", e))
+        .and_then(|()| std::fs::rename(&tmp, dir.join(name)).map_err(|e| ("publish", e)));
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    published
 }
 
 fn quarantine(dir: &std::path::Path, path: &std::path::Path, why: &str) {
@@ -479,25 +476,8 @@ pub fn disk_store_to(
         training: *training,
     };
     let bytes = binfmt::to_record(RecordKind::CacheEntry, CACHE_SCHEMA, &entry);
-    // Best-effort: write via a unique temp file + rename so concurrent
-    // writers of the same key never expose a torn entry.
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        write_failed("create cache dir", dir, &e);
-        return;
-    }
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let tmp = dir.join(format!(
-        "ctx-{key:016x}.tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    if let Err(e) = std::fs::write(&tmp, bytes) {
-        write_failed("write", &tmp, &e);
-        return;
-    }
-    if let Err(e) = std::fs::rename(&tmp, disk_path_in(dir, key)) {
-        write_failed("publish", &tmp, &e);
-        let _ = std::fs::remove_file(&tmp);
+    if let Err((step, e)) = publish(dir, &disk_name(key), &bytes) {
+        write_failed(step, &disk_path_in(dir, key), &e);
         return;
     }
     // Keep the disk layer bounded: evict least-recently-used entries
@@ -674,20 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_record_envelope_round_trips_and_detects_corruption() {
-        let payload = r#"{"schema_version":2,"bench":"mib_sha"}"#.to_string();
-        let sealed = seal_record(payload.clone()).unwrap();
-        assert_eq!(open_record(&sealed).as_deref(), Some(payload.as_str()));
-        // Truncation and payload flips both fail the envelope check.
-        assert!(open_record(&sealed[..sealed.len() / 2]).is_none());
-        let mut flipped = sealed.clone();
-        let idx = flipped.len() / 2;
-        flipped[idx] ^= 0x01;
-        assert!(open_record(&flipped).is_none());
-        assert!(open_record(b"not json at all").is_none());
-    }
-
-    #[test]
     fn cache_outcome_tags_round_trip() {
         for outcome in [
             CacheOutcome::MemHit,
@@ -776,12 +742,43 @@ mod tests {
         let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
         let legacy = dir.join(format!("ctx-{:016x}.json", 99));
         let payload = r#"{"schema_version":2,"bench":"mib_sha","freqs":[9,8,7]}"#;
-        std::fs::write(&legacy, seal_record(payload.to_string()).unwrap()).unwrap();
+        std::fs::write(&legacy, payload).unwrap();
         assert!(disk_load_from(&dir, 99, &spec).is_none());
         assert!(legacy.exists(), "JSON-era entry left alone");
         assert!(!disk_path_in(&dir, 99).exists(), "nothing migrated");
         assert!(!dir.join("quarantine").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed publish is counted, leaves no temp file behind, and the
+    /// key then misses: a directory in place of the entry (the rename
+    /// fails), and a regular file in place of the cache directory (the
+    /// directory cannot be created).
+    #[test]
+    fn failed_publish_is_counted_and_cleaned_up() {
+        let root = std::env::temp_dir().join(format!("mg-cache-publish-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let spec = BenchmarkSpec::new(Suite::MiBench, "sha");
+        let errors = || mg_obs::telemetry::counter("mg_cache_write_errors_total").get();
+        let entries = |dir: &std::path::Path| std::fs::read_dir(dir).unwrap().count();
+        let slack = SlackProfile::default();
+
+        let dir = root.join("blocked-entry");
+        std::fs::create_dir_all(disk_path_in(&dir, 5)).unwrap();
+        let before = errors();
+        disk_store_to(&dir, 5, &spec, &[1, 2], &slack, &demo_training());
+        assert!(errors() > before, "rename failure counted");
+        assert_eq!(entries(&dir), 1, "only the blocking directory is left");
+        assert!(disk_load_from(&dir, 5, &spec).is_none());
+
+        let file = root.join("not-a-dir");
+        std::fs::write(&file, b"").unwrap();
+        let before = errors();
+        disk_store_to(&file, 5, &spec, &[1, 2], &slack, &demo_training());
+        assert!(errors() > before, "create failure counted");
+        assert_eq!(entries(&root), 2, "no temp file next to the blocking file");
+        assert!(disk_load_from(&file, 5, &spec).is_none());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Regenerates the current-generation cache fixture under

@@ -14,20 +14,17 @@
 //! checksummed [`crate::binfmt`] container
 //! ([`crate::binfmt::RecordKind::JournalRow`]), so a record either
 //! exists completely and verifies, or it is quarantined and treated as
-//! absent; a process killed mid-write never leaves torn state. Rows
-//! from the JSON era (`row-*.json`, FNV-checksummed envelope) are still
-//! read transparently for one schema generation, so a sweep
-//! interrupted before an upgrade resumes bit-identically after it.
+//! absent; a process killed mid-write never leaves torn state.
 //! Only *finished* rows are journaled — failed cells are finished
 //! (their errors are deterministic and replay bit-identically) but
 //! rows skipped by a shutdown are not, so a resume re-runs exactly the
 //! work that never completed.
 //!
 //! Journal I/O is best-effort, like the context cache: an unwritable
-//! directory degrades to journaling nothing — but unlike the JSON era,
-//! every write failure is logged and counted
-//! (`mg_journal_write_errors_total`) instead of silently swallowed, and
-//! corrupt records land in `<sweep-dir>/quarantine/` for post-mortem
+//! directory degrades to journaling nothing, but every write failure is
+//! logged and counted (`mg_journal_write_errors_total`) instead of
+//! silently swallowed, and corrupt records land in
+//! `<sweep-dir>/quarantine/` for post-mortem
 //! (`mg_journal_quarantined_total`).
 //!
 //! # Key derivation
@@ -53,13 +50,12 @@
 //! job) is deliberately excluded.
 
 use crate::binfmt::{self, RecordKind};
-use crate::cache::{open_record, quarantine_into, stable_hash64, CacheOutcome};
+use crate::cache::{publish, quarantine_into, stable_hash64, CacheOutcome};
 use crate::harness::{machine_fingerprint, BenchError, SchemeRun};
 use crate::runner::BenchRows;
 use mg_obs::mg_error;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Version tag for journal records. Bump on any change to the record
@@ -124,17 +120,12 @@ impl Journal {
         &self.dir
     }
 
-    fn row_path(&self, idx: usize) -> PathBuf {
-        self.dir.join(format!(
-            "row-{idx:04}-{:016x}.{}",
-            self.row_keys[idx],
-            binfmt::EXT
-        ))
+    fn row_name(&self, idx: usize) -> String {
+        format!("row-{idx:04}-{:016x}.{}", self.row_keys[idx], binfmt::EXT)
     }
 
-    fn legacy_row_path(&self, idx: usize) -> PathBuf {
-        self.dir
-            .join(format!("row-{idx:04}-{:016x}.json", self.row_keys[idx]))
+    fn row_path(&self, idx: usize) -> PathBuf {
+        self.dir.join(self.row_name(idx))
     }
 
     fn quarantine(&self, path: &Path, why: &str) {
@@ -153,23 +144,16 @@ impl Journal {
     /// additionally move to the sweep's `quarantine/` directory.
     pub fn load_row(&self, idx: usize, cell_count: usize) -> Option<BenchRows> {
         let path = self.row_path(idx);
-        let row = match std::fs::read(&path) {
-            Ok(bytes) => {
-                match binfmt::from_record::<JournalRow>(
-                    &bytes,
-                    RecordKind::JournalRow,
-                    JOURNAL_SCHEMA,
-                ) {
-                    Ok(row) => row,
-                    Err(err) => {
-                        if err.is_corrupt() {
-                            self.quarantine(&path, &err.to_string());
-                        }
-                        return None;
-                    }
+        let bytes = std::fs::read(&path).ok()?;
+        let decoded = binfmt::from_record(&bytes, RecordKind::JournalRow, JOURNAL_SCHEMA);
+        let row: JournalRow = match decoded {
+            Ok(row) => row,
+            Err(err) => {
+                if err.is_corrupt() {
+                    self.quarantine(&path, &err.to_string());
                 }
+                return None;
             }
-            Err(_) => self.load_legacy_row(idx)?,
         };
         if row.schema_version != JOURNAL_SCHEMA
             || row.row_index != idx
@@ -194,30 +178,6 @@ impl Journal {
             replayed: true,
             retries: 0,
         })
-    }
-
-    /// Reads a JSON-era row record (checksummed [`DiskRecord`]
-    /// envelope around a JSON [`JournalRow`]), the on-disk format
-    /// before the binary container. Supported read-only for one schema
-    /// generation so in-flight sweeps resume across the upgrade;
-    /// records that fail the envelope checksum or JSON parse are
-    /// quarantined like corrupt binary ones.
-    ///
-    /// [`DiskRecord`]: crate::cache::seal_record
-    fn load_legacy_row(&self, idx: usize) -> Option<JournalRow> {
-        let path = self.legacy_row_path(idx);
-        let bytes = std::fs::read(&path).ok()?;
-        let Some(payload) = open_record(&bytes) else {
-            self.quarantine(&path, "legacy journal record failed its checksum");
-            return None;
-        };
-        match serde_json::from_str(&payload) {
-            Ok(row) => Some(row),
-            Err(err) => {
-                self.quarantine(&path, &format!("legacy journal record unparsable: {err}"));
-                None
-            }
-        }
     }
 
     /// Loads the single-cell record written by [`Journal::store_cell`]
@@ -270,28 +230,9 @@ impl Journal {
             cache: rows.cache.map(|c| c.tag().to_string()),
         };
         let bytes = binfmt::to_record(RecordKind::JournalRow, JOURNAL_SCHEMA, &row);
-        if let Err(err) = std::fs::create_dir_all(&self.dir) {
-            write_failed("create journal dir", &self.dir, &err);
-            return;
-        }
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            "row-{idx:04}.tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        if let Err(err) = std::fs::write(&tmp, bytes) {
-            write_failed("write journal record", &tmp, &err);
-            return;
-        }
-        match std::fs::rename(&tmp, self.row_path(idx)) {
-            Ok(()) => {
-                mg_obs::tele_counter!("mg_journal_appends_total").inc();
-            }
-            Err(err) => {
-                write_failed("publish journal record", &self.row_path(idx), &err);
-                let _ = std::fs::remove_file(&tmp);
-            }
+        match publish(&self.dir, &self.row_name(idx), &bytes) {
+            Ok(()) => mg_obs::tele_counter!("mg_journal_appends_total").inc(),
+            Err((step, err)) => write_failed(step, &self.row_path(idx), &err),
         }
     }
 
@@ -450,51 +391,53 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A JSON-era row (`row-*.json`) is never read: row 0 misses
+    /// silently, its file stays where it is and nothing is quarantined,
+    /// while the binary row next to it replays.
     #[test]
-    fn legacy_json_rows_resume_alongside_binary_rows() {
-        let root = temp_root("mixed");
+    fn json_era_rows_are_silent_misses() {
+        let root = temp_root("json-era");
         let journal = Journal::new(&root, 0xdead, vec![5, 6]);
-        // Row 1 written by the current binary writer; row 0 fabricated
-        // byte-for-byte as the JSON-era writer produced it.
         journal.store_row(1, &demo_rows("mib_sha"));
-        let rows = demo_rows("mib_crc32");
-        let legacy = JournalRow {
-            schema_version: JOURNAL_SCHEMA,
-            bench: rows.bench.clone(),
-            row_index: 0,
-            row_key: format!("{:016x}", 5u64),
-            cells: rows
-                .runs
-                .iter()
-                .map(|r| match r {
-                    Ok(run) => JournalCell::Ok(run.clone()),
-                    Err(e) => JournalCell::Err(e.clone()),
-                })
-                .collect(),
-            wall_ms: 1234,
-            cache: rows.cache.map(|c| c.tag().to_string()),
-        };
-        std::fs::create_dir_all(journal.dir()).unwrap();
-        let payload = serde_json::to_string(&legacy).unwrap();
-        let sealed = crate::cache::seal_record(payload).unwrap();
-        std::fs::write(journal.legacy_row_path(0), sealed).unwrap();
+        let legacy = journal.dir().join(format!("row-0000-{:016x}.json", 5));
+        std::fs::write(&legacy, br#"{"checksum":"0","payload":"{}"}"#).unwrap();
+        assert!(journal.load_row(0, 2).is_none());
+        assert!(legacy.exists(), "JSON-era row left alone");
+        assert!(!journal.dir().join("quarantine").exists());
+        assert_eq!(journal.load_row(1, 2).expect("binary row").bench, "mib_sha");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
-        // Both eras replay from the same directory.
-        let back0 = journal.load_row(0, 2).expect("legacy JSON row replays");
-        let back1 = journal.load_row(1, 2).expect("binary row replays");
-        assert_eq!(back0.bench, "mib_crc32");
-        assert_eq!(back1.bench, "mib_sha");
-        // Replay is bit-identical across eras: the same demo cells come
-        // back with the same float bits and the same error payloads.
-        let a = back0.runs[0].as_ref().unwrap();
-        let b = back1.runs[0].as_ref().unwrap();
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits());
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(back0.wall, back1.wall);
-        assert!(matches!(
-            back0.runs[1],
-            Err(BenchError::Panicked { cell: 1, .. })
-        ));
+    /// A failed publish is counted as a write error (never as an
+    /// append), leaves no temp file behind, and the row then misses: a
+    /// directory in place of the record (the rename fails), and a
+    /// regular file in place of the sweep directory (the directory
+    /// cannot be created).
+    #[test]
+    fn failed_publish_is_counted_and_cleaned_up() {
+        let root = temp_root("publish");
+        let errors = || mg_obs::telemetry::counter("mg_journal_write_errors_total").get();
+        let entries = |dir: &Path| std::fs::read_dir(dir).unwrap().count();
+
+        let journal = Journal::new(&root, 1, vec![7]);
+        std::fs::create_dir_all(journal.row_path(0)).unwrap();
+        let before = errors();
+        journal.store_row(0, &demo_rows("mib_sha"));
+        assert!(errors() > before, "rename failure counted");
+        assert_eq!(
+            entries(journal.dir()),
+            1,
+            "only the blocking directory is left"
+        );
+        assert!(journal.load_row(0, 2).is_none());
+
+        let blocked = Journal::new(&root, 2, vec![7]);
+        std::fs::write(blocked.dir(), b"").unwrap();
+        let before = errors();
+        blocked.store_row(0, &demo_rows("mib_sha"));
+        assert!(errors() > before, "create failure counted");
+        assert_eq!(entries(&root), 2, "no temp file next to the blocking file");
+        assert!(blocked.load_row(0, 2).is_none());
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -518,41 +461,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// Regenerates the checked-in journal fixtures under
-    /// `tests/format/` — one legacy JSON row and one binary row of the
-    /// same deterministic demo payload. Run explicitly when the record
-    /// shape changes generation:
+    /// Regenerates the checked-in binary journal fixture under
+    /// `tests/format/` (`row-0001-000000000000002b.mgb`), a row of the
+    /// deterministic demo payload. The JSON-era row next to it
+    /// (`row-0000-…2a.json`) came from an earlier writer and is kept as
+    /// it is. Run explicitly when the record shape changes generation:
     /// `cargo test -p mg-bench --lib -- --ignored regenerate_journal_fixtures`
     #[test]
     #[ignore = "writes checked-in fixtures; run on schema generation changes"]
     fn regenerate_journal_fixtures() {
         let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/format"));
         let journal = Journal::new(&root, 0xf1, vec![0x2a, 0x2b]);
-        let _ = std::fs::remove_dir_all(journal.dir());
-        std::fs::create_dir_all(journal.dir()).unwrap();
-        // Binary row via the current writer.
+        let _ = std::fs::remove_file(journal.row_path(1));
         journal.store_row(1, &demo_rows("mib_crc32"));
-        // Legacy row byte-for-byte as the JSON-era writer produced it.
-        let rows = demo_rows("mib_sha");
-        let legacy = JournalRow {
-            schema_version: JOURNAL_SCHEMA,
-            bench: rows.bench.clone(),
-            row_index: 0,
-            row_key: format!("{:016x}", 0x2au64),
-            cells: rows
-                .runs
-                .iter()
-                .map(|r| match r {
-                    Ok(run) => JournalCell::Ok(run.clone()),
-                    Err(e) => JournalCell::Err(e.clone()),
-                })
-                .collect(),
-            wall_ms: 1234,
-            cache: rows.cache.map(|c| c.tag().to_string()),
-        };
-        let payload = serde_json::to_string(&legacy).unwrap();
-        let sealed = crate::cache::seal_record(payload).unwrap();
-        std::fs::write(journal.legacy_row_path(0), sealed).unwrap();
     }
 
     #[test]

@@ -280,8 +280,7 @@ pub fn supervise_cell_until(
 ///   registry is snapshotted to `results/TELEMETRY_<bin>.json`, and
 ///   with `MG_TRACE=1` the collected spans are drained to
 ///   `results/TRACE_<bin>.mgb` (a checksummed binary record;
-///   `MG_TRACE=json` additionally writes the Chrome trace JSON view
-///   for Perfetto).
+///   `export_json` renders it as the Chrome trace JSON for Perfetto).
 pub fn run_cli(spec: SweepSpec) -> SweepResult {
     let cfg = crate::config::Config::init_cli();
     let spec = spec
@@ -295,7 +294,7 @@ pub fn run_cli(spec: SweepSpec) -> SweepResult {
             std::process::exit(2);
         }
         Ok(result) => {
-            write_telemetry_artifacts(&bin_name(), cfg.trace, cfg.trace_json);
+            write_telemetry_artifacts(&bin_name(), cfg.trace);
             if result.summary.interrupted > 0 {
                 std::process::exit(130);
             }
@@ -339,11 +338,10 @@ fn bin_name() -> String {
 
 /// Snapshots the telemetry registry to `results/TELEMETRY_<bin>.json`
 /// and, when span collection is on, drains the span buffer to
-/// `results/TRACE_<bin>.mgb` (a checksummed [`crate::binfmt`] record;
-/// with `trace_json` also the legacy Chrome-JSON view). Best-effort: a
-/// failed write logs an error but never fails the sweep that produced
-/// the rows.
-pub fn write_telemetry_artifacts(bin: &str, trace: bool, trace_json: bool) {
+/// `results/TRACE_<bin>.mgb` (a checksummed [`crate::binfmt`] record).
+/// Best-effort: a failed write logs an error but never fails the sweep
+/// that produced the rows.
+pub fn write_telemetry_artifacts(bin: &str, trace: bool) {
     use crate::binfmt::{self, RecordKind};
     let path =
         crate::harness::save_json(&format!("TELEMETRY_{bin}"), &mg_obs::telemetry::snapshot());
@@ -361,19 +359,6 @@ pub fn write_telemetry_artifacts(bin: &str, trace: bool, trace_json: bool) {
                 path.display()
             ),
             Err(e) => mg_error!("failed to write trace {}: {e}", path.display()),
-        }
-        if trace_json {
-            let path = dir.join(format!("TRACE_{bin}.json"));
-            match serde_json::to_string(&doc) {
-                Ok(json) => match std::fs::write(&path, json) {
-                    Ok(()) => mg_info!(
-                        "trace JSON view written to {} (open in Perfetto)",
-                        path.display()
-                    ),
-                    Err(e) => mg_error!("failed to write trace view {}: {e}", path.display()),
-                },
-                Err(e) => mg_error!("failed to serialize trace view: {e}"),
-            }
         }
     }
 }

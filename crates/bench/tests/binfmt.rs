@@ -1,21 +1,20 @@
 //! Integration tests for the on-disk binary record format: checked-in
-//! journal fixtures from the previous schema generation (legacy JSON
-//! era) must keep loading next to current binary records, previous-
-//! generation cache fixtures must miss cleanly, and corruption of a
-//! journaled sweep must be survived — quarantined and re-run, never
-//! fatal, with bit-identical results.
+//! JSON-era journal and cache fixtures, and previous-generation binary
+//! cache fixtures, must miss cleanly next to current binary records that
+//! load, and corruption of a journaled sweep must be survived —
+//! quarantined and re-run, never fatal, with bit-identical results.
 //!
-//! The fixture files under `tests/format/` are regenerated by the
-//! `#[ignore]`d `regenerate_*_fixtures` unit tests
-//! (`cargo test -p mg-bench --lib -- --ignored regenerate`); CI's
-//! `format-smoke` job runs this suite to guarantee a schema-generation
-//! bump cannot silently orphan existing journals, nor turn a stale cache
-//! entry into an error.
+//! The current-generation fixture files under `tests/format/` are
+//! regenerated by the `#[ignore]`d `regenerate_*_fixtures` unit tests
+//! (`cargo test -p mg-bench --lib -- --ignored regenerate`); the older
+//! ones are kept as they were written. CI's `format-smoke` job runs this
+//! suite to guarantee that a stale record never turns into an error.
 
 use mg_bench::{CacheOutcome, Journal, Scheme, SweepCell, SweepSpec};
 use mg_sim::MachineConfig;
 use mg_workloads::{suite, BenchmarkSpec, Suite};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn fixture_root() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/format"))
@@ -38,11 +37,11 @@ fn scratch_copy(tag: &str, names: &[&str], sub: Option<&str>) -> PathBuf {
     dir
 }
 
-/// The previous-generation journal fixtures still load: a legacy
-/// sealed-JSON row and a current binary row resume from the same
-/// directory, with float bits preserved across eras.
+/// The JSON-era journal fixture is a silent miss: not loaded, not
+/// quarantined and not deleted. The binary fixture next to it replays
+/// the demo payload with its float bits intact.
 #[test]
-fn journal_fixtures_from_previous_generation_still_load() {
+fn journal_fixtures_json_era_row_misses_binary_row_replays() {
     let root = scratch_copy(
         "journal",
         &[
@@ -52,24 +51,28 @@ fn journal_fixtures_from_previous_generation_still_load() {
         Some("sweep-00000000000000f1"),
     );
     let journal = Journal::new(&root, 0xf1, vec![0x2a, 0x2b]);
-    let legacy = journal.load_row(0, 2).expect("legacy JSON fixture replays");
-    let binary = journal.load_row(1, 2).expect("binary fixture replays");
-    assert_eq!(legacy.bench, "mib_sha");
-    assert_eq!(binary.bench, "mib_crc32");
-    assert!(legacy.replayed && binary.replayed);
-    assert_eq!(legacy.cache, Some(CacheOutcome::DiskHit));
-    // Both eras carry the same demo payload; equal bits prove the
-    // binary codec did not round floats through text.
-    let a = legacy.runs[0].as_ref().expect("ok cell");
-    let b = binary.runs[0].as_ref().expect("ok cell");
-    assert_eq!(a.ipc.to_bits(), b.ipc.to_bits());
-    assert_eq!(a.coverage.to_bits(), b.coverage.to_bits());
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(legacy.wall, binary.wall);
-    assert!(legacy.runs[1].is_err(), "error cells replay as errors");
     assert!(
-        !root.join("sweep-00000000000000f1/quarantine").exists(),
-        "valid fixtures must not be quarantined"
+        journal.load_row(0, 2).is_none(),
+        "JSON-era fixture is not read"
+    );
+    assert!(journal
+        .dir()
+        .join("row-0000-000000000000002a.json")
+        .exists());
+    let binary = journal.load_row(1, 2).expect("binary fixture replays");
+    assert_eq!(binary.bench, "mib_crc32");
+    assert!(binary.replayed);
+    assert_eq!(binary.cache, Some(CacheOutcome::DiskHit));
+    assert_eq!(binary.wall, Duration::from_millis(1234));
+    // The demo payload's floats come back by bit, not through text.
+    let run = binary.runs[0].as_ref().expect("ok cell");
+    assert_eq!(run.ipc.to_bits(), 1.25f64.to_bits());
+    assert_eq!(run.coverage.to_bits(), 0.375f64.to_bits());
+    assert_eq!(run.cycles, 4_800);
+    assert!(binary.runs[1].is_err(), "error cells replay as errors");
+    assert!(
+        !journal.dir().join("quarantine").exists(),
+        "fixtures must not be quarantined"
     );
     let _ = std::fs::remove_dir_all(&root);
 }

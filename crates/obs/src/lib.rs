@@ -28,7 +28,9 @@
 //!   as Prometheus text by mg-serve's `/metrics` listener and written
 //!   to `results/TELEMETRY_<bin>.json` by `run_cli`.
 //! - [`span`]: hierarchical wall-time spans (sweep → bench → cell →
-//!   stage) serializing to Chrome-trace-event JSON for Perfetto.
+//!   stage) as a Chrome-trace-event document, which `run_cli` stores as
+//!   the binary record `results/TRACE_<bin>.mgb` and `export_json`
+//!   renders as JSON for Perfetto.
 //!
 //! The *pipeline* instrumentation above is collected only for a run
 //! whose `SimOptions::obs` asks for it; an unobserved run pays one

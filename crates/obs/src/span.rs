@@ -12,9 +12,9 @@
 //! atomic load and two `Instant` reads); the `MG_TRACE` knob — parsed
 //! by `mg_bench::config` like every other `MG_*` knob — turns it on,
 //! and `run_cli` drains the buffer at sweep exit to the binary record
-//! `results/TRACE_<bin>.mgb` (plus the Chrome-JSON view,
-//! `results/TRACE_<bin>.json`, with `MG_TRACE=json`). The hierarchy
-//! convention is category `sweep` → `bench` → `cell` → `stage`.
+//! `results/TRACE_<bin>.mgb`; mg-bench's `export_json` binary renders
+//! that record as the Chrome-JSON document. The hierarchy convention is
+//! category `sweep` → `bench` → `cell` → `stage`.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
