@@ -22,7 +22,10 @@
 //! One benchmark is additionally timed with the pipeline observer
 //! attached vs. detached, recording the observer's run-time overhead
 //! ratio (and checking stall-attribution conservation) in the report's
-//! `obs` section.
+//! `obs` section. The `profile` section does the same for slack
+//! profiling: the no-mg/red cell, which is what a context's profiling run
+//! simulates, timed with `profile_slack` on against the same prepared
+//! cell run plain.
 
 use mg_bench::harness::PreparedSim;
 use mg_bench::{machine_fingerprint, BenchContext, Scheme, SCHEMA_VERSION};
@@ -103,6 +106,19 @@ struct ObsPerf {
 }
 
 #[derive(Serialize)]
+struct ProfilePerf {
+    scheme: String,
+    machine: String,
+    benches: usize,
+    sim_cycles: u64,
+    plain_wall_sec: f64,
+    profiled_wall_sec: f64,
+    /// Profiled wall over plain wall: the run-time price of collecting
+    /// a slack profile.
+    overhead_ratio: f64,
+}
+
+#[derive(Serialize)]
 struct PerfReport {
     schema_version: u32,
     machine_fingerprint: String,
@@ -115,6 +131,7 @@ struct PerfReport {
     sim_cycles_per_sec: f64,
     alloc: Option<AllocPerf>,
     obs: Option<ObsPerf>,
+    profile: ProfilePerf,
 }
 
 fn cell_tags() -> Vec<(Scheme, &'static str)> {
@@ -158,25 +175,49 @@ fn prepare_all(take: usize, target_dyn: usize) -> Vec<(String, Vec<PreparedSim>)
         .collect()
 }
 
-/// Times one full pass of `sims` (every benchmark under one cell index),
-/// returning (total simulated cycles, wall seconds).
-fn time_cell(prepared: &[(String, Vec<PreparedSim>)], cell: usize) -> (u64, f64) {
+/// Times `REPEATS` passes over `sims`, returning (total simulated cycles
+/// of a pass, wall seconds of the fastest pass).
+fn time_passes<'a>(sims: impl Iterator<Item = &'a PreparedSim> + Clone) -> (u64, f64) {
     let mut best_wall = f64::INFINITY;
     let mut cycles = 0u64;
     for _ in 0..REPEATS {
         let t0 = Instant::now();
-        let mut pass_cycles = 0u64;
-        for (_, sims) in prepared {
-            let r = sims[cell].simulate();
-            pass_cycles += r.stats.cycles;
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        cycles = pass_cycles;
-        if wall < best_wall {
-            best_wall = wall;
-        }
+        cycles = sims.clone().map(|p| p.simulate().stats.cycles).sum();
+        best_wall = best_wall.min(t0.elapsed().as_secs_f64());
     }
     (cycles, best_wall)
+}
+
+/// Times one full pass of every benchmark under one cell index.
+fn time_cell(prepared: &[(String, Vec<PreparedSim>)], cell: usize) -> (u64, f64) {
+    time_passes(prepared.iter().map(|(_, sims)| &sims[cell]))
+}
+
+/// Times the no-mg/red cell with slack profiling on and off.
+fn profile_overhead(prepared: &[(String, Vec<PreparedSim>)]) -> ProfilePerf {
+    let cell = cell_tags()
+        .iter()
+        .position(|&(scheme, tag)| scheme == Scheme::NoMg && tag == "red")
+        .expect("no-mg/red is a perf cell");
+    let profiled: Vec<PreparedSim> = prepared
+        .iter()
+        .map(|(_, sims)| {
+            let mut p = sims[cell].clone();
+            p.opts.profile_slack = true;
+            p
+        })
+        .collect();
+    let (sim_cycles, plain_wall_sec) = time_cell(prepared, cell);
+    let (_, profiled_wall_sec) = time_passes(profiled.iter());
+    ProfilePerf {
+        scheme: Scheme::NoMg.name().to_string(),
+        machine: "red".to_string(),
+        benches: prepared.len(),
+        sim_cycles,
+        plain_wall_sec,
+        profiled_wall_sec,
+        overhead_ratio: profiled_wall_sec / plain_wall_sec.max(1e-12),
+    }
 }
 
 fn alloc_profile(target_dyn: usize) -> Option<AllocPerf> {
@@ -226,17 +267,8 @@ fn obs_profile(target_dyn: usize) -> Option<ObsPerf> {
     let plain = ctx.prepare_sim(Scheme::StructAll, &red, None, None).ok()?;
     let mut observed = plain.clone();
     observed.opts.obs = Some(mg_sim::ObsConfig::default());
-    let best = |p: &PreparedSim| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPEATS {
-            let t0 = Instant::now();
-            p.simulate();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let plain_wall_sec = best(&plain);
-    let observed_wall_sec = best(&observed);
+    let (_, plain_wall_sec) = time_passes(std::iter::once(&plain));
+    let (_, observed_wall_sec) = time_passes(std::iter::once(&observed));
     let r = observed.simulate();
     let report = r.obs.as_ref()?;
     Some(ObsPerf {
@@ -312,6 +344,16 @@ fn main() {
         );
     }
 
+    let profile = profile_overhead(&prepared);
+    eprintln!(
+        "slack-profiling overhead on {}/{}: {:.2}x ({:.3}s profiled vs {:.3}s plain)",
+        profile.scheme,
+        profile.machine,
+        profile.overhead_ratio,
+        profile.profiled_wall_sec,
+        profile.plain_wall_sec,
+    );
+
     let report = PerfReport {
         schema_version: SCHEMA_VERSION,
         machine_fingerprint: machine_fingerprint(),
@@ -324,6 +366,7 @@ fn main() {
         sim_cycles_per_sec: total_cycles as f64 / total_wall,
         alloc,
         obs,
+        profile,
     };
     println!(
         "TOTAL: {} simulated cycles in {:.3}s = {:.0} sim-cycles/sec",

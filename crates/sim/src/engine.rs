@@ -137,6 +137,75 @@ struct Op {
 // Moving an `Op` must stay a few inline stores, not a `memmove` call.
 const _: () = assert!(std::mem::size_of::<Op>() <= 128);
 
+/// The static facts the pipeline needs about one instruction, decoded once
+/// per run into a table indexed by `StaticId` so that fetch, dispatch,
+/// execute and commit never walk the `Program`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct StaticOp {
+    /// Layout address (`Program::pc_of`).
+    pc: u64,
+    op: Opcode,
+    /// Register sources other than the zero register; the first `n_srcs`
+    /// are set.
+    srcs: [Reg; 2],
+    n_srcs: u8,
+    dest: Option<Reg>,
+    exec_class: ExecClass,
+    latency: u32,
+    is_load: bool,
+    is_store: bool,
+    is_control: bool,
+    /// Whether the op occupies an IQ entry (jumps, calls, returns, halts
+    /// and nops complete at dispatch).
+    needs_iq: bool,
+    /// Whether the rewriter placed the instruction in a mini-graph.
+    tagged: bool,
+    /// For an instance head: its index into `InstanceMap::instances` and
+    /// its template.
+    handle: Option<(u32, u16)>,
+}
+
+impl StaticOp {
+    /// Decodes every static instruction of `program`, in `StaticId` order.
+    fn decode_all(program: &Program, imap: &InstanceMap) -> Vec<StaticOp> {
+        program
+            .iter_static()
+            .map(|(id, inst)| {
+                let mut srcs = [Reg::ZERO; 2];
+                let mut n_srcs = 0;
+                for r in inst.uses() {
+                    srcs[n_srcs] = r;
+                    n_srcs += 1;
+                }
+                let handle = inst.mg.filter(|tag| tag.pos == 0).map(|tag| {
+                    let idx = imap
+                        .index_of_handle(id)
+                        .expect("tagged head has instance info");
+                    (idx, tag.template)
+                });
+                StaticOp {
+                    pc: program.pc_of(id),
+                    op: inst.op,
+                    srcs,
+                    n_srcs: n_srcs as u8,
+                    dest: inst.def(),
+                    exec_class: inst.op.exec_class(),
+                    latency: inst.op.latency(),
+                    is_load: inst.op.is_load(),
+                    is_store: inst.op.is_store(),
+                    is_control: inst.op.is_control(),
+                    needs_iq: !matches!(
+                        inst.op,
+                        Opcode::Jmp | Opcode::Call | Opcode::Ret | Opcode::Halt | Opcode::Nop
+                    ),
+                    tagged: inst.mg.is_some(),
+                    handle,
+                }
+            })
+            .collect()
+    }
+}
+
 impl Op {
     fn new(kind: OpKind, pc: u64, avail_at: u64) -> Op {
         Op {
@@ -166,6 +235,22 @@ impl Op {
             consumer_delayed: false,
             waiter_head: NO_OP,
             waiter_next: NO_OP,
+        }
+    }
+
+    /// A singleton op for static instruction `id` (decoded as `s`)
+    /// fetched at `pc`, which differs from `s.pc` for idealized inline
+    /// constituents.
+    fn singleton(id: StaticId, s: &StaticOp, pc: u64, avail_at: u64, mem_addr: u64) -> Op {
+        Op {
+            trace_len: 1,
+            dest: s.dest,
+            is_load: s.is_load,
+            is_store: s.is_store,
+            mem_addr,
+            needs_iq: s.needs_iq,
+            exec_class: s.exec_class,
+            ..Op::new(OpKind::Singleton(id), pc, avail_at)
         }
     }
 }
@@ -279,6 +364,8 @@ struct Engine<'a> {
     cfg: &'a MachineConfig,
     opts: SimOptions,
     imap: InstanceMap,
+    /// `program` decoded, indexed by `StaticId`.
+    decoded: Vec<StaticOp>,
 
     mem: MemorySystem,
     dirpred: DirectionPredictor,
@@ -343,6 +430,7 @@ impl<'a> Engine<'a> {
         opts: SimOptions,
     ) -> Engine<'a> {
         let imap = InstanceMap::build(program, cfg.dl1.hit_lat);
+        let decoded = StaticOp::decode_all(program, &imap);
         let dynctl = opts
             .dyn_mg
             .map(|dc| DynMgController::new(dc, imap.template_count.max(1)));
@@ -367,6 +455,7 @@ impl<'a> Engine<'a> {
             storesets: StoreSets::new(&cfg.storesets),
             dynctl,
             imap,
+            decoded,
             ops: OpRing::with_capacity(ring_cap),
             next_seq: 0,
             ready_at: Vec::with_capacity(trace.len() + 64),
@@ -566,17 +655,16 @@ impl<'a> Engine<'a> {
                             self.stats.harmful_serializations += 1;
                         }
                     }
-                    let template = self.imap.instances[idx as usize].template;
-                    let (sial, delayed, cons) = (op.sial, op.ser_delayed, op.consumer_delayed);
                     if let Some(ctl) = &mut self.dynctl {
-                        ctl.report(template, sial, delayed, cons);
+                        let template = self.imap.instances[idx as usize].template;
+                        ctl.report(template, op.sial, op.ser_delayed, op.consumer_delayed);
                     }
                 }
                 OpKind::OutJump(_) | OpKind::RetJump(_) => {
                     self.stats.outline_jumps += 1;
                 }
                 OpKind::Singleton(id) => {
-                    if self.program.inst(id).mg.is_some() {
+                    if self.decoded[id.index()].tagged {
                         self.stats.outlined_instrs += 1;
                     }
                     // A committed op has issued and its value is ready.
@@ -716,7 +804,6 @@ impl<'a> Engine<'a> {
             let is_handle = matches!(op.kind, OpKind::Handle(_));
             let has_mem = op.is_load || op.is_store;
             let is_load_op = op.is_load;
-            let is_store_op = op.is_store;
             let class = op.exec_class;
             if is_handle {
                 if mg == 0 || (has_mem && mg_mem == 0) {
@@ -750,7 +837,6 @@ impl<'a> Engine<'a> {
                     // executes off the MGT.
                     mg_mem -= 1;
                 }
-                let _ = is_store_op;
             } else {
                 issued_total += 1;
                 match class {
@@ -879,8 +965,8 @@ impl<'a> Engine<'a> {
 
     fn execute_singleton(&mut self, oi: u32, id: StaticId) {
         let now = self.cycle;
-        let inst = self.program.inst(id);
-        match inst.op {
+        let s = &self.decoded[id.index()];
+        match s.op {
             Opcode::Load => {
                 let addr = self.ops[oi].mem_addr;
                 let lat = if let Some(si) = self.forwarding_store(oi, addr) {
@@ -920,7 +1006,7 @@ impl<'a> Engine<'a> {
                 }
             }
             _ => {
-                let lat = inst.op.latency() as u64;
+                let lat = s.latency as u64;
                 self.complete(oi, now + lat, now + lat);
             }
         }
@@ -977,16 +1063,15 @@ impl<'a> Engine<'a> {
         let mut store_event: Option<(u64, u64)> = None; // (exec cycle, addr)
         let mut resolve: Option<u64> = None;
         let mut slot_cursor = now;
-        for p in 0..info.len {
-            let pos = info.start + p;
-            let inst = &self.program.block(info.block).insts[pos];
+        let constituents = &self.decoded[info.handle_id.index()..][..info.len];
+        for (p, c) in constituents.iter().enumerate() {
             let mut start = if serial { slot_cursor } else { now };
             for link in info.src_links[p] {
                 if let Some(crate::mgi::SrcLink::Internal(d)) = link {
                     start = start.max(self.handle_finish[d]);
                 }
             }
-            let data_lat = match inst.op {
+            let data_lat = match c.op {
                 Opcode::Load => {
                     let addr = self.ops[oi].mem_addr;
                     let l = if let Some(si) = self.forwarding_store(oi, addr) {
@@ -1011,16 +1096,16 @@ impl<'a> Engine<'a> {
                     store_event = Some((start, self.ops[oi].mem_addr));
                     1
                 }
-                op => op.latency() as u64,
+                _ => c.latency as u64,
             };
-            let slot_lat = inst.op.optimistic_latency(l1_hit) as u64;
+            let slot_lat = c.op.optimistic_latency(l1_hit) as u64;
             slot_cursor = start + slot_lat;
             let end = start + data_lat;
             self.handle_finish.push(end);
             if out_pos == Some(p) {
                 out_ready = end;
             }
-            if inst.op.is_control() {
+            if c.is_control {
                 resolve = Some(end + self.cfg.sched_to_exec as u64);
             }
         }
@@ -1181,11 +1266,9 @@ impl<'a> Engine<'a> {
             };
             match op.kind {
                 OpKind::Singleton(id) => {
-                    let inst = self.program.inst(id);
-                    for r in [inst.src1, inst.src2].into_iter().flatten() {
-                        if !r.is_zero() {
-                            add_src(r);
-                        }
+                    let s = &self.decoded[id.index()];
+                    for &r in &s.srcs[..s.n_srcs as usize] {
+                        add_src(r);
                     }
                 }
                 OpKind::Handle(idx) => {
@@ -1235,15 +1318,14 @@ impl<'a> Engine<'a> {
     fn peek_unit(&self) -> Option<(FetchUnit, u64)> {
         if let Some(out) = self.outline {
             let info = &self.imap.instances[out.inst_idx as usize];
-            if out.next_pos < info.len {
-                let id = self.program.id_of(info.block, info.start + out.next_pos);
+            let constituents = &self.decoded[info.handle_id.index()..][..info.len];
+            if let Some(c) = constituents.get(out.next_pos) {
                 let pc = if out.penalized {
-                    self.program.pc_of(id)
+                    c.pc
                 } else {
                     // Idealized inline execution: consecutive main-line
                     // addresses from the handle slot.
-                    let head = self.program.id_of(info.block, info.start);
-                    self.program.pc_of(head) + mg_isa::program::INST_BYTES * out.next_pos as u64
+                    constituents[0].pc + mg_isa::program::INST_BYTES * out.next_pos as u64
                 };
                 return Some((FetchUnit::OutConstituent(out.inst_idx, out.next_pos), pc));
             }
@@ -1251,46 +1333,36 @@ impl<'a> Engine<'a> {
                 out.penalized,
                 "free-mode outlines end at the last constituent"
             );
-            let last_id = self.program.id_of(info.block, info.start + info.len - 1);
             return Some((
                 FetchUnit::OutRetJump(out.inst_idx),
-                self.program.pc_of(last_id) + mg_isa::program::INST_BYTES,
+                constituents[info.len - 1].pc + mg_isa::program::INST_BYTES,
             ));
         }
-        if self.fetch_ptr >= self.trace.len() {
-            return None;
-        }
-        let entry = self.trace.insts[self.fetch_ptr];
-        let inst = self.program.inst(entry.id);
-        if let Some(tag) = inst.mg {
-            debug_assert_eq!(tag.pos, 0, "fetch must land on instance heads");
-            let idx = self
-                .imap
-                .index_of_handle(entry.id)
-                .expect("tagged head has instance info");
-            let enabled = self.cfg.mg.enabled
-                && self
-                    .dynctl
-                    .as_ref()
-                    .map(|ctl| ctl.enabled(tag.template))
-                    .unwrap_or(true);
-            let pc = self.program.pc_of(entry.id);
-            if enabled {
-                Some((FetchUnit::Handle(idx), pc))
-            } else if self
+        let entry = self.trace.insts.get(self.fetch_ptr)?;
+        let s = &self.decoded[entry.id.index()];
+        let Some((idx, template)) = s.handle else {
+            debug_assert!(!s.tagged, "fetch must land on instance heads");
+            return Some((FetchUnit::Singleton, s.pc));
+        };
+        let enabled = self.cfg.mg.enabled
+            && self
                 .dynctl
                 .as_ref()
-                .map(|c| c.config().cost == crate::dynmg::DisableCost::Outlined)
-                .unwrap_or(true)
-            {
-                Some((FetchUnit::OutJumpStart(idx), pc))
-            } else {
-                // Idealized disable: constituents execute inline as
-                // singletons, no jumps.
-                Some((FetchUnit::OutConstituent(idx, 0), pc))
-            }
+                .map(|ctl| ctl.enabled(template))
+                .unwrap_or(true);
+        if enabled {
+            Some((FetchUnit::Handle(idx), s.pc))
+        } else if self
+            .dynctl
+            .as_ref()
+            .map(|c| c.config().cost == crate::dynmg::DisableCost::Outlined)
+            .unwrap_or(true)
+        {
+            Some((FetchUnit::OutJumpStart(idx), s.pc))
         } else {
-            Some((FetchUnit::Singleton, self.program.pc_of(entry.id)))
+            // Idealized disable: constituents execute inline as
+            // singletons, no jumps.
+            Some((FetchUnit::OutConstituent(idx, 0), s.pc))
         }
     }
 
@@ -1341,37 +1413,31 @@ impl<'a> Engine<'a> {
         match unit {
             FetchUnit::Singleton => {
                 let entry = self.trace.insts[self.fetch_ptr];
+                let s = self.decoded[entry.id.index()];
+                let mut op = Op::singleton(entry.id, &s, pc, avail, entry.addr);
+                op.restart_lo = self.fetch_ptr as u32;
                 self.fetch_ptr += 1;
-                let mut op = Op::new(OpKind::Singleton(entry.id), pc, avail);
-                op.restart_lo = (self.fetch_ptr - 1) as u32;
-                op.trace_len = 1;
-                self.init_singleton_op(&mut op, entry.id, entry.addr);
-                let inst = self.program.inst(entry.id);
-                let ctrl = inst.op.is_control();
                 self.push_op(op);
                 self.fetchq.push_back(oi);
-                if ctrl {
-                    self.handle_control_fetch(oi, pc, inst.op, entry.taken)
+                if s.is_control {
+                    self.handle_control_fetch(oi, pc, s.op, entry.taken)
                 } else {
                     false
                 }
             }
             FetchUnit::OutConstituent(inst_idx, next_pos) => {
                 let entry = self.trace.insts[self.fetch_ptr];
-                self.fetch_ptr += 1;
+                let s = self.decoded[entry.id.index()];
                 // A free-mode (no-penalty) group starts directly at its
                 // first constituent; it is its own flush leader.
                 let (leader, leader_lo, penalized) = match self.outline {
                     Some(out) => (out.leader, out.leader_lo, out.penalized),
-                    None => (oi, (self.fetch_ptr - 1) as u32, false),
+                    None => (oi, self.fetch_ptr as u32, false),
                 };
-                let mut op = Op::new(OpKind::Singleton(entry.id), pc, avail);
+                self.fetch_ptr += 1;
+                let mut op = Op::singleton(entry.id, &s, pc, avail, entry.addr);
                 op.restart_lo = leader_lo;
-                op.trace_len = 1;
                 op.group_leader = leader;
-                self.init_singleton_op(&mut op, entry.id, entry.addr);
-                let inst = self.program.inst(entry.id);
-                let ctrl = inst.op.is_control();
                 self.push_op(op);
                 self.fetchq.push_back(oi);
                 let len = self.imap.instances[inst_idx as usize].len;
@@ -1386,52 +1452,44 @@ impl<'a> Engine<'a> {
                         penalized,
                     });
                 }
-                if ctrl {
-                    self.handle_control_fetch(oi, pc, inst.op, entry.taken)
+                if s.is_control {
+                    self.handle_control_fetch(oi, pc, s.op, entry.taken)
                 } else {
                     false
                 }
             }
             FetchUnit::Handle(idx) => {
-                // Read in place: the loop below only advances `fetch_ptr`,
-                // which is disjoint from the instance metadata.
                 let info = &self.imap.instances[idx as usize];
                 let lo = self.fetch_ptr;
-                // Consume the constituents' trace entries.
-                let mut mem_addr = 0;
-                let mut br_taken = false;
-                for p in 0..info.len {
-                    let entry = self.trace.insts[self.fetch_ptr];
-                    debug_assert_eq!(
-                        entry.id,
-                        self.program.id_of(info.block, info.start + p),
-                        "trace must walk instance constituents contiguously"
-                    );
-                    if self.program.inst(entry.id).op.is_mem() {
-                        mem_addr = entry.addr;
-                    }
-                    if self.program.inst(entry.id).op.is_control() {
-                        br_taken = entry.taken;
-                    }
-                    self.fetch_ptr += 1;
-                }
+                // Consume the constituents' trace entries: the memory and
+                // control constituents supply the address and direction.
+                let entries = &self.trace.insts[lo..][..info.len];
+                debug_assert!(
+                    entries
+                        .iter()
+                        .enumerate()
+                        .all(|(p, e)| e.id.index() == info.handle_id.index() + p),
+                    "trace must walk instance constituents contiguously"
+                );
+                self.fetch_ptr += info.len;
                 let mut op = Op::new(OpKind::Handle(idx), pc, avail);
                 op.restart_lo = lo as u32;
                 op.trace_len = info.len as u8;
                 op.needs_iq = true;
                 op.dest = info.output.map(|(r, _)| r);
-                op.mem_addr = mem_addr;
-                if let Some((_, is_load)) = info.mem {
+                if let Some((p, is_load)) = info.mem {
+                    op.mem_addr = entries[p].addr;
                     op.is_load = is_load;
                     op.is_store = !is_load;
                 }
-                let ctrl_op = info
-                    .control
-                    .map(|p| self.program.block(info.block).insts[info.start + p].op);
+                let control = info.control.map(|p| {
+                    let cop = self.decoded[info.handle_id.index() + p].op;
+                    (cop, entries[p].taken)
+                });
                 self.push_op(op);
                 self.fetchq.push_back(oi);
-                if let Some(cop) = ctrl_op {
-                    self.handle_control_fetch(oi, pc, cop, br_taken)
+                if let Some((cop, taken)) = control {
+                    self.handle_control_fetch(oi, pc, cop, taken)
                 } else {
                     false
                 }
@@ -1489,19 +1547,6 @@ impl<'a> Engine<'a> {
             log.min_margin.push(NEVER);
             log.src_ready.push([NEVER; 2]);
         }
-    }
-
-    fn init_singleton_op(&self, op: &mut Op, id: StaticId, addr: u64) {
-        let inst = self.program.inst(id);
-        op.dest = inst.def();
-        op.exec_class = inst.op.exec_class();
-        op.is_load = inst.op.is_load();
-        op.is_store = inst.op.is_store();
-        op.mem_addr = addr;
-        op.needs_iq = !matches!(
-            inst.op,
-            Opcode::Jmp | Opcode::Call | Opcode::Ret | Opcode::Halt | Opcode::Nop
-        );
     }
 
     /// Branch-prediction bookkeeping for a just-fetched control transfer.
@@ -2172,6 +2217,101 @@ mod tests {
         assert!(!r.hit_cycle_cap);
         assert!(r.stats.disabled_templates > 0 && r.stats.outline_jumps > 0);
         assert!(r.stats.violation_flushes > 0, "{:?}", r.stats);
+    }
+
+    /// Every kind of row the decode pass fills in: two instances (one
+    /// holding a load, one ending in a branch) whose later constituents
+    /// sit at outlined addresses, a call and a return, a store, and reads
+    /// of the zero register.
+    fn decode_program() -> Program {
+        let mut pb = ProgramBuilder::new("decode");
+        let main = pb.func("main");
+        let leaf = pb.func("leaf");
+        let head = pb.block(main);
+        let body = pb.block(main);
+        let tail = pb.block(main);
+        let exit = pb.block(main);
+        let l0 = pb.block(leaf);
+        pb.push(head, Instruction::li(Reg::R1, 20));
+        pb.push(head, Instruction::li(Reg::R2, 0x4000));
+        pb.set_fallthrough(head, body);
+        pb.push(
+            body,
+            Instruction::addi(Reg::R4, Reg::R2, 8).with_mg(tag(0, 0, 0, 2)),
+        );
+        pb.push(
+            body,
+            Instruction::load(Reg::R4, Reg::R4, 0).with_mg(tag(0, 0, 1, 2)),
+        );
+        pb.push(body, Instruction::store(Reg::R2, Reg::ZERO, 16));
+        pb.push(body, Instruction::add(Reg::R5, Reg::R4, Reg::ZERO));
+        pb.push(body, Instruction::call(leaf));
+        pb.set_fallthrough(body, tail);
+        pb.push(
+            tail,
+            Instruction::addi(Reg::R1, Reg::R1, -1).with_mg(tag(1, 1, 0, 2)),
+        );
+        pb.push(
+            tail,
+            Instruction::br(BrCond::Ne, Reg::R1, Reg::ZERO, body).with_mg(tag(1, 1, 1, 2)),
+        );
+        pb.set_fallthrough(tail, exit);
+        pb.push(exit, Instruction::halt());
+        pb.push(l0, Instruction::addi(Reg::R6, Reg::R5, 1));
+        pb.push(l0, Instruction::ret());
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn decoded_table_matches_program() {
+        let p = decode_program();
+        let (t, _) = Executor::new(&p).run().unwrap();
+        let cfg = MachineConfig::baseline().with_mg(MgConfig::paper());
+        let e = Engine::new(&p, &t, &cfg, SimOptions::default());
+        assert_eq!(e.decoded.len(), p.static_count());
+        for (id, inst) in p.iter_static() {
+            let row = &e.decoded[id.index()];
+            let srcs: Vec<Reg> = [inst.src1, inst.src2]
+                .into_iter()
+                .flatten()
+                .filter(|r| !r.is_zero())
+                .collect();
+            let handle = e.imap.index_of_handle(id);
+            let expected = StaticOp {
+                pc: p.pc_of(id),
+                op: inst.op,
+                srcs: row.srcs,
+                n_srcs: srcs.len() as u8,
+                dest: inst.def(),
+                exec_class: inst.op.exec_class(),
+                latency: inst.op.latency(),
+                is_load: inst.op.is_load(),
+                is_store: inst.op.is_store(),
+                is_control: inst.op.is_control(),
+                needs_iq: !inst.op.is_uncond_control() && inst.op != Opcode::Nop,
+                tagged: inst.mg.is_some(),
+                handle: handle.map(|i| (i, e.imap.instances[i as usize].template)),
+            };
+            assert_eq!(*row, expected, "{id}: {inst:?}");
+            assert_eq!(&row.srcs[..row.n_srcs as usize], &srcs[..], "{id}");
+        }
+        // The program covers every kind of row, and the run takes every
+        // fetch path through the table: handles, then outlined groups.
+        let rows = &e.decoded;
+        assert_eq!(rows.iter().filter(|r| r.handle.is_some()).count(), 2);
+        let outlined = |r: &&StaticOp| r.tagged && r.handle.is_none();
+        assert!(rows.iter().filter(outlined).any(|r| r.is_load));
+        assert!(rows.iter().filter(outlined).any(|r| r.is_control));
+        assert!(rows.iter().any(|r| r.is_store));
+        assert!(rows.iter().any(|r| r.op == Opcode::Call && !r.needs_iq));
+        assert!(rows.iter().any(|r| r.op == Opcode::Ret));
+        assert!(p
+            .iter_static()
+            .any(|(_, i)| [i.src1, i.src2].contains(&Some(Reg::ZERO))));
+        for cfg in [cfg.clone(), MachineConfig::baseline()] {
+            let r = simulate(&p, &t, &cfg, SimOptions::default());
+            assert_eq!(r.stats.committed_instrs, t.len() as u64);
+        }
     }
 
     #[test]

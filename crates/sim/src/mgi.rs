@@ -143,12 +143,6 @@ impl InstanceMap {
         }
     }
 
-    /// The instance whose handle is `id`, if any.
-    pub fn at_handle(&self, id: StaticId) -> Option<&InstanceInfo> {
-        self.index_of_handle(id)
-            .map(|i| &self.instances[i as usize])
-    }
-
     /// The index (into [`instances`](Self::instances)) of the instance
     /// whose handle is `id`, if any.
     pub fn index_of_handle(&self, id: StaticId) -> Option<u32> {
@@ -353,8 +347,9 @@ mod tests {
         // Load at L1 hit = 3 cycles: prefix [0, 1, 4].
         assert_eq!(inst.lat_prefix, vec![0, 1, 4]);
         let handle = p.id_of(b, 1);
-        assert_eq!(m.at_handle(handle).unwrap().instance, 0);
-        assert_eq!(m.at_handle(p.id_of(b, 0)), None);
+        let idx = m.index_of_handle(handle).unwrap();
+        assert_eq!(m.instances[idx as usize].instance, 0);
+        assert_eq!(m.index_of_handle(p.id_of(b, 0)), None);
     }
 
     #[test]
