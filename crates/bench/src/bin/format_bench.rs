@@ -5,7 +5,7 @@
 //!
 //! Usage: `format_bench [N]` limits the sweep to the first N
 //! benchmarks (default: the full 78-bench suite, as CI's
-//! `format-smoke` job runs it).
+//! `release-smoke` job runs it).
 //!
 //! The journal and cache layers are measured on *real* records: the
 //! bench runs a single-cell sweep over the suite with journaling kept,

@@ -14,7 +14,7 @@
 //! `export_json results/OBS_<bench>.mgb` writes the record's
 //! pretty-printed JSON debug view. The process exits non-zero if the
 //! stall attribution fails its conservation check (every issue-slot
-//! cycle charged exactly once) — CI's `obs-smoke` job relies on this.
+//! cycle charged exactly once) — CI's `release-smoke` job relies on this.
 
 use mg_bench::binfmt::{self, RecordKind};
 use mg_bench::{save_bin, BenchContext, ObsSection, Scheme, SCHEMA_VERSION};

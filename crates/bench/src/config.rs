@@ -6,8 +6,8 @@
 //! plain typed value that can also be constructed directly (tests,
 //! `mg-serve`, embedders) without touching process state. Applying a
 //! config ([`Config::apply`]) pushes the knobs into the subsystems that
-//! honour them — the logger level, the disk-cache size cap, and (with
-//! the `fault-inject` feature) the fault plan.
+//! honour them — the logger level, the disk-cache size cap, and the
+//! fault plan.
 //!
 //! Knobs and their environment spellings:
 //!
@@ -19,7 +19,7 @@
 //! | `MG_JOURNAL_KEEP` | [`Config::journal_keep`] | keep the journal of a completed sweep |
 //! | `MG_LOG` | [`Config::log_level`] | logger verbosity (`off`/`error`/`info`/`debug`) |
 //! | `MG_TRACE` | [`Config::trace`] | collect wall-time spans; `run_cli` writes `results/TRACE_<bin>.mgb` |
-//! | `MG_FAULT` | [`Config::fault`] | fault-injection plan (feature `fault-inject`) |
+//! | `MG_FAULT` | [`Config::fault`] | fault plan ([`crate::fault`]) |
 //!
 //! Every malformed value is a [`BenchError::Config`] naming the knob,
 //! the offending value, and what was expected; binaries report it and
@@ -83,7 +83,6 @@ pub struct Config {
     pub trace: bool,
     /// Fault-injection plan (`MG_FAULT`); `None` leaves whatever plan
     /// is installed (none, unless a test set one) in place.
-    #[cfg(feature = "fault-inject")]
     pub fault: Option<crate::fault::FaultPlan>,
 }
 
@@ -157,7 +156,6 @@ impl Config {
             .map(|v| parse_flag(TRACE_ENV, &v))
             .transpose()?
             .unwrap_or(false);
-        #[cfg(feature = "fault-inject")]
         let fault = env_var(crate::fault::FAULT_ENV)
             .map(|v| crate::fault::parse_plan(&v))
             .transpose()?;
@@ -168,15 +166,14 @@ impl Config {
             journal_keep,
             log_level,
             trace,
-            #[cfg(feature = "fault-inject")]
             fault,
         })
     }
 
     /// Pushes the knobs into the subsystems that honour them: the
-    /// logger level, the disk-cache cap, and (with `fault-inject`) the
-    /// fault plan. `None` fields leave the subsystem untouched, so
-    /// applying a default config is a no-op.
+    /// logger level, the disk-cache cap, and the fault plan. `None`
+    /// fields leave the subsystem untouched, so applying a default
+    /// config is a no-op.
     pub fn apply(&self) {
         if let Some(level) = self.log_level {
             mg_obs::log::set_level(level);
@@ -189,7 +186,6 @@ impl Config {
         if self.trace {
             mg_obs::span::set_enabled(true);
         }
-        #[cfg(feature = "fault-inject")]
         if let Some(plan) = &self.fault {
             crate::fault::set_plan(Some(plan.clone()));
         }

@@ -252,7 +252,7 @@ impl std::error::Error for BenchError {}
 /// [`SelectionConfig`], context caching on (memory + disk).
 #[derive(Clone, Debug)]
 pub struct BenchContextBuilder {
-    spec: BenchmarkSpec,
+    pub(crate) spec: BenchmarkSpec,
     train_cfg: MachineConfig,
     train_input: Option<InputSet>,
     run_input: Option<InputSet>,

@@ -9,10 +9,10 @@
 //! (panic isolation, watchdogs, retry, and graceful shutdown around it),
 //! [`config`] (the single typed parse point for every `MG_*` environment
 //! knob), [`journal`] (crash-safe resume for interrupted sweeps),
-//! [`fault`] (deterministic fault injection behind the `fault-inject`
-//! feature), [`cache`] (content-keyed context memoization), and
-//! [`stats`]. See `EXPERIMENTS.md` at the repository root for the
-//! paper-vs-measured record.
+//! [`fault`] (deterministic fault injection armed by `MG_FAULT`),
+//! [`cache`] (content-keyed context memoization), and [`stats`]. See
+//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
+//! record.
 
 #![warn(missing_docs)]
 // `signals` needs two `asm!`-wrapped syscalls for libc-free
@@ -46,7 +46,7 @@ pub use runner::{
 pub use stats::{geomean, mean, s_curve};
 pub use supervisor::{
     clear_shutdown, request_shutdown, run_cli, shutdown_requested, supervise_cell,
-    supervise_cell_until,
+    supervise_cell_until, supervise_context,
 };
 
 // Watchdog cells run on a helper thread against a shared

@@ -492,20 +492,12 @@ impl SweepSpec {
             })
         } else {
             let _ctx_span = mg_obs::span("stage", format!("{}/context", spec.name));
-            catch_unwind(AssertUnwindSafe(|| {
+            supervisor::supervise_context(
                 BenchContext::builder(spec, &self.train_cfg)
                     .train_input(self.train_input.resolve(spec))
                     .run_input(self.run_input.resolve(spec))
-                    .disk_cache(self.disk_cache)
-                    .build()
-            }))
-            .unwrap_or_else(|e| {
-                Err(BenchError::Panicked {
-                    bench: spec.name.clone(),
-                    cell: 0,
-                    payload: format!("context build: {}", supervisor::panic_payload(e)),
-                })
-            })
+                    .disk_cache(self.disk_cache),
+            )
         };
         let cache_outcome = match ctx {
             Ok(ctx) => {

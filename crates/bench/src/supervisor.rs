@@ -22,17 +22,18 @@
 //!    the leaked thread is bounded by the retry budget and the process
 //!    exits at sweep end anyway). Without a watchdog the cell runs
 //!    inline and costs nothing extra.
-//! 4. **Panic isolation** — the cell body (including fault-injection
-//!    hooks) runs under [`std::panic::catch_unwind`]; a panicking cell
-//!    becomes a [`BenchError::Panicked`] row carrying the payload, and
-//!    the other 77 benchmarks of a figure still complete.
+//! 4. **Panic isolation** — the cell body (including fault hooks) runs
+//!    under [`std::panic::catch_unwind`]; a panicking cell becomes a
+//!    [`BenchError::Panicked`] row carrying the payload, and the other
+//!    77 benchmarks of a figure still complete. Context construction
+//!    gets the same isolation through [`supervise_context`].
 //!
 //! [`run_cli`] is the binary entry point that turns all of this on:
 //! journaling to `results/journal/`, resume via `MG_RESUME=1`, graceful
 //! signal shutdown, and the conventional exit codes (`2` for
 //! configuration errors, `130` after an interrupt).
 
-use crate::harness::{BenchContext, BenchError, SchemeRun};
+use crate::harness::{BenchContext, BenchContextBuilder, BenchError, SchemeRun};
 use crate::runner::{SweepCell, SweepResult, SweepSpec};
 use mg_obs::{mg_debug, mg_error, mg_info, tele_counter, ObsConfig, ObsReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -208,6 +209,23 @@ pub(crate) fn run_cell_supervised(
             _ => return (res, retries),
         }
     }
+}
+
+/// Builds a benchmark's context with the same panic isolation as a
+/// cell: a panicking builder becomes a [`BenchError::Panicked`] error
+/// (cell 0, payload prefixed `context build:`), which the caller
+/// reports for every cell of the row. Batch sweeps and `mg-serve` both
+/// build through here, so a context-build panic yields the same rows in
+/// both.
+pub fn supervise_context(builder: BenchContextBuilder) -> Result<BenchContext, BenchError> {
+    let bench = builder.spec.name.clone();
+    catch_unwind(AssertUnwindSafe(|| builder.build())).unwrap_or_else(|e| {
+        Err(BenchError::Panicked {
+            bench,
+            cell: 0,
+            payload: format!("context build: {}", panic_payload(e)),
+        })
+    })
 }
 
 /// Runs one cell under the full supervision stack without the pipeline

@@ -7,8 +7,8 @@
 //! The current-generation fixture files under `tests/format/` are
 //! regenerated by the `#[ignore]`d `regenerate_*_fixtures` unit tests
 //! (`cargo test -p mg-bench --lib -- --ignored regenerate`); the older
-//! ones are kept as they were written. CI's `format-smoke` job runs this
-//! suite to guarantee that a stale record never turns into an error.
+//! ones are kept as they were written. This suite guarantees that a
+//! stale record never turns into an error.
 
 use mg_bench::{CacheOutcome, Journal, Scheme, SweepCell, SweepSpec};
 use mg_sim::MachineConfig;

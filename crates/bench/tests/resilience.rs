@@ -2,13 +2,12 @@
 //! watchdog timeouts, retry, cache quarantine, cooperative shutdown,
 //! and journaled resume.
 //!
-//! Fault injection (`MG_FAULT` semantics) is only compiled with the
-//! `fault-inject` feature, so the tests that need to *provoke* failures
-//! are gated on it (CI's resilience-smoke job runs them); the journal
-//! and shutdown tests run in every configuration.
+//! The tests that *provoke* failures install a fault plan
+//! ([`mg_bench::fault`]) in process, or pass `MG_FAULT` to the
+//! `figures` binary; every build compiles the hooks in.
 //!
 //! The fault plan, shutdown flag, and context cache are process-wide,
-//! so every test serializes on [`LOCK`].
+//! so every in-process test serializes on [`LOCK`].
 
 use mg_bench::{BenchError, Scheme, SweepCell, SweepResult, SweepSpec};
 use mg_sim::MachineConfig;
@@ -182,7 +181,6 @@ fn error_rows_count_as_failures_not_interruptions() {
     }
 }
 
-#[cfg(feature = "fault-inject")]
 mod fault_injected {
     use super::*;
     use mg_bench::fault;
@@ -379,6 +377,50 @@ mod fault_injected {
             runs_repr(&first),
             "rebuild is bit-identical"
         );
+    }
+
+    /// The binary path end to end: `MG_FAULT` read by `figures`, one
+    /// benchmark (`spec_gzip`, suite bench 0) panicking in every cell.
+    /// The sweep still exits 0, reports the panic as error rows, and
+    /// journals every row (`MG_JOURNAL_KEEP` keeps them). Runs in its
+    /// own working directory, so its `results/` starts empty.
+    #[test]
+    fn figures_binary_survives_an_injected_panic() {
+        let dir = std::env::temp_dir().join(format!("mg-resilience-bin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["fig1", "2"])
+            .current_dir(&dir)
+            .env("MG_FAULT", "panic:bench=spec_gzip")
+            .env("MG_JOURNAL_KEEP", "1")
+            .output()
+            .expect("run figures");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert!(
+            stderr.contains("spec_gzip: cell 0 panicked: mg-fault:"),
+            "{stderr}"
+        );
+        // `ls results/journal/sweep-*/row-*.mgb`
+        let names = |dir: &std::path::Path| -> Vec<(PathBuf, String)> {
+            std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (path, name)
+                })
+                .collect()
+        };
+        let rows = names(&dir.join(mg_bench::journal::JOURNAL_DIR))
+            .into_iter()
+            .filter(|(_, name)| name.starts_with("sweep-"))
+            .flat_map(|(path, _)| names(&path))
+            .filter(|(_, name)| name.starts_with("row-") && name.ends_with(".mgb"))
+            .count();
+        assert_eq!(rows, 2, "one journal row per benchmark");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// An unparseable fault plan is a configuration error surfaced as a

@@ -19,8 +19,8 @@
 //!   drives from its pipeline hook points.
 //! - [`report`]: the serializable [`ObsReport`] a run produces and the
 //!   [`ObsAggregate`] the sweep runner folds reports into.
-//! - [`schema`]: a minimal JSON-Schema subset validator used by the CI
-//!   `obs-smoke` job to check emitted trace JSON against a checked-in
+//! - [`schema`]: a minimal JSON-Schema subset validator used by the `obs`
+//!   binary (and CI's `release-smoke` job) to check emitted trace JSON against a checked-in
 //!   schema.
 //! - [`telemetry`]: the always-on `mg-telemetry` runtime-metrics layer
 //!   — lock-free counters, gauges, and log-bucketed latency histograms

@@ -1,7 +1,7 @@
 //! A minimal JSON-Schema subset validator.
 //!
-//! The CI `obs-smoke` job validates emitted trace JSON against a
-//! checked-in schema. The offline `serde_json` shim has no schema
+//! The `obs` binary (run by CI's `release-smoke` job) validates emitted
+//! trace JSON against a checked-in schema. The offline `serde_json` shim has no schema
 //! support, so this module implements the small subset the schema file
 //! uses: `type` (including type arrays), `properties`, `required`,
 //! `items`, `enum` (of strings), and nested combinations thereof.

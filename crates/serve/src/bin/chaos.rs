@@ -22,9 +22,9 @@
 //! `mg-serve` binary next to this one), `--only NAME` (run a single
 //! scenario). Numeric flags are strict-parsed: a bad value exits 2.
 //!
-//! The worker-panic scenario needs a daemon built with the
-//! `fault-inject` feature; it probes for the feature at runtime and
-//! reports `SKIP` when the hooks are compiled out.
+//! The worker-panic scenario arms the daemon's `MG_FAULT` hooks, which
+//! every build compiles in; its canary fails the scenario if an
+//! injected panic does not surface.
 
 use mg_bench::{BenchError, SchemeRun, SweepSpec};
 use mg_serve::protocol::{Request, PROTOCOL_VERSION};
@@ -79,7 +79,7 @@ fn main() {
     }
 
     let mut chaos = Chaos::new(seed, serve_bin);
-    type Scenario = fn(&mut Chaos) -> Result<Outcome, String>;
+    type Scenario = fn(&mut Chaos) -> Result<(), String>;
     let scenarios: [(&str, Scenario); 6] = [
         ("disconnect", mid_stream_disconnects),
         ("slow-loris", slow_loris_peers),
@@ -96,8 +96,7 @@ fn main() {
         }
         chaos.log(&format!("=== scenario {name} (seed {seed}) ==="));
         match run(&mut chaos) {
-            Ok(Outcome::Pass) => chaos.log(&format!("--- {name}: OK")),
-            Ok(Outcome::Skip(why)) => chaos.log(&format!("--- {name}: SKIP ({why})")),
+            Ok(()) => chaos.log(&format!("--- {name}: OK")),
             Err(e) => {
                 failures += 1;
                 chaos.log(&format!("--- {name}: FAILED: {e}"));
@@ -109,11 +108,6 @@ fn main() {
         std::process::exit(1);
     }
     chaos.log("mg-chaos: all scenarios passed");
-}
-
-enum Outcome {
-    Pass,
-    Skip(String),
 }
 
 struct Chaos {
@@ -320,7 +314,7 @@ fn session(addr: &str, seed: u64) -> Session {
 /// Clients that vanish mid-stream: submit, read a seeded number of
 /// replies, drop the socket. The pool must shrug, and a resilient
 /// session must then stream the same content bit-identically.
-fn mid_stream_disconnects(chaos: &mut Chaos) -> Result<Outcome, String> {
+fn mid_stream_disconnects(chaos: &mut Chaos) -> Result<(), String> {
     let daemon = chaos.spawn_daemon("127.0.0.1:0", &[], &[])?;
     let req = request(
         "disc",
@@ -360,13 +354,13 @@ fn mid_stream_disconnects(chaos: &mut Chaos) -> Result<Outcome, String> {
     }
     assert_bit_identical(&outcome.rows, &req, "disconnect survivor")?;
     daemon.stop_clean()?;
-    Ok(Outcome::Pass)
+    Ok(())
 }
 
 /// Peers that stall: one writes half a request line and goes silent,
 /// one submits a job and never reads a reply. Neither may wedge normal
 /// service or the drain.
-fn slow_loris_peers(chaos: &mut Chaos) -> Result<Outcome, String> {
+fn slow_loris_peers(chaos: &mut Chaos) -> Result<(), String> {
     let daemon = chaos.spawn_daemon("127.0.0.1:0", &["--write-timeout-ms", "1000"], &[])?;
 
     // Loris writer: an eternally unfinished line, held open to the end.
@@ -405,13 +399,13 @@ fn slow_loris_peers(chaos: &mut Chaos) -> Result<Outcome, String> {
     daemon.stop_clean()?;
     drop(writer);
     drop(deaf);
-    Ok(Outcome::Pass)
+    Ok(())
 }
 
 /// A seeded flood of garbage — binary junk, wrong versions, overlong
 /// lines, unknown names. Every line must earn a typed reject, the
 /// connections must survive, and real work must still stream after.
-fn malformed_flood(chaos: &mut Chaos) -> Result<Outcome, String> {
+fn malformed_flood(chaos: &mut Chaos) -> Result<(), String> {
     let daemon = chaos.spawn_daemon("127.0.0.1:0", &[], &[])?;
     let (tx, rx) = mpsc::channel();
     const CONNS: usize = 4;
@@ -475,13 +469,13 @@ fn malformed_flood(chaos: &mut Chaos) -> Result<Outcome, String> {
         assert_bit_identical(&rows?, &probe, "post-flood job")?;
     }
     daemon.stop_clean()?;
-    Ok(Outcome::Pass)
+    Ok(())
 }
 
 /// Saturation: one worker, a tiny queue, and a burst of distinct jobs.
 /// The shed must answer typed `Overloaded` rejects with backoff hints
 /// while the jobs it *did* accept keep a bounded p99.
-fn queue_saturation(chaos: &mut Chaos) -> Result<Outcome, String> {
+fn queue_saturation(chaos: &mut Chaos) -> Result<(), String> {
     let daemon = chaos.spawn_daemon(
         "127.0.0.1:0",
         &[
@@ -567,15 +561,16 @@ fn queue_saturation(chaos: &mut Chaos) -> Result<Outcome, String> {
         return Err(format!("accepted-job p99 {job_p99_us}us is unbounded"));
     }
     daemon.stop_clean()?;
-    Ok(Outcome::Pass)
+    Ok(())
 }
 
 /// Injected worker panics (`MG_FAULT`): with a retry budget, flaky
 /// cells must still produce rows bit-identical to a healthy batch run.
-/// Probes first whether the daemon was built with `fault-inject`.
-fn worker_panics(chaos: &mut Chaos) -> Result<Outcome, String> {
+/// A canary checks first that an injected panic surfaces at all;
+/// otherwise the flaky run below would pass without testing retry.
+fn worker_panics(chaos: &mut Chaos) -> Result<(), String> {
     // Canary: a daemon told to panic every cell, with no retries. If
-    // the cell comes back Ok, the hooks are compiled out.
+    // the cell comes back Ok, the daemon ignored `MG_FAULT`.
     let canary =
         chaos.spawn_daemon("127.0.0.1:0", &["--retries", "0"], &[("MG_FAULT", "panic")])?;
     let creq = request("canary", &["no-minigraphs"], &["reduced"], 4_500);
@@ -588,8 +583,10 @@ fn worker_panics(chaos: &mut Chaos) -> Result<Outcome, String> {
         .first()
         .is_some_and(|(_, run)| matches!(run, Err(BenchError::Panicked { .. })));
     if !faults_active {
-        return Ok(Outcome::Skip(
-            "mg-serve built without the fault-inject feature".to_string(),
+        return Err(format!(
+            "canary: no Panicked row under MG_FAULT=panic ({} rows, rejected {:?})",
+            canary_out.rows.len(),
+            canary_out.rejected
         ));
     }
 
@@ -621,13 +618,13 @@ fn worker_panics(chaos: &mut Chaos) -> Result<Outcome, String> {
     }
     assert_bit_identical(&outcome.rows, &req, "retried flaky job")?;
     daemon.stop_clean()?;
-    Ok(Outcome::Pass)
+    Ok(())
 }
 
 /// SIGKILL mid-job, restart on the same port and journal dir: the
 /// finished cells come back from the crash-recovery journal and a
 /// resumed session completes the job bit-identically.
-fn kill_and_restart(chaos: &mut Chaos) -> Result<Outcome, String> {
+fn kill_and_restart(chaos: &mut Chaos) -> Result<(), String> {
     // Reserve a port so the restarted daemon can reuse the address the
     // client knows. (Tiny bind race after the drop; acceptable here.)
     let pinned = {
@@ -712,5 +709,5 @@ fn kill_and_restart(chaos: &mut Chaos) -> Result<Outcome, String> {
 
     daemon.stop_clean()?;
     let _ = std::fs::remove_dir_all(&journal_dir);
-    Ok(Outcome::Pass)
+    Ok(())
 }

@@ -37,7 +37,6 @@ use mg_bench::{machine_fingerprint, shutdown_requested, BenchContext, BenchError
 use mg_obs::mg_error;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -246,36 +245,14 @@ fn run_job(job: QueuedJob, store: &ResultStore, cfg: &ServeConfig) {
         store.finish(key);
         mg_obs::tele_hist!(metrics::JOB_US).record_duration(job.queued_at.elapsed());
     };
-    let built = catch_unwind(AssertUnwindSafe(|| {
-        BenchContext::builder(&spec.bench, &spec.train_cfg)
-            .disk_cache(cfg.disk_cache)
-            .build()
-    }));
+    let built = mg_bench::supervise_context(
+        BenchContext::builder(&spec.bench, &spec.train_cfg).disk_cache(cfg.disk_cache),
+    );
     let ctx = match built {
-        Ok(Ok(ctx)) => Arc::new(ctx),
-        Ok(Err(e)) => {
+        Ok(ctx) => Arc::new(ctx),
+        Err(e) => {
             for cell in 0..spec.cells.len() {
                 store.commit_row(job.key, cell, Err(e.clone()));
-            }
-            finish(job.key);
-            return;
-        }
-        Err(payload) => {
-            let rendered = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            for cell in 0..spec.cells.len() {
-                store.commit_row(
-                    job.key,
-                    cell,
-                    Err(mg_bench::BenchError::Panicked {
-                        bench: spec.bench.name.clone(),
-                        cell,
-                        payload: rendered.clone(),
-                    }),
-                );
             }
             finish(job.key);
             return;
@@ -531,6 +508,76 @@ fn handle_line(
             Err(PushError::Closed) => {
                 store.abort(key, ErrorCode::ShuttingDown, "server is draining", None)
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::decode_reply;
+    use mg_bench::{Scheme, SweepCell, SweepSpec};
+    use mg_sim::MachineConfig;
+
+    /// A context build that panics streams, cell for cell, the error
+    /// rows the batch runner records for the same benchmark.
+    #[test]
+    fn context_build_panic_streams_the_batch_rows() {
+        let train = MachineConfig::reduced();
+        let mut bench = mg_workloads::suite()[0].clone();
+        // An empty block-length range: the generator panics.
+        bench.params.block_len = (10, 4);
+        let cells = vec![
+            SweepCell::new(Scheme::NoMg, &train),
+            SweepCell::new(Scheme::StructAll, &train),
+        ];
+        let batch = SweepSpec::new(&train)
+            .bench(&bench)
+            .cells(cells.iter().cloned())
+            .disk_cache(false)
+            .quiet(true)
+            .run();
+
+        let store = ResultStore::new();
+        let (tx, rx) = channel();
+        let sub = Sub {
+            id: "ctx-panic".to_string(),
+            tx,
+            dedup: false,
+            resume_from: 0,
+        };
+        assert_eq!(store.subscribe(7, sub), Begin::Owner);
+        let job = QueuedJob {
+            key: 7,
+            spec: JobSpec {
+                bench,
+                cells,
+                train_cfg: train,
+                deadline: None,
+                resume_from: 0,
+            },
+            queued_at: Instant::now(),
+            deadline: None,
+        };
+        let cfg = ServeConfig {
+            disk_cache: false,
+            ..ServeConfig::default()
+        };
+        run_job(job, &store, &cfg);
+
+        let streamed: Vec<(usize, BenchError)> = rx
+            .try_iter()
+            .filter_map(
+                |line| match decode_reply(line.trim_end()).expect("reply decodes") {
+                    Reply::CellError { cell, error, .. } => Some((cell as usize, error)),
+                    _ => None,
+                },
+            )
+            .collect();
+        assert_eq!(streamed.len(), 2, "one error row per cell");
+        for (cell, error) in &streamed {
+            assert!(matches!(error, BenchError::Panicked { .. }), "{error}");
+            assert_eq!(batch.rows[0].runs[*cell].as_ref().err(), Some(error));
         }
     }
 }

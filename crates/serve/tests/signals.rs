@@ -103,7 +103,6 @@ fn first_signal_drains_gracefully_under_load() {
 /// before the process exits. The `write-delay` fault holds each line in
 /// the connection's writer thread, so the job's cells finish (and the
 /// workers drain) long before its rows and `Done` reach the socket.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn drain_flushes_replies_still_queued_for_the_socket() {
     let (mut child, addr) = spawn_daemon(&[], Some("write-delay:ms=300"));
@@ -123,6 +122,37 @@ fn drain_flushes_replies_still_queued_for_the_socket() {
     assert_eq!(outcome.rows.len(), 2, "both cells streamed");
 
     let status = wait_timeout(&mut child, Duration::from_secs(60)).expect("daemon exited");
+    assert_eq!(status.code(), Some(0), "graceful drain exits 0");
+}
+
+/// The smoke client's streamed rows are bit-identical to its own
+/// in-process batch run of the same cells (it exits non-zero on any
+/// mismatch), and SIGTERM afterwards drains the idle daemon to exit 0.
+#[test]
+fn smoke_client_rows_match_batch_mode_then_sigterm_exits_zero() {
+    let (mut child, addr) = spawn_daemon(&[], None);
+    // The client's batch twin may write a disk cache; keep it out of
+    // the source tree.
+    let dir = std::env::temp_dir().join(format!("mg-serve-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_smoke-client"))
+        .args(["--addr", &addr, "--connect-timeout-secs", "30"])
+        .current_dir(&dir)
+        .output()
+        .expect("run smoke-client");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Signal before asserting, so a failing client never leaves the
+    // daemon running.
+    signal(&child, "-TERM");
+    let status = wait_timeout(&mut child, Duration::from_secs(60)).expect("daemon exited");
+    assert!(
+        out.status.success(),
+        "smoke-client failed: {}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert_eq!(status.code(), Some(0), "graceful drain exits 0");
 }
 
