@@ -1,7 +1,7 @@
 //! Criterion micro/meso-benchmarks of the reproduction's components:
 //! functional execution, timing simulation (with and without
-//! mini-graphs), candidate enumeration, greedy selection, slack
-//! profiling, and the branch predictor / cache models.
+//! mini-graphs), candidate enumeration, greedy selection, trace
+//! projection, slack profiling, and the branch predictor / cache models.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mg_core::candidate::{enumerate, SelectionConfig};
@@ -109,6 +109,13 @@ fn selection(c: &mut Criterion) {
             |p| greedy_select(&w.program, &p, &freqs, &cfg).chosen.len(),
             BatchSize::SmallInput,
         )
+    });
+    // The rewritten program's trace, derived from the original's instead
+    // of re-executing it.
+    let prepared = prepare(&w.program, &freqs, &Selector::StructAll, &cfg);
+    g.throughput(Throughput::Elements(trace.len() as u64));
+    g.bench_function("project", |b| {
+        b.iter(|| prepared.schedules.project(&w.program, &trace).len())
     });
     g.finish();
 }

@@ -40,7 +40,7 @@
 use crate::binfmt::{self, RecordKind};
 use crate::fault;
 use crate::harness::BenchError;
-use mg_core::pipeline::try_profile;
+use mg_core::pipeline::profile_trace;
 use mg_obs::mg_error;
 use mg_sim::{MachineConfig, SimStats, SlackProfile};
 use mg_workloads::{BenchmarkSpec, Executor, InputSet, Trace, Workload};
@@ -498,28 +498,47 @@ fn exec_err(
     }
 }
 
+/// Generates `spec` on `input` and derives its committed trace, under
+/// the `<bench>/generate` and `<bench>/execute` stage spans. `stage`
+/// names the execution in a failure.
+fn generate_and_execute(
+    spec: &BenchmarkSpec,
+    input: &InputSet,
+    stage: &'static str,
+) -> Result<(Workload, Trace), BenchError> {
+    let workload = {
+        let _span = mg_obs::span("stage", format!("{}/generate", spec.name));
+        spec.generate_with_input(input)
+    };
+    let _span = mg_obs::span("stage", format!("{}/execute", spec.name));
+    let (trace, _) = Executor::new(&workload.program)
+        .run_with_mem(&workload.init_mem)
+        .map_err(|e| exec_err(spec, stage, e))?;
+    Ok((workload, trace))
+}
+
 /// Generates the run-input workload and derives its committed trace (the
 /// functional half of a context; cheap relative to profiling).
 fn run_side(spec: &BenchmarkSpec, run_input: &InputSet) -> Result<(Workload, Trace), BenchError> {
-    let workload = spec.generate_with_input(run_input);
-    let (trace, _) = Executor::new(&workload.program)
-        .run_with_mem(&workload.init_mem)
-        .map_err(|e| exec_err(spec, "run-input execution", e))?;
-    Ok((workload, trace))
+    generate_and_execute(spec, run_input, "run-input execution")
 }
 
 /// Builds the full artifact set with no cache involvement. When the
 /// train and run inputs are equal, the training workload and its trace
-/// are the run side: the input is generated and executed once.
+/// are the run side: the input is generated and executed once. The
+/// slack-profiling simulation runs under the `<bench>/profile` stage
+/// span.
 pub(crate) fn compute_uncached(
     spec: &BenchmarkSpec,
     train_cfg: &MachineConfig,
     train_input: &InputSet,
     run_input: &InputSet,
 ) -> Result<ContextArtifacts, BenchError> {
-    let train_w = spec.generate_with_input(train_input);
-    let profile =
-        try_profile(&train_w, train_cfg).map_err(|e| exec_err(spec, "train-input execution", e))?;
+    let (train_w, train_trace) = generate_and_execute(spec, train_input, "train-input execution")?;
+    let profile = {
+        let _span = mg_obs::span("stage", format!("{}/profile", spec.name));
+        profile_trace(&train_w.program, train_trace, train_cfg)
+    };
     let (workload, trace) = if train_input == run_input {
         (train_w, profile.trace)
     } else {
@@ -542,7 +561,10 @@ pub(crate) fn compute_uncached(
 ///
 /// Lookup order: in-memory, then disk (if `use_disk`), then a full
 /// rebuild. The corresponding counter is bumped exactly once per call and
-/// matches the returned [`CacheOutcome`].
+/// matches the returned [`CacheOutcome`]. Disk loads and stores run
+/// under the `<bench>/cache` stage span, so with the spans of
+/// [`compute_uncached`] and [`run_side`] every costly step of building a
+/// context is a leaf stage in the harness's trace.
 pub(crate) fn context(
     spec: &BenchmarkSpec,
     train_cfg: &MachineConfig,
@@ -557,6 +579,7 @@ pub(crate) fn context(
         return Ok((Arc::clone(hit), CacheOutcome::MemHit));
     }
     let disk_entry = if use_disk {
+        let _span = mg_obs::span("stage", format!("{}/cache", spec.name));
         disk_load_from(std::path::Path::new(CACHE_DIR), key, spec)
     } else {
         None
@@ -593,6 +616,7 @@ pub(crate) fn context(
             MISSES.fetch_add(1, Ordering::Relaxed);
             mg_obs::tele_counter!("mg_cache_misses_total").inc();
             if use_disk {
+                let _span = mg_obs::span("stage", format!("{}/cache", spec.name));
                 disk_store_to(
                     std::path::Path::new(CACHE_DIR),
                     key,

@@ -816,8 +816,10 @@ struct Ablation {
     coverage: f64,
 }
 
-/// (selection-config override, machine-mg override, label)
-fn ablation_variants() -> Vec<(SelectionConfig, MgConfig, String)> {
+/// The ablation figure's variants: (selection-config override,
+/// machine-mg override, label), each run as a Slack-Profile cell on the
+/// reduced machine.
+pub fn ablation_variants() -> Vec<(SelectionConfig, MgConfig, String)> {
     let (paper, mut v) = (MgConfig::paper(), Vec::new());
     for budget in [32usize, 128, 512, 4096] {
         let sel = SelectionConfig {

@@ -9,12 +9,12 @@
 //! panicking wrappers are gone.
 
 use crate::cache::{self, CacheOutcome, ContextArtifacts, TrainingRun};
-use mg_core::candidate::{enumerate, Candidate, SelectionConfig};
-use mg_core::pipeline::try_prepare_from;
-use mg_core::select::{Selector, SlackProfileModel, SpKind};
+use mg_core::candidate::{Candidate, SelectionConfig};
+use mg_core::pipeline::try_prepare_indexed;
+use mg_core::select::{PoolIndex, Selector, SlackProfileModel, SpKind};
 use mg_obs::tele_counter;
 use mg_sim::{simulate, DynMgConfig, MachineConfig, MgConfig, SimOptions, SimResult};
-use mg_workloads::{BenchmarkSpec, Executor, InputSet, Trace, Workload};
+use mg_workloads::{BenchmarkSpec, InputSet, Trace, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -121,8 +121,7 @@ pub enum BenchError {
     Exec {
         /// Benchmark name.
         bench: String,
-        /// Which execution failed (train input, run input, rewritten
-        /// program).
+        /// Which execution failed (train input or run input).
         stage: String,
         /// The underlying executor error, rendered.
         detail: String,
@@ -340,11 +339,13 @@ impl BenchContextBuilder {
 /// slack profile, ready to run any scheme on any machine.
 ///
 /// Cells share selection work through a per-context memo: the candidate
-/// pool is enumerated once per [`SelectionConfig`], and each distinct
-/// selection is rewritten and re-executed once, then reused by every
-/// scheme making it (the dynamic-disabling schemes run Struct-All's)
-/// on every machine. The memo is derived from `workload`, `freqs` and
-/// `slack`; replacing those after running a cell leaves it stale.
+/// pool, its template grouping and its blocks' dependence graphs are
+/// built once per [`SelectionConfig`], and each distinct selection is
+/// rewritten once and its trace projected from `trace` (no functional
+/// re-execution), then reused by every scheme making it (the
+/// dynamic-disabling schemes run Struct-All's) on every machine. The
+/// memo is derived from `workload`, `trace`, `freqs` and `slack`;
+/// replacing those after running a cell leaves it stale.
 ///
 /// When the train and run inputs are equal, the profiling run that
 /// trained the slack profile was a plain simulation of `workload` on
@@ -430,8 +431,9 @@ impl SelectionKey {
     }
 }
 
-/// A selection applied: the rewritten program, its re-derived committed
-/// trace (the rewrite reorders blocks) and the selection-time coverage
+/// A selection applied: the rewritten program, its committed trace
+/// (the context's trace projected through the rewrite's block orders,
+/// see [`mg_core::Schedules::project`]) and the selection-time coverage
 /// estimate.
 struct Selection {
     program: mg_isa::Program,
@@ -443,8 +445,15 @@ struct Selection {
 /// memoized: a failing selection is retried, and reported, per cell.
 #[derive(Default)]
 struct SelectionMemo {
-    pools: HashMap<SelectionConfig, Arc<Vec<Candidate>>>,
+    pools: HashMap<SelectionConfig, Arc<Pool>>,
     selections: HashMap<(SelectionKey, SelectionConfig), Arc<Selection>>,
+}
+
+/// One `SelectionConfig`'s starting pool and the work every selection
+/// over it shares.
+struct Pool {
+    candidates: Vec<Candidate>,
+    index: PoolIndex,
 }
 
 /// One cell's simulation inputs: its selection (`None` runs the
@@ -508,18 +517,20 @@ impl BenchContext {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The starting candidate pool for `cfg`, enumerated on first use.
-    fn pool(&self, cfg: &SelectionConfig) -> Arc<Vec<Candidate>> {
+    /// The starting candidate pool for `cfg`, enumerated and indexed on
+    /// first use.
+    fn pool(&self, cfg: &SelectionConfig) -> Arc<Pool> {
         let hit = self.memo().pools.get(cfg).cloned();
         hit.unwrap_or_else(|| {
-            let pool = Arc::new(enumerate(&self.workload.program, cfg));
+            let (candidates, index) = PoolIndex::enumerate(&self.workload.program, cfg);
+            let pool = Arc::new(Pool { candidates, index });
             tele_counter!("mg_select_pools_total").inc();
             Arc::clone(self.memo().pools.entry(*cfg).or_insert(pool))
         })
     }
 
     /// The selection `key` makes under `cfg`: selected, rewritten and
-    /// re-executed on first use, shared afterwards.
+    /// projected on first use, shared afterwards.
     fn selection(
         &self,
         scheme: Scheme,
@@ -535,23 +546,25 @@ impl BenchContext {
             let _span = mg_obs::span("stage", format!("{}/select", self.spec.name));
             let pool = self.pool(cfg);
             let selector = key.selector(&self.slack);
-            try_prepare_from(&self.workload.program, &pool, &self.freqs, &selector, cfg).map_err(
-                |e| BenchError::Rewrite {
-                    bench: self.spec.name.clone(),
-                    scheme,
-                    detail: e.to_string(),
-                },
-            )?
+            try_prepare_indexed(
+                &self.workload.program,
+                &pool.candidates,
+                &pool.index,
+                &self.freqs,
+                &selector,
+                cfg,
+            )
+            .map_err(|e| BenchError::Rewrite {
+                bench: self.spec.name.clone(),
+                scheme,
+                detail: e.to_string(),
+            })?
         };
-        let (trace, _) = {
-            let _span = mg_obs::span("stage", format!("{}/reexec", self.spec.name));
-            Executor::new(&prepared.program)
-                .run_with_mem(&self.workload.init_mem)
-                .map_err(|e| BenchError::Exec {
-                    bench: self.spec.name.clone(),
-                    stage: "rewritten-program execution".to_string(),
-                    detail: e.to_string(),
-                })?
+        let trace = {
+            let _span = mg_obs::span("stage", format!("{}/project", self.spec.name));
+            prepared
+                .schedules
+                .project(&self.workload.program, &self.trace)
         };
         tele_counter!("mg_select_prepared_total").inc();
         let selection = Arc::new(Selection {
@@ -674,7 +687,7 @@ impl BenchContext {
     /// Builds an owned copy of everything a timing simulation of one
     /// (scheme, machine) cell needs — the (possibly rewritten) program,
     /// its committed trace, the machine, and the simulator options —
-    /// without running it. Selection, rewriting and re-execution go
+    /// without running it. Selection, rewriting and trace projection go
     /// through the context's memo like any cell's, so repeated calls
     /// copy the shared selection instead of redoing it. This is the seam
     /// the engine-throughput harness (`perf`) uses to time [`simulate`]

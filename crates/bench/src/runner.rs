@@ -491,7 +491,6 @@ impl SweepSpec {
                 bench: spec.name.clone(),
             })
         } else {
-            let _ctx_span = mg_obs::span("stage", format!("{}/context", spec.name));
             supervisor::supervise_context(
                 BenchContext::builder(spec, &self.train_cfg)
                     .train_input(self.train_input.resolve(spec))

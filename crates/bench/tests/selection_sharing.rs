@@ -1,7 +1,7 @@
 //! Cells of one `BenchContext` share selection work: the candidate pool
 //! is enumerated once per `SelectionConfig`, and each distinct selection
-//! is rewritten and re-executed once, whatever the scheme, machine or
-//! mini-graph hardware of the cells using it.
+//! is rewritten and its trace projected once, whatever the scheme,
+//! machine or mini-graph hardware of the cells using it.
 //!
 //! Sharing must be invisible in the results: every cell of a shared
 //! context, in any order, is bit-identical to the same cell on a fresh

@@ -20,7 +20,9 @@ fn str_field<'a>(event: &'a Value, name: &str) -> &'a str {
 
 /// A reduced traced sweep (2 benchmarks, 2 cells) leaves complete
 /// (`"X"`) spans in every category of the sweep → bench → cell → stage
-/// hierarchy.
+/// hierarchy. Its stage spans split context building into generation,
+/// functional execution and slack profiling, and a selection is
+/// projected (`project`), never re-executed (`reexec`).
 #[test]
 fn traced_sweep_covers_the_span_hierarchy() {
     let red = MachineConfig::reduced();
@@ -61,6 +63,20 @@ fn traced_sweep_covers_the_span_hierarchy() {
             "span hierarchy missing {want}: {cats:?}"
         );
     }
+    let stages: BTreeSet<&str> = events
+        .iter()
+        .filter(|e| str_field(e, "ph") == "X" && str_field(e, "cat") == "stage")
+        .map(|e| {
+            let name = str_field(e, "name");
+            name.rsplit_once('/').map_or(name, |(_, stage)| stage)
+        })
+        .collect();
+    for want in [
+        "generate", "execute", "profile", "select", "project", "simulate",
+    ] {
+        assert!(stages.contains(want), "no {want} stage span: {stages:?}");
+    }
+    assert!(!stages.contains("reexec"), "{stages:?}");
 }
 
 /// `MG_TRACE` is a plain flag: `json` is a configuration error naming

@@ -8,7 +8,7 @@
 //! a bounded total execution latency — and which can legally be made
 //! contiguous by intra-block scheduling.
 
-use crate::depgraph::BlockDeps;
+use crate::depgraph::{BlockDeps, BlockDepsCache};
 use mg_isa::dataflow::{BlockDataflow, UseSource};
 use mg_isa::{BasicBlock, BlockId, Program, Reg};
 use serde::{Deserialize, Serialize};
@@ -154,13 +154,22 @@ impl Candidate {
 /// Liveness is computed once; each block is then enumerated
 /// independently. The result is ordered by block, then by first position.
 pub fn enumerate(program: &Program, cfg: &SelectionConfig) -> Vec<Candidate> {
+    enumerate_with(program, cfg, &BlockDepsCache::new(program))
+}
+
+/// [`enumerate`], taking each block's dependence graph from `deps` (a
+/// cache for `program`), which it fills for every block.
+pub(crate) fn enumerate_with(
+    program: &Program,
+    cfg: &SelectionConfig,
+    deps: &BlockDepsCache,
+) -> Vec<Candidate> {
     let live = mg_isa::dataflow::liveness(program);
     let mut out = Vec::new();
     for (bi, block) in program.blocks().iter().enumerate() {
         let bid = BlockId(bi as u32);
         let df = BlockDataflow::analyze(block, live.live_out(bid));
-        let deps = BlockDeps::build(block);
-        enumerate_block(block, bid, &df, &deps, cfg, &mut out);
+        enumerate_block(block, bid, &df, deps.get(program, bid), cfg, &mut out);
     }
     out
 }

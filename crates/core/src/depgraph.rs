@@ -8,7 +8,8 @@
 //! terminator).
 
 use mg_isa::reg::NUM_ARCH_REGS;
-use mg_isa::BasicBlock;
+use mg_isa::{BasicBlock, BlockId, Program};
+use std::sync::OnceLock;
 
 /// Dependence edges between instructions of one block, by position.
 #[derive(Clone, Debug)]
@@ -111,6 +112,32 @@ impl BlockDeps {
     /// Whether the block is empty.
     pub fn is_empty(&self) -> bool {
         self.preds.is_empty()
+    }
+}
+
+/// One program's per-block dependence graphs, each built on first use
+/// and shared afterwards (also across threads). Enumeration, greedy
+/// selection and the rewrite all ask for the same graphs, so one cache
+/// per candidate pool builds each block's graph at most once.
+#[derive(Debug)]
+pub struct BlockDepsCache {
+    blocks: Vec<OnceLock<BlockDeps>>,
+}
+
+impl BlockDepsCache {
+    /// An empty cache for `program`'s blocks.
+    pub fn new(program: &Program) -> BlockDepsCache {
+        BlockDepsCache {
+            blocks: (0..program.blocks().len())
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    /// The dependence graph of `block`, building it on first use.
+    /// `program` must be the one the cache was made for.
+    pub fn get(&self, program: &Program, block: BlockId) -> &BlockDeps {
+        self.blocks[block.index()].get_or_init(|| BlockDeps::build(program.block(block)))
     }
 }
 

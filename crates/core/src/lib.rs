@@ -12,13 +12,15 @@
 //! * [`candidate`] — enumeration of legal candidates per basic block;
 //! * [`classify`] — structural serialization classification
 //!   (none / bounded / unbounded, Figure 4);
-//! * [`template`] — MGT template grouping;
+//! * [`template`] — MGT template grouping, computed once per pool and
+//!   restricted to each selector's admitted candidates;
 //! * [`select`] — the shared greedy budgeted selector plus the policies:
 //!   `Struct-All`, `Struct-None`, `Struct-Bounded`, and `Slack-Profile`
 //!   with its `-Delay` and `-SIAL` variants (`Slack-Dynamic` is the same
 //!   `Struct-All` static pool plus the run-time controller in
 //!   [`mg_sim::dynmg`]);
-//! * [`rewrite`] — the binary rewriter embedding chosen instances;
+//! * [`rewrite`] — the binary rewriter embedding chosen instances, and
+//!   the projection of a committed trace through its block orders;
 //! * [`pipeline`] — one-call profiling + preparation.
 //!
 //! # Example
@@ -60,12 +62,15 @@ pub mod template;
 pub use candidate::{enumerate, Candidate, CandidateShape, SelectionConfig, MAX_CANDIDATE_LEN};
 pub use check::{assert_semantics_preserved, check_semantics_preserved, SemanticsViolation};
 pub use classify::{classify, Serialization};
+pub use depgraph::BlockDepsCache;
 pub use pipeline::{
-    prepare, profile_workload, try_prepare, try_prepare_from, try_profile, try_profile_workload,
-    Prepared, Profile,
+    prepare, profile_trace, profile_workload, try_prepare, try_prepare_indexed, try_profile,
+    try_profile_workload, Prepared, Profile,
 };
-pub use rewrite::{rewrite, try_rewrite, ChosenInstance, RewriteError};
-pub use select::{greedy_select, SelectionResult, Selector, SlackProfileModel, SpKind};
+pub use rewrite::{rewrite, rewrite_with, try_rewrite, ChosenInstance, RewriteError, Schedules};
+pub use select::{
+    greedy_select, select_admitted, PoolIndex, SelectionResult, Selector, SlackProfileModel, SpKind,
+};
 pub use template::{group_templates, Template, TemplateSig};
 
 /// Commonly used items, for glob import via the facade prelude.
@@ -81,6 +86,7 @@ pub mod prelude {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Prepared>();
+    assert_send_sync::<PoolIndex>();
     assert_send_sync::<Selector>();
     assert_send_sync::<SelectionConfig>();
 };

@@ -1,9 +1,9 @@
 //! End-to-end mini-graph preparation: profile → enumerate → filter →
 //! select → rewrite.
 
-use crate::candidate::{enumerate, Candidate, SelectionConfig};
-use crate::rewrite::{try_rewrite, RewriteError};
-use crate::select::{greedy_select, Selector};
+use crate::candidate::{Candidate, SelectionConfig};
+use crate::rewrite::{rewrite_with, RewriteError, Schedules};
+use crate::select::{select_admitted, PoolIndex, Selector};
 use mg_isa::Program;
 use mg_sim::{simulate, MachineConfig, SimOptions, SimStats, SlackProfile};
 use mg_workloads::{ExecError, Executor, Trace, Workload};
@@ -13,6 +13,10 @@ use mg_workloads::{ExecError, Executor, Trace, Workload};
 pub struct Prepared {
     /// The rewritten (tagged) program.
     pub program: Program,
+    /// The order the rewrite gave each reordered block; projects the
+    /// original program's trace onto the rewritten one
+    /// ([`Schedules::project`]).
+    pub schedules: Schedules,
     /// Number of embedded instances.
     pub instances: usize,
     /// Number of MGT templates used.
@@ -45,9 +49,16 @@ pub struct Profile {
 /// execution fails.
 pub fn try_profile(workload: &Workload, cfg: &MachineConfig) -> Result<Profile, ExecError> {
     let (trace, _) = Executor::new(&workload.program).run_with_mem(&workload.init_mem)?;
-    let freqs = trace.static_freqs(&workload.program);
+    Ok(profile_trace(&workload.program, trace, cfg))
+}
+
+/// The profiling half of [`try_profile`]: one slack-profiling timing
+/// simulation of `program` driving its committed `trace`, already
+/// executed.
+pub fn profile_trace(program: &Program, trace: Trace, cfg: &MachineConfig) -> Profile {
+    let freqs = trace.static_freqs(program);
     let result = simulate(
-        &workload.program,
+        program,
         &trace,
         cfg,
         SimOptions {
@@ -55,13 +66,13 @@ pub fn try_profile(workload: &Workload, cfg: &MachineConfig) -> Result<Profile, 
             ..SimOptions::default()
         },
     );
-    Ok(Profile {
+    Profile {
         trace,
         freqs,
         slack: result.slack.expect("profiling requested"),
         stats: result.stats,
         hit_cycle_cap: result.hit_cycle_cap,
-    })
+    }
 }
 
 /// [`try_profile`] without the run's statistics: returns the committed
@@ -96,36 +107,34 @@ pub fn try_prepare(
     selector: &Selector,
     cfg: &SelectionConfig,
 ) -> Result<Prepared, RewriteError> {
-    try_prepare_from(program, &enumerate(program, cfg), freqs, selector, cfg)
+    let (pool, index) = PoolIndex::enumerate(program, cfg);
+    try_prepare_indexed(program, &pool, &index, freqs, selector, cfg)
 }
 
-/// [`try_prepare`] over an already enumerated starting pool (as
-/// returned by [`enumerate`] for the same `program` and `cfg`). Every
-/// selector is a policy over the same pool, so callers running several
-/// selectors on one program enumerate once and pass the pool to each;
-/// only the candidates `selector` admits are cloned.
-pub fn try_prepare_from(
+/// [`try_prepare`] over an already enumerated and indexed starting pool
+/// (as returned by [`PoolIndex::enumerate`] for the same `program` and
+/// `cfg`). Every selector is a policy over the same pool, so callers
+/// running several selectors on one program enumerate and index once
+/// (templates and block dependence graphs) and pass the pool to each.
+/// A selection computes only its admitted mask, its greedy pass and its
+/// rewrite; no candidate outside the chosen set is cloned.
+pub fn try_prepare_indexed(
     program: &Program,
     pool: &[Candidate],
+    index: &PoolIndex,
     freqs: &[u64],
     selector: &Selector,
     cfg: &SelectionConfig,
 ) -> Result<Prepared, RewriteError> {
-    let admitted: Vec<Candidate> = pool
-        .iter()
-        .filter(|c| selector.admits(program, c))
-        .cloned()
-        .collect();
-    let result = greedy_select(program, &admitted, freqs, cfg);
-    let instances = result.chosen.len();
-    let templates = result.templates;
-    let est_coverage = result.est_coverage;
-    let program = try_rewrite(program, &result.chosen)?;
+    let admitted = selector.admitted(program, pool);
+    let result = select_admitted(program, pool, index, &admitted, freqs, cfg);
+    let (program, schedules) = rewrite_with(program, &result.chosen, index.deps())?;
     Ok(Prepared {
         program,
-        instances,
-        templates,
-        est_coverage,
+        schedules,
+        instances: result.chosen.len(),
+        templates: result.templates,
+        est_coverage: result.est_coverage,
     })
 }
 
@@ -149,7 +158,9 @@ pub fn prepare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{SlackProfileModel, SpKind};
+    use crate::candidate::enumerate;
+    use crate::rewrite::try_rewrite;
+    use crate::select::{greedy_select, SlackProfileModel, SpKind};
     use mg_workloads::benchmark;
 
     #[test]
@@ -205,7 +216,6 @@ mod tests {
         let w = spec.generate();
         let (_, freqs, slack) = profile_workload(&w, &MachineConfig::reduced());
         let sel_cfg = SelectionConfig::default();
-        let pool = enumerate(&w.program, &sel_cfg);
         let sp = |kind| {
             Selector::SlackProfile(
                 SlackProfileModel {
@@ -224,11 +234,14 @@ mod tests {
             sp(SpKind::Sial),
             Selector::SlackProfile(SlackProfileModel::miss_aware(), slack.clone()),
         ];
-        // One pool serves every selector, each compared with `try_prepare`
-        // and with the stage-by-stage public calls it replaces.
+        let (pool, index) = PoolIndex::enumerate(&w.program, &sel_cfg);
+        // One indexed pool serves every selector, each compared with
+        // `try_prepare` and with the stage-by-stage public calls it
+        // replaces.
         for selector in &selectors {
             let direct = try_prepare(&w.program, &freqs, selector, &sel_cfg).unwrap();
-            let shared = try_prepare_from(&w.program, &pool, &freqs, selector, &sel_cfg).unwrap();
+            let shared =
+                try_prepare_indexed(&w.program, &pool, &index, &freqs, selector, &sel_cfg).unwrap();
             let admitted = selector.filter(&w.program, enumerate(&w.program, &sel_cfg));
             let staged = greedy_select(&w.program, &admitted, &freqs, &sel_cfg);
             let staged_program = try_rewrite(&w.program, &staged.chosen).unwrap();
@@ -237,6 +250,7 @@ mod tests {
             let shared_program = format!("{:?}", shared.program);
             assert_eq!(shared_program, format!("{:?}", direct.program), "{name}");
             assert_eq!(shared_program, format!("{staged_program:?}"), "{name}");
+            assert_eq!(shared.schedules, direct.schedules, "{name}");
             assert_eq!(shared.instances, staged.chosen.len(), "{name}");
             assert_eq!(shared.instances, direct.instances, "{name}");
             assert_eq!(shared.templates, direct.templates, "{name}");

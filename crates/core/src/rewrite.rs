@@ -5,10 +5,17 @@
 //! tagged with [`MgTag`]s. Functional semantics are preserved — the
 //! integration tests execute original and rewritten programs and compare
 //! final architectural state.
+//!
+//! The rewrite only reorders instructions within blocks: it changes no
+//! value, address or branch direction, and keeps every block's length.
+//! So the rewritten program's committed trace is the original's with
+//! each block instance permuted by its block's [`Schedules`] entry,
+//! which [`Schedules::project`] computes without executing anything.
 
 use crate::candidate::{Candidate, MAX_CANDIDATE_LEN};
-use crate::depgraph::{schedule_with_groups, BlockDeps};
-use mg_isa::{BasicBlock, BlockId, Instruction, IsaError, MgTag, Program};
+use crate::depgraph::{schedule_with_groups, BlockDepsCache};
+use mg_isa::{BasicBlock, BlockId, Instruction, IsaError, MgTag, Program, StaticId};
+use mg_workloads::{DynInst, Trace};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -73,12 +80,100 @@ impl From<IsaError> for RewriteError {
     }
 }
 
+/// The instruction order a rewrite gave each block it reordered: for
+/// every block holding a chosen instance, `order[new position]` is the
+/// instruction's position in the original block. Other blocks keep their
+/// order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Schedules {
+    blocks: Vec<(BlockId, Vec<usize>)>,
+}
+
+impl Schedules {
+    /// The reordered blocks and their orders (new position → old
+    /// position), by ascending block.
+    pub fn blocks(&self) -> &[(BlockId, Vec<usize>)] {
+        &self.blocks
+    }
+
+    /// The committed trace of the rewritten program, derived from
+    /// `trace`, the original program's committed trace on the same
+    /// input. `program` is either program: the rewrite keeps every
+    /// block's length, so both have the same `StaticId` layout.
+    ///
+    /// Each dynamic block instance is permuted by its block's order and
+    /// its ids are remapped: `StaticId`s are block-major, so the
+    /// instruction at new position `j` of block `b` has id
+    /// `first_id[b] + j`. Addresses and branch outcomes travel with
+    /// their instructions.
+    ///
+    /// A truncated trace may end inside a block instance. That partial
+    /// instance is dropped, since its reordered prefix holds different
+    /// instructions than the original's; the projection keeps the whole
+    /// instances before it and stays `truncated`. (Re-executing the
+    /// rewritten program to the same limit would instead keep a partial
+    /// instance of the rewritten block.)
+    pub fn project(&self, program: &Program, trace: &Trace) -> Trace {
+        // New position minus old position of each original static
+        // instruction: its id shift, and its trace-index shift within
+        // the block instance.
+        let mut shift = vec![0isize; program.static_count()];
+        for (block, order) in &self.blocks {
+            for (new, &old) in order.iter().enumerate() {
+                shift[program.id_of(*block, old).index()] = new as isize - old as isize;
+            }
+        }
+        let whole = &trace.insts[..whole_instances_len(program, trace)];
+        let mut insts = whole.to_vec();
+        for (k, d) in whole.iter().enumerate() {
+            let s = shift[d.id.index()];
+            if s != 0 {
+                insts[k.wrapping_add_signed(s)] = DynInst {
+                    id: StaticId(d.id.0.wrapping_add_signed(s as i32)),
+                    ..*d
+                };
+            }
+        }
+        Trace {
+            insts,
+            truncated: trace.truncated,
+        }
+    }
+}
+
+/// Length of the longest prefix of `trace` made of whole block
+/// instances. Blocks execute start to end (control ops are last), so
+/// only the final instance of a truncated trace can be partial.
+fn whole_instances_len(program: &Program, trace: &Trace) -> usize {
+    let Some(last) = trace.insts.last() else {
+        return 0;
+    };
+    let loc = program.loc_of(last.id);
+    let pos = loc.idx as usize;
+    if pos + 1 == program.block(loc.block).insts.len() {
+        trace.len()
+    } else {
+        trace.len() - 1 - pos
+    }
+}
+
 /// Rewrites `program`, embedding the chosen instances.
 ///
 /// Fails (instead of panicking) when the instances are oversized,
 /// overlap, cannot be scheduled contiguously, or produce a structurally
 /// invalid program.
 pub fn try_rewrite(program: &Program, chosen: &[ChosenInstance]) -> Result<Program, RewriteError> {
+    rewrite_with(program, chosen, &BlockDepsCache::new(program)).map(|(p, _)| p)
+}
+
+/// [`try_rewrite`], taking block dependence graphs from `deps` (a cache
+/// for `program`) and also returning the order it gave each reordered
+/// block.
+pub fn rewrite_with(
+    program: &Program,
+    chosen: &[ChosenInstance],
+    deps: &BlockDepsCache,
+) -> Result<(Program, Schedules), RewriteError> {
     let mut by_block: HashMap<u32, Vec<&ChosenInstance>> = HashMap::new();
     for inst in chosen {
         if inst.candidate.len() > MAX_CANDIDATE_LEN {
@@ -94,9 +189,11 @@ pub fn try_rewrite(program: &Program, chosen: &[ChosenInstance]) -> Result<Progr
     }
 
     let mut next_instance = 0u32;
+    let mut schedules = Schedules::default();
     let mut blocks: Vec<BasicBlock> = Vec::with_capacity(program.blocks().len());
     for (bi, block) in program.blocks().iter().enumerate() {
-        let Some(instances) = by_block.get_mut(&(bi as u32)) else {
+        let bid = BlockId(bi as u32);
+        let Some(instances) = by_block.get_mut(&bid.0) else {
             blocks.push(block.clone());
             continue;
         };
@@ -108,20 +205,16 @@ pub fn try_rewrite(program: &Program, chosen: &[ChosenInstance]) -> Result<Progr
         for (ii, inst) in instances.iter().enumerate() {
             for (pi, &p) in inst.candidate.positions.iter().enumerate() {
                 if p >= block.insts.len() || member_of.insert(p, (ii, pi)).is_some() {
-                    return Err(RewriteError::Unschedulable {
-                        block: BlockId(bi as u32),
-                    });
+                    return Err(RewriteError::Unschedulable { block: bid });
                 }
             }
         }
-        let deps = BlockDeps::build(block);
         let groups: Vec<&[usize]> = instances
             .iter()
             .map(|c| c.candidate.positions.as_slice())
             .collect();
-        let order = schedule_with_groups(&deps, &groups).ok_or(RewriteError::Unschedulable {
-            block: BlockId(bi as u32),
-        })?;
+        let order = schedule_with_groups(deps.get(program, bid), &groups)
+            .ok_or(RewriteError::Unschedulable { block: bid })?;
         let instance_ids: Vec<u32> = instances
             .iter()
             .map(|_| {
@@ -149,14 +242,16 @@ pub fn try_rewrite(program: &Program, chosen: &[ChosenInstance]) -> Result<Progr
             insts,
             fallthrough: block.fallthrough,
         });
+        schedules.blocks.push((bid, order));
     }
 
-    Ok(Program::new(
+    let rewritten = Program::new(
         format!("{}+mg", program.name()),
         blocks,
         program.funcs().to_vec(),
         program.entry_func(),
-    )?)
+    )?;
+    Ok((rewritten, schedules))
 }
 
 /// Rewrites `program`, embedding the chosen instances.
@@ -180,6 +275,7 @@ mod tests {
     use crate::candidate::{enumerate, CandidateShape, SelectionConfig};
     use crate::check::assert_semantics_preserved;
     use mg_isa::{ProgramBuilder, Reg};
+    use mg_workloads::Executor;
 
     #[test]
     fn rewrite_tags_and_preserves_semantics() {
@@ -322,6 +418,70 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, RewriteError::Unschedulable { block: BlockId(0) });
+    }
+
+    /// A counted loop whose body needs reordering: the chosen pair
+    /// {0, 2} has an interloper at 1 that must move out of its way.
+    fn reordered_loop() -> (Program, Program, Schedules) {
+        let mut pb = ProgramBuilder::new("loop");
+        let f = pb.func("main");
+        let head = pb.block(f);
+        let body = pb.block(f);
+        let exit = pb.block(f);
+        pb.push(head, mg_isa::Instruction::li(Reg::R5, 4));
+        pb.set_fallthrough(head, body);
+        pb.push(body, mg_isa::Instruction::addi(Reg::R1, Reg::R5, 5)); // 0 member
+        pb.push(body, mg_isa::Instruction::li(Reg::R9, 7)); // 1 interloper
+        pb.push(body, mg_isa::Instruction::addi(Reg::R2, Reg::R1, 1)); // 2 member
+        pb.push(body, mg_isa::Instruction::store(Reg::R10, Reg::R2, 0));
+        pb.push(body, mg_isa::Instruction::addi(Reg::R5, Reg::R5, -1));
+        pb.push(
+            body,
+            mg_isa::Instruction::br(mg_isa::BrCond::Ne, Reg::R5, Reg::ZERO, body),
+        );
+        pb.set_fallthrough(body, exit);
+        pb.push(exit, mg_isa::Instruction::halt());
+        let p = pb.build().unwrap();
+        let cand = enumerate(&p, &SelectionConfig::default())
+            .into_iter()
+            .find(|c| c.block == BlockId(1) && c.positions == vec![0, 2])
+            .expect("groupable disconnected pair");
+        let chosen = [ChosenInstance {
+            candidate: cand,
+            template: 0,
+        }];
+        let (rp, schedules) = rewrite_with(&p, &chosen, &BlockDepsCache::new(&p)).unwrap();
+        assert_eq!(schedules.blocks().len(), 1);
+        assert_ne!(schedules.blocks()[0].1, vec![0, 1, 2, 3, 4, 5], "reordered");
+        (p, rp, schedules)
+    }
+
+    #[test]
+    fn projection_equals_re_execution() {
+        let (p, rp, schedules) = reordered_loop();
+        let (trace, _) = Executor::new(&p).run().unwrap();
+        let (rtrace, _) = Executor::new(&rp).run().unwrap();
+        let projected = schedules.project(&p, &trace);
+        assert_eq!(projected.insts, rtrace.insts);
+        assert!(!projected.truncated);
+    }
+
+    #[test]
+    fn projection_drops_a_trailing_partial_block_instance() {
+        let (p, rp, schedules) = reordered_loop();
+        let (full, _) = Executor::new(&rp).run().unwrap();
+        // head (1) + one body instance (6) + 3 of the second instance:
+        // the cut lands inside a reordered block instance.
+        let (trace, _) = Executor::new(&p).with_limit(10).run().unwrap();
+        assert!(trace.truncated);
+        let projected = schedules.project(&p, &trace);
+        assert!(projected.truncated);
+        assert_eq!(projected.insts, full.insts[..7]);
+        // A cut at an instance boundary keeps everything.
+        let (trace, _) = Executor::new(&p).with_limit(13).run().unwrap();
+        let projected = schedules.project(&p, &trace);
+        assert!(projected.truncated);
+        assert_eq!(projected.insts, full.insts[..13]);
     }
 
     #[test]

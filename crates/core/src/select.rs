@@ -6,11 +6,11 @@
 //! greedy algorithm picks templates by coverage score `(n−1)·f` under the
 //! MGT budget, discounting overlaps.
 
-use crate::candidate::{Candidate, SelectionConfig};
+use crate::candidate::{enumerate_with, Candidate, SelectionConfig};
 use crate::classify::{classify, Serialization};
-use crate::depgraph::{schedule_with_groups, BlockDeps};
+use crate::depgraph::{schedule_with_groups, BlockDepsCache};
 use crate::rewrite::ChosenInstance;
-use crate::template::group_templates;
+use crate::template::TemplateIndex;
 use mg_isa::{Program, StaticId};
 use mg_sim::SlackProfile;
 use serde::{Deserialize, Serialize};
@@ -103,10 +103,18 @@ impl Selector {
         }
     }
 
+    /// Which candidates of `pool` this selector admits, one flag per
+    /// candidate.
+    pub fn admitted(&self, program: &Program, pool: &[Candidate]) -> Vec<bool> {
+        pool.iter().map(|c| self.admits(program, c)).collect()
+    }
+
     /// Filters a candidate pool.
     pub fn filter(&self, program: &Program, pool: Vec<Candidate>) -> Vec<Candidate> {
+        let admitted = self.admitted(program, &pool);
         pool.into_iter()
-            .filter(|c| self.admits(program, c))
+            .zip(admitted)
+            .filter_map(|(c, a)| a.then_some(c))
             .collect()
     }
 }
@@ -296,6 +304,43 @@ pub struct SelectionResult {
     pub est_coverage: f64,
 }
 
+/// The per-pool work every selection over one starting pool shares: the
+/// pool's template grouping and each block's dependence graph. Selectors
+/// differ only in which candidates they admit, so a caller running
+/// several of them over one pool builds this once and passes each
+/// selector's admitted mask to [`select_admitted`].
+#[derive(Debug)]
+pub struct PoolIndex {
+    templates: TemplateIndex,
+    deps: BlockDepsCache,
+}
+
+impl PoolIndex {
+    /// Indexes `pool`, a pool of `program`'s candidates. Dependence
+    /// graphs are built on first use.
+    pub fn new(program: &Program, pool: &[Candidate]) -> PoolIndex {
+        PoolIndex {
+            templates: TemplateIndex::build(program, pool),
+            deps: BlockDepsCache::new(program),
+        }
+    }
+
+    /// Enumerates `program`'s starting pool under `cfg` (as
+    /// [`enumerate`](crate::candidate::enumerate) does) and indexes it,
+    /// keeping the dependence graphs enumeration builds.
+    pub fn enumerate(program: &Program, cfg: &SelectionConfig) -> (Vec<Candidate>, PoolIndex) {
+        let deps = BlockDepsCache::new(program);
+        let pool = enumerate_with(program, cfg, &deps);
+        let templates = TemplateIndex::build(program, &pool);
+        (pool, PoolIndex { templates, deps })
+    }
+
+    /// The program's per-block dependence graphs.
+    pub(crate) fn deps(&self) -> &BlockDepsCache {
+        &self.deps
+    }
+}
+
 /// Greedy budgeted template selection (§2 "Selection").
 ///
 /// `freqs` are per-static dynamic execution counts from the profiling
@@ -306,32 +351,49 @@ pub fn greedy_select(
     freqs: &[u64],
     cfg: &SelectionConfig,
 ) -> SelectionResult {
+    let index = PoolIndex::new(program, pool);
+    select_admitted(program, pool, &index, &vec![true; pool.len()], freqs, cfg)
+}
+
+/// [`greedy_select`] over the candidates of `pool` with `admitted[i]`
+/// set, using `index` (built for `pool`) for the grouping and the
+/// dependence graphs. The result equals `greedy_select` over the
+/// admitted sub-pool: templates are ranked by first admitted member, and
+/// heap ties break on that rank.
+pub fn select_admitted(
+    program: &Program,
+    pool: &[Candidate],
+    index: &PoolIndex,
+    admitted: &[bool],
+    freqs: &[u64],
+    cfg: &SelectionConfig,
+) -> SelectionResult {
     let total_dyn: u64 = freqs.iter().sum();
-    let templates = group_templates(program, pool);
+    let templates = index.templates.restrict(admitted);
     let freq_of = |c: &Candidate| -> u64 { freqs[program.id_of(c.block, c.positions[0]).index()] };
     let score_of_member = |c: &Candidate| -> u64 { (c.len() as u64 - 1) * freq_of(c) };
 
     // used[static index] = claimed by an instance.
     let mut used = vec![false; program.static_count()];
     let mut claims_per_block: HashMap<u32, Vec<usize>> = HashMap::new(); // pool indices
-    let mut deps_cache: HashMap<u32, BlockDeps> = HashMap::new();
-
-    // Lazy max-heap of (score, template index).
-    let mut heap: BinaryHeap<(u64, usize)> = BinaryHeap::new();
-    let template_score = |t: &crate::template::Template, used: &[bool]| -> u64 {
-        t.members
+    let alive = |m: usize, used: &[bool]| -> bool {
+        !pool[m]
+            .positions
             .iter()
-            .filter(|&&m| {
-                !pool[m]
-                    .positions
-                    .iter()
-                    .any(|&p| used[program.id_of(pool[m].block, p).index()])
-            })
+            .any(|&p| used[program.id_of(pool[m].block, p).index()])
+    };
+
+    // Lazy max-heap of (score, template rank).
+    let mut heap: BinaryHeap<(u64, usize)> = BinaryHeap::new();
+    let template_score = |members: &[usize], used: &[bool]| -> u64 {
+        members
+            .iter()
+            .filter(|&&m| alive(m, used))
             .map(|&m| score_of_member(&pool[m]))
             .sum()
     };
-    for (ti, t) in templates.iter().enumerate() {
-        let s = template_score(t, &used);
+    for (ti, members) in templates.iter().enumerate() {
+        let s = template_score(members, &used);
         if s > 0 {
             heap.push((s, ti));
         }
@@ -356,38 +418,25 @@ pub fn greedy_select(
         // Claim the template: take each alive member whose positions are
         // free and whose addition keeps its block schedulable.
         let mut members: Vec<usize> = templates[ti]
-            .members
             .iter()
             .copied()
-            .filter(|&m| {
-                !pool[m]
-                    .positions
-                    .iter()
-                    .any(|&p| used[program.id_of(pool[m].block, p).index()])
-            })
+            .filter(|&m| alive(m, &used))
             .collect();
         members.sort_by_key(|&m| std::cmp::Reverse(score_of_member(&pool[m])));
         let mut claimed_any = false;
         for m in members {
-            let cand = &pool[m];
             // Members of the same template may overlap each other.
-            if cand
-                .positions
-                .iter()
-                .any(|&p| used[program.id_of(cand.block, p).index()])
-            {
+            if !alive(m, &used) {
                 continue;
             }
+            let cand = &pool[m];
             let block_claims = claims_per_block.entry(cand.block.0).or_default();
-            let deps = deps_cache
-                .entry(cand.block.0)
-                .or_insert_with(|| BlockDeps::build(program.block(cand.block)));
             let mut groups: Vec<&[usize]> = block_claims
                 .iter()
                 .map(|&ci| pool[ci].positions.as_slice())
                 .collect();
             groups.push(cand.positions.as_slice());
-            if schedule_with_groups(deps, &groups).is_none() {
+            if schedule_with_groups(index.deps.get(program, cand.block), &groups).is_none() {
                 continue;
             }
             // Claim.
@@ -515,6 +564,92 @@ mod tests {
                     c.candidate.block.0
                 );
             }
+        }
+    }
+
+    /// The seven distinct selectors the sweep harness runs.
+    fn every_selector(slack: &SlackProfile) -> Vec<Selector> {
+        let sp = |kind| {
+            Selector::SlackProfile(
+                SlackProfileModel {
+                    kind,
+                    ..SlackProfileModel::default()
+                },
+                slack.clone(),
+            )
+        };
+        vec![
+            Selector::StructAll,
+            Selector::StructNone,
+            Selector::StructBounded,
+            sp(SpKind::Full),
+            sp(SpKind::DelayOnly),
+            sp(SpKind::Sial),
+            Selector::SlackProfile(SlackProfileModel::miss_aware(), slack.clone()),
+        ]
+    }
+
+    #[test]
+    fn masked_selection_over_a_shared_index_equals_greedy_select() {
+        for name in ["mib_crc32", "mib_sha", "spec_mcf"] {
+            let mut spec = mg_workloads::benchmark(name).unwrap();
+            spec.params.target_dyn = 8_000;
+            let w = spec.generate();
+            let (_, freqs, slack) =
+                crate::pipeline::profile_workload(&w, &mg_sim::MachineConfig::reduced());
+            let p = &w.program;
+            for cfg in [
+                SelectionConfig::default(),
+                SelectionConfig {
+                    mgt_budget: 8,
+                    ..SelectionConfig::default()
+                },
+            ] {
+                // One index serves every selector, as in the harness.
+                let (pool, index) = PoolIndex::enumerate(p, &cfg);
+                assert_eq!(pool, enumerate(p, &cfg));
+                for selector in every_selector(&slack) {
+                    let what = format!("{name} {} {}", selector.name(), cfg.mgt_budget);
+                    let plain = greedy_select(p, &selector.filter(p, pool.clone()), &freqs, &cfg);
+                    let admitted = selector.admitted(p, &pool);
+                    let masked = select_admitted(p, &pool, &index, &admitted, &freqs, &cfg);
+                    assert!(!plain.chosen.is_empty(), "{what}");
+                    let key = |r: &SelectionResult| -> Vec<(Candidate, u16)> {
+                        r.chosen
+                            .iter()
+                            .map(|c| (c.candidate.clone(), c.template))
+                            .collect()
+                    };
+                    assert_eq!(key(&masked), key(&plain), "{what}");
+                    assert_eq!(masked.templates, plain.templates, "{what}");
+                    assert_eq!(
+                        masked.est_coverage.to_bits(),
+                        plain.est_coverage.to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restricted_templates_equal_grouping_the_admitted_pool() {
+        let p = hot_cold_program();
+        let pool = enumerate(&p, &SelectionConfig::default());
+        let index = TemplateIndex::build(&p, &pool);
+        // Every other candidate, and the Struct-None policy.
+        let masks = [
+            (0..pool.len()).map(|i| i % 2 == 0).collect::<Vec<_>>(),
+            Selector::StructNone.admitted(&p, &pool),
+        ];
+        for admitted in masks {
+            let sub: Vec<usize> = (0..pool.len()).filter(|&i| admitted[i]).collect();
+            let sub_pool: Vec<Candidate> = sub.iter().map(|&i| pool[i].clone()).collect();
+            let grouped: Vec<Vec<usize>> = crate::template::group_templates(&p, &sub_pool)
+                .into_iter()
+                .map(|t| t.members.iter().map(|&m| sub[m]).collect())
+                .collect();
+            assert_eq!(index.restrict(&admitted), grouped);
         }
     }
 

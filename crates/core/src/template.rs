@@ -76,6 +76,58 @@ pub fn group_templates(program: &Program, pool: &[Candidate]) -> Vec<Template> {
     templates
 }
 
+/// A pool's template grouping, computed once and restricted to each
+/// selector's admitted sub-pool.
+#[derive(Clone, Debug)]
+pub struct TemplateIndex {
+    /// Number of templates [`group_templates`] finds in the whole pool.
+    count: usize,
+    /// Pool index -> index of its template in that grouping.
+    template_of: Vec<u32>,
+}
+
+impl TemplateIndex {
+    /// Groups `pool` (see [`group_templates`]).
+    pub fn build(program: &Program, pool: &[Candidate]) -> TemplateIndex {
+        let templates = group_templates(program, pool);
+        let mut template_of = vec![0u32; pool.len()];
+        for (ti, t) in templates.iter().enumerate() {
+            for &m in &t.members {
+                template_of[m] = ti as u32;
+            }
+        }
+        TemplateIndex {
+            count: templates.len(),
+            template_of,
+        }
+    }
+
+    /// The member lists [`group_templates`] returns for the sub-pool of
+    /// candidates with `admitted[i]` set, as pool indices: templates
+    /// without an admitted member are dropped, the rest keep only their
+    /// admitted members and are ordered by their first one. Candidates
+    /// share a template exactly when their signatures match, whichever
+    /// sub-pool they are grouped in, so no signature is recomputed.
+    pub fn restrict(&self, admitted: &[bool]) -> Vec<Vec<usize>> {
+        assert_eq!(
+            admitted.len(),
+            self.template_of.len(),
+            "one flag per candidate"
+        );
+        let mut rank = vec![u32::MAX; self.count];
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for (i, _) in admitted.iter().enumerate().filter(|(_, &a)| a) {
+            let r = &mut rank[self.template_of[i] as usize];
+            if *r == u32::MAX {
+                *r = members.len() as u32;
+                members.push(Vec::new());
+            }
+            members[*r as usize].push(i);
+        }
+        members
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

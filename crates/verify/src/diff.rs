@@ -16,7 +16,11 @@
 //!    count and stays under its cycle cap;
 //! 5. an independent functional replay of the committed trace
 //!    ([`replay_committed`]) reproduces the rewritten program's final
-//!    architectural state bit-for-bit, and agrees with the oracle.
+//!    architectural state bit-for-bit, and agrees with the oracle;
+//! 6. the oracle's trace projected through the rewrite's block orders
+//!    ([`Schedules::project`](mg_core::Schedules::project), what the
+//!    sweep harness simulates instead of re-executing) equals the
+//!    rewritten program's executed trace, instruction for instruction.
 //!
 //! Panics anywhere in a variant run are caught and reported as
 //! counterexamples, never propagated: "the fuzzer found a panic" is a
@@ -25,8 +29,8 @@
 use crate::gen::{generate, GenConfig};
 use crate::invariants::{check_candidate, revalidate, InvariantViolation};
 use mg_core::{
-    check_semantics_preserved, enumerate, greedy_select, try_rewrite, RewriteError,
-    SelectionConfig, Selector, SemanticsViolation, SlackProfileModel,
+    check_semantics_preserved, enumerate, greedy_select, rewrite_with, BlockDepsCache,
+    RewriteError, SelectionConfig, Selector, SemanticsViolation, SlackProfileModel,
 };
 use mg_isa::IsaError;
 use mg_sim::{
@@ -158,6 +162,12 @@ pub enum MismatchKind {
         /// Human-readable description of the first difference.
         detail: String,
     },
+    /// The oracle's trace projected through the rewrite differs from the
+    /// rewritten program's executed trace.
+    Projection {
+        /// Human-readable description of the first difference.
+        detail: String,
+    },
     /// A panic escaped some pipeline stage.
     Panic(String),
 }
@@ -179,6 +189,7 @@ impl MismatchKind {
             MismatchKind::CycleCap => "cycle-cap",
             MismatchKind::Replay(_) => "replay",
             MismatchKind::ReplayStateDiff { .. } => "replay-state",
+            MismatchKind::Projection { .. } => "projection",
             MismatchKind::Panic(_) => "panic",
         }
     }
@@ -217,6 +228,9 @@ impl fmt::Display for MismatchKind {
             MismatchKind::Replay(e) => write!(f, "committed trace does not replay: {e}"),
             MismatchKind::ReplayStateDiff { detail } => {
                 write!(f, "replayed state disagrees: {detail}")
+            }
+            MismatchKind::Projection { detail } => {
+                write!(f, "projected trace differs from re-execution: {detail}")
             }
             MismatchKind::Panic(msg) => write!(f, "panic: {msg}"),
         }
@@ -329,7 +343,12 @@ pub fn run_variant(w: &Workload, variant: Variant, cfg: &DiffConfig) -> Result<(
         }
     }
 
-    let rewritten = try_rewrite(&w.program, &selection.chosen).map_err(MismatchKind::Rewrite)?;
+    let (rewritten, schedules) = rewrite_with(
+        &w.program,
+        &selection.chosen,
+        &BlockDepsCache::new(&w.program),
+    )
+    .map_err(MismatchKind::Rewrite)?;
     revalidate(&rewritten).map_err(MismatchKind::Revalidate)?;
 
     if let Some(v) = check_semantics_preserved(&w.program, &rewritten, &w.init_mem) {
@@ -342,6 +361,7 @@ pub fn run_variant(w: &Workload, variant: Variant, cfg: &DiffConfig) -> Result<(
     if rtrace.truncated {
         return Err(MismatchKind::RewrittenTruncated);
     }
+    check_projection(&schedules.project(&w.program, &otrace), &rtrace)?;
 
     let mg_machine = cfg.machine.clone().with_mg(MgConfig::paper());
     let opts = SimOptions {
@@ -388,6 +408,35 @@ pub fn run_variant(w: &Workload, variant: Variant, cfg: &DiffConfig) -> Result<(
         });
     }
     Ok(())
+}
+
+/// Compares a projected trace with the executed one.
+fn check_projection(
+    projected: &mg_workloads::Trace,
+    executed: &mg_workloads::Trace,
+) -> Result<(), MismatchKind> {
+    let detail = if projected.truncated != executed.truncated {
+        format!(
+            "truncated: projected {}, executed {}",
+            projected.truncated, executed.truncated
+        )
+    } else if let Some(k) =
+        (0..projected.len().min(executed.len())).find(|&k| projected.insts[k] != executed.insts[k])
+    {
+        format!(
+            "dynamic instruction {k}: projected {:?}, executed {:?}",
+            projected.insts[k], executed.insts[k]
+        )
+    } else if projected.len() != executed.len() {
+        format!(
+            "length: projected {}, executed {}",
+            projected.len(),
+            executed.len()
+        )
+    } else {
+        return Ok(());
+    };
+    Err(MismatchKind::Projection { detail })
 }
 
 /// [`run_variant`] with panics converted into [`MismatchKind::Panic`].
