@@ -66,7 +66,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let (run, report) = match ctx.try_run_obs(scheme, &red, mg_sim::ObsConfig::default()) {
+    let (run, report) = match ctx.try_run_obs(scheme, &red) {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("instrumented run failed: {e}");

@@ -13,19 +13,17 @@
 //! are excluded from the timed region — this harness tracks the engine
 //! hot loop, nothing else.
 //!
-//! A counting global allocator also reports steady-state heap
-//! allocations per simulated cycle, measured as the allocation-count
-//! *slope* between a short and a long run of the same benchmark (setup
-//! allocations cancel out). The timed region allocates nothing per
-//! cycle, so counting costs it nothing.
-//!
 //! One benchmark is additionally timed with the pipeline observer
 //! attached vs. detached, recording the observer's run-time overhead
 //! ratio (and checking stall-attribution conservation) in the report's
 //! `obs` section. The `profile` section does the same for slack
 //! profiling: the no-mg/red cell, which is what a context's profiling run
 //! simulates, timed with `profile_slack` on against the same prepared
-//! cell run plain.
+//! cell run plain. It runs each benchmark at its full `target_dyn`, the
+//! length a context's profiling run simulates, not at `TARGET_DYN`.
+//!
+//! That the engine does not allocate per cycle is gated by
+//! `crates/sim/tests/alloc_free.rs`, not measured here.
 
 use mg_bench::harness::PreparedSim;
 use mg_bench::{machine_fingerprint, BenchContext, Scheme, SCHEMA_VERSION};
@@ -36,41 +34,6 @@ use std::time::Instant;
 
 const REPEATS: usize = 3;
 
-mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    /// System allocator wrapper that counts allocation events (alloc and
-    /// grow-realloc; frees are not events of interest).
-    pub struct Counting;
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // so the caller's guarantees are exactly the ones `System` needs;
-    // the counter is a statistic and publishes no other data.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static COUNTER: Counting = Counting;
-
-    pub fn allocs() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-}
-
 #[derive(Serialize)]
 struct CellPerf {
     scheme: String,
@@ -79,18 +42,6 @@ struct CellPerf {
     sim_cycles: u64,
     wall_sec: f64,
     cycles_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct AllocPerf {
-    bench: String,
-    short_cycles: u64,
-    long_cycles: u64,
-    short_allocs: u64,
-    long_allocs: u64,
-    /// Allocation events per extra simulated cycle between the short and
-    /// long run — ~0 means the steady-state loop is allocation-free.
-    steady_allocs_per_cycle: f64,
 }
 
 #[derive(Serialize)]
@@ -110,6 +61,9 @@ struct ProfilePerf {
     scheme: String,
     machine: String,
     benches: usize,
+    /// Committed instructions simulated per pass: every benchmark at
+    /// its full `target_dyn`.
+    instrs: u64,
     sim_cycles: u64,
     plain_wall_sec: f64,
     profiled_wall_sec: f64,
@@ -129,7 +83,6 @@ struct PerfReport {
     total_sim_cycles: u64,
     total_wall_sec: f64,
     sim_cycles_per_sec: f64,
-    alloc: Option<AllocPerf>,
     obs: Option<ObsPerf>,
     profile: ProfilePerf,
 }
@@ -152,7 +105,7 @@ fn prepare_all(take: usize, target_dyn: usize) -> Vec<(String, Vec<PreparedSim>)
         .take(take)
         .filter_map(|mut spec| {
             spec.params.target_dyn = target_dyn;
-            let ctx = match BenchContext::builder(&spec, &red).disk_cache(false).build() {
+            let ctx = match BenchContext::builder(&spec, &red).cache(false).build() {
                 Ok(ctx) => ctx,
                 Err(e) => {
                     eprintln!("skipped {}: {e}", spec.name);
@@ -193,65 +146,48 @@ fn time_cell(prepared: &[(String, Vec<PreparedSim>)], cell: usize) -> (u64, f64)
     time_passes(prepared.iter().map(|(_, sims)| &sims[cell]))
 }
 
-/// Times the no-mg/red cell with slack profiling on and off.
-fn profile_overhead(prepared: &[(String, Vec<PreparedSim>)]) -> ProfilePerf {
-    let cell = cell_tags()
-        .iter()
-        .position(|&(scheme, tag)| scheme == Scheme::NoMg && tag == "red")
-        .expect("no-mg/red is a perf cell");
-    let profiled: Vec<PreparedSim> = prepared
-        .iter()
-        .map(|(_, sims)| {
-            let mut p = sims[cell].clone();
-            p.opts.profile_slack = true;
-            p
+/// Times the no-mg/red cell of the first `take` benchmarks with slack
+/// profiling on and off, each at its full `target_dyn`. Benchmarks are
+/// prepared one at a time and dropped once timed, so one full-length
+/// trace is live at a time; each side sums the per-benchmark fastest of
+/// `REPEATS` passes.
+fn profile_overhead(take: usize) -> ProfilePerf {
+    let red = MachineConfig::reduced();
+    // (instrs, cycles, plain wall, profiled wall) per benchmark.
+    let runs: Vec<(u64, u64, f64, f64)> = suite()
+        .into_iter()
+        .take(take)
+        .filter_map(|spec| {
+            let plain = match BenchContext::builder(&spec, &red)
+                .cache(false)
+                .build()
+                .and_then(|ctx| ctx.prepare_sim(Scheme::NoMg, &red, None, None))
+            {
+                Ok(p) => p,
+                Err(e) => {
+                    eprintln!("skipped {} in the profile section: {e}", spec.name);
+                    return None;
+                }
+            };
+            let mut profiled = plain.clone();
+            profiled.opts.profile_slack = true;
+            let (cycles, plain_wall) = time_passes(std::iter::once(&plain));
+            let (_, profiled_wall) = time_passes(std::iter::once(&profiled));
+            Some((plain.trace_len() as u64, cycles, plain_wall, profiled_wall))
         })
         .collect();
-    let (sim_cycles, plain_wall_sec) = time_cell(prepared, cell);
-    let (_, profiled_wall_sec) = time_passes(profiled.iter());
+    let plain_wall_sec: f64 = runs.iter().map(|r| r.2).sum();
+    let profiled_wall_sec: f64 = runs.iter().map(|r| r.3).sum();
     ProfilePerf {
         scheme: Scheme::NoMg.name().to_string(),
         machine: "red".to_string(),
-        benches: prepared.len(),
-        sim_cycles,
+        benches: runs.len(),
+        instrs: runs.iter().map(|r| r.0).sum(),
+        sim_cycles: runs.iter().map(|r| r.1).sum(),
         plain_wall_sec,
         profiled_wall_sec,
         overhead_ratio: profiled_wall_sec / plain_wall_sec.max(1e-12),
     }
-}
-
-fn alloc_profile(target_dyn: usize) -> Option<AllocPerf> {
-    // One benchmark, two trace lengths: the allocation-count slope
-    // between them is the steady-state allocations per simulated cycle.
-    let red = MachineConfig::reduced();
-    let mut short_spec = suite().into_iter().find(|s| s.name == "mib_crc32")?;
-    let mut long_spec = short_spec.clone();
-    short_spec.params.target_dyn = target_dyn;
-    long_spec.params.target_dyn = target_dyn * 4;
-    let measure = |spec: &mg_workloads::BenchmarkSpec| -> Option<(u64, u64)> {
-        let ctx = BenchContext::builder(spec, &red)
-            .cache(false)
-            .build()
-            .ok()?;
-        let p = ctx.prepare_sim(Scheme::StructAll, &red, None, None).ok()?;
-        p.simulate(); // warm: fault in lazily-allocated structures
-        let a0 = alloc_count::allocs();
-        let r = p.simulate();
-        let a1 = alloc_count::allocs();
-        Some((r.stats.cycles, a1 - a0))
-    };
-    let (short_cycles, short_allocs) = measure(&short_spec)?;
-    let (long_cycles, long_allocs) = measure(&long_spec)?;
-    let dc = long_cycles.saturating_sub(short_cycles).max(1);
-    let da = long_allocs.saturating_sub(short_allocs);
-    Some(AllocPerf {
-        bench: short_spec.name,
-        short_cycles,
-        long_cycles,
-        short_allocs,
-        long_allocs,
-        steady_allocs_per_cycle: da as f64 / dc as f64,
-    })
 }
 
 /// Times one benchmark with and without the pipeline observer attached:
@@ -266,7 +202,7 @@ fn obs_profile(target_dyn: usize) -> Option<ObsPerf> {
         .ok()?;
     let plain = ctx.prepare_sim(Scheme::StructAll, &red, None, None).ok()?;
     let mut observed = plain.clone();
-    observed.opts.obs = Some(mg_sim::ObsConfig::default());
+    observed.opts.obs = true;
     let (_, plain_wall_sec) = time_passes(std::iter::once(&plain));
     let (_, observed_wall_sec) = time_passes(std::iter::once(&observed));
     let r = observed.simulate();
@@ -321,17 +257,6 @@ fn main() {
         });
     }
 
-    let alloc = alloc_profile(10_000);
-    if let Some(a) = &alloc {
-        eprintln!(
-            "steady-state allocations/cycle on {}: {:.4} ({} allocs over {} extra cycles)",
-            a.bench,
-            a.steady_allocs_per_cycle,
-            a.long_allocs.saturating_sub(a.short_allocs),
-            a.long_cycles.saturating_sub(a.short_cycles),
-        );
-    }
-
     let obs = obs_profile(target_dyn);
     if let Some(o) = &obs {
         eprintln!(
@@ -344,11 +269,13 @@ fn main() {
         );
     }
 
-    let profile = profile_overhead(&prepared);
+    eprintln!("timing full-length slack profiling…");
+    let profile = profile_overhead(take);
     eprintln!(
-        "slack-profiling overhead on {}/{}: {:.2}x ({:.3}s profiled vs {:.3}s plain)",
+        "slack-profiling overhead on {}/{} ({} instrs): {:.2}x ({:.3}s profiled vs {:.3}s plain)",
         profile.scheme,
         profile.machine,
+        profile.instrs,
         profile.overhead_ratio,
         profile.profiled_wall_sec,
         profile.plain_wall_sec,
@@ -364,7 +291,6 @@ fn main() {
         total_sim_cycles: total_cycles,
         total_wall_sec: total_wall,
         sim_cycles_per_sec: total_cycles as f64 / total_wall,
-        alloc,
         obs,
         profile,
     };

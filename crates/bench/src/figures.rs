@@ -13,16 +13,15 @@ use crate::runner::{par_map, InputSel, SweepCell, SweepResult, SweepSpec};
 use crate::{mean, Config};
 use mg_core::candidate::{enumerate, Candidate, SelectionConfig};
 use mg_core::classify::{classify, Serialization};
-use mg_core::depgraph::{schedule_with_groups, BlockDeps};
+use mg_core::depgraph::{schedule_with_groups, BlockDepsCache};
 use mg_core::pipeline::profile_workload;
-use mg_core::rewrite::{rewrite, ChosenInstance};
+use mg_core::rewrite::{rewrite_with, ChosenInstance};
 use mg_core::select::{slack_profile_admits, SlackProfileModel};
 use mg_obs::{mg_error, mg_info};
 use mg_sim::config::rename_regs;
 use mg_sim::{simulate, DynMgConfig, MachineConfig, MgConfig, SimOptions};
-use mg_workloads::{limit_study_benchmark, suite, BenchmarkSpec, Executor, Suite};
+use mg_workloads::{limit_study_benchmark, suite, BenchmarkSpec, Suite};
 use serde::Serialize;
-use std::collections::HashMap;
 use std::fmt::Display;
 
 /// One entry of [`FIGURES`].
@@ -920,7 +919,7 @@ fn fig8(_: usize) -> String {
     });
     let mut chosen: Vec<Candidate> = Vec::new();
     let mut used: Vec<bool> = vec![false; w.program.static_count()];
-    let mut deps: HashMap<u32, BlockDeps> = HashMap::new();
+    let deps = BlockDepsCache::new(&w.program);
     for c in pool {
         if chosen.len() == 10 {
             break;
@@ -931,16 +930,13 @@ fn fig8(_: usize) -> String {
         {
             continue;
         }
-        let d = deps
-            .entry(c.block.0)
-            .or_insert_with(|| BlockDeps::build(w.program.block(c.block)));
         let mut groups: Vec<&[usize]> = chosen
             .iter()
             .filter(|x| x.block == c.block)
             .map(|x| x.positions.as_slice())
             .collect();
         groups.push(c.positions.as_slice());
-        if schedule_with_groups(d, &groups).is_none() {
+        if schedule_with_groups(deps.get(&w.program, c.block), &groups).is_none() {
             continue;
         }
         for &p in &c.positions {
@@ -962,9 +958,9 @@ fn fig8(_: usize) -> String {
         })
         .collect();
 
-    // Exhaustive sweep, parallelized over the 1024 masks: every subset is
-    // an independent rewrite + functional run + simulation.
-    let run_subset = |mask: u16| -> (f64, f64) {
+    // The subset `mask` of the chosen candidates, embedded: the rewritten
+    // program and its trace, projected from the profiled one.
+    let rewritten = |mask: u16| {
         let instances: Vec<ChosenInstance> = chosen
             .iter()
             .enumerate()
@@ -974,8 +970,16 @@ fn fig8(_: usize) -> String {
                 template: i as u16,
             })
             .collect();
-        let prog = rewrite(&w.program, &instances);
-        let (t, _) = Executor::new(&prog).run_with_mem(&w.init_mem).unwrap();
+        let (prog, schedules) =
+            rewrite_with(&w.program, &instances, &deps).expect("the chosen set is schedulable");
+        let t = schedules.project(&w.program, &trace);
+        (prog, t)
+    };
+
+    // Exhaustive sweep, parallelized over the 1024 masks: every subset is
+    // an independent rewrite + trace projection + simulation.
+    let run_subset = |mask: u16| -> (f64, f64) {
+        let (prog, t) = rewritten(mask);
         let r = simulate(
             &prog,
             &t,
@@ -1005,16 +1009,7 @@ fn fig8(_: usize) -> String {
     // Slack-Dynamic: run the full set with the controller and see which
     // templates survive.
     let sd_enabled_mask: u16 = {
-        let instances: Vec<ChosenInstance> = chosen
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ChosenInstance {
-                candidate: c.clone(),
-                template: i as u16,
-            })
-            .collect();
-        let prog = rewrite(&w.program, &instances);
-        let (t, _) = Executor::new(&prog).run_with_mem(&w.init_mem).unwrap();
+        let (prog, t) = rewritten(0x3ff);
         let opts = SimOptions {
             dyn_mg: Some(DynMgConfig::slack_dynamic()),
             ..SimOptions::default()

@@ -247,15 +247,14 @@ impl std::error::Error for BenchError {}
 
 /// Configures and builds a [`BenchContext`].
 ///
-/// Defaults: train and run on the benchmark's primary input, the default
-/// [`SelectionConfig`], context caching on (memory + disk).
+/// Defaults: train and run on the benchmark's primary input, context
+/// caching on (memory + disk).
 #[derive(Clone, Debug)]
 pub struct BenchContextBuilder {
     pub(crate) spec: BenchmarkSpec,
     train_cfg: MachineConfig,
     train_input: Option<InputSet>,
     run_input: Option<InputSet>,
-    sel_cfg: SelectionConfig,
     cache: bool,
     disk_cache: bool,
 }
@@ -271,12 +270,6 @@ impl BenchContextBuilder {
     /// primary input).
     pub fn run_input(mut self, input: InputSet) -> BenchContextBuilder {
         self.run_input = Some(input);
-        self
-    }
-
-    /// The selection configuration (ablations).
-    pub fn selection_config(mut self, cfg: SelectionConfig) -> BenchContextBuilder {
-        self.sel_cfg = cfg;
         self
     }
 
@@ -324,7 +317,6 @@ impl BenchContextBuilder {
             trace,
             freqs,
             slack,
-            sel_cfg: self.sel_cfg,
             cache_outcome,
             // The profiling run simulated the train workload; it is this
             // context's own no-mini-graph run only on the same input.
@@ -363,7 +355,6 @@ pub struct BenchContext {
     pub freqs: Vec<u64>,
     /// Local slack profile (self-trained unless overridden).
     pub slack: mg_sim::SlackProfile,
-    sel_cfg: SelectionConfig,
     cache_outcome: CacheOutcome,
     /// The profiling run's outcome, when it is the training machine's
     /// no-mini-graph cell (train input == run input).
@@ -479,7 +470,6 @@ impl BenchContext {
             train_cfg: train_cfg.clone(),
             train_input: None,
             run_input: None,
-            sel_cfg: SelectionConfig::default(),
             cache: true,
             disk_cache: true,
         }
@@ -498,16 +488,6 @@ impl BenchContext {
     /// built with caching disabled reports a miss).
     pub fn cache_outcome(&self) -> CacheOutcome {
         self.cache_outcome
-    }
-
-    /// The selection configuration in use.
-    pub fn selection_config(&self) -> &SelectionConfig {
-        &self.sel_cfg
-    }
-
-    /// Overrides the selection configuration (ablations).
-    pub fn set_selection_config(&mut self, cfg: SelectionConfig) {
-        self.sel_cfg = cfg;
     }
 
     /// Locks the memo. Only lookups and inserts run under the lock, so
@@ -595,7 +575,7 @@ impl BenchContext {
                 opts: SimOptions::default(),
             });
         };
-        let selection = self.selection(scheme, key, sel.unwrap_or(&self.sel_cfg))?;
+        let selection = self.selection(scheme, key, &sel.copied().unwrap_or_default())?;
         Ok(CellSim {
             selection: Some(selection),
             machine: machine.clone().with_mg(mg.unwrap_or_else(MgConfig::paper)),
@@ -648,7 +628,7 @@ impl BenchContext {
 
     /// Runs one scheme on one machine with optional overrides for the
     /// mini-graph hardware (default [`MgConfig::paper`]) and the
-    /// selection configuration (default: the context's).
+    /// selection configuration (default [`SelectionConfig::default`]).
     pub fn try_run_with(
         &self,
         scheme: Scheme,
@@ -717,9 +697,8 @@ impl BenchContext {
         &self,
         scheme: Scheme,
         machine: &MachineConfig,
-        obs: mg_obs::ObsConfig,
     ) -> Result<(SchemeRun, mg_obs::ObsReport), BenchError> {
-        self.try_run_with_obs(scheme, machine, None, None, obs)
+        self.try_run_with_obs(scheme, machine, None, None)
     }
 
     /// [`BenchContext::try_run_obs`] with the full per-cell overrides of
@@ -731,18 +710,17 @@ impl BenchContext {
         machine: &MachineConfig,
         mg: Option<MgConfig>,
         sel: Option<&SelectionConfig>,
-        obs: mg_obs::ObsConfig,
     ) -> Result<(SchemeRun, mg_obs::ObsReport), BenchError> {
         let cell = self.cell_sim(scheme, machine, mg, sel)?;
         let opts = SimOptions {
-            obs: Some(obs),
+            obs: true,
             ..cell.opts
         };
         let mut r = self.simulate_cell(&cell, opts);
         let report = r
             .obs
             .take()
-            .expect("simulate returns a report when an observer is configured");
+            .expect("simulate returns a report when the run observes");
         let run = SchemeRun::try_from_sim(&self.spec.name, scheme, r, cell.est_coverage())?;
         Ok((run, report))
     }

@@ -15,10 +15,13 @@
 //! ([`crate::binfmt::RecordKind::JournalRow`]), so a record either
 //! exists completely and verifies, or it is quarantined and treated as
 //! absent; a process killed mid-write never leaves torn state.
-//! Only *finished* rows are journaled — failed cells are finished
-//! (their errors are deterministic and replay bit-identically) but
-//! rows skipped by a shutdown are not, so a resume re-runs exactly the
-//! work that never completed.
+//! Only cells that [`persists`] accepts are journaled: results and
+//! deterministic failures replay bit-identically, while a transient
+//! failure (a panic or watchdog timeout, which the supervisor retries)
+//! or a cell skipped by a shutdown would replay work that never
+//! completed. Batch sweeps journal a row only when every cell
+//! persists, and `mg-serve` journals each persisting cell, so a resume
+//! or a restarted daemon re-runs exactly those cells.
 //!
 //! Journal I/O is best-effort, like the context cache: an unwritable
 //! directory degrades to journaling nothing, but every write failure is
@@ -247,6 +250,16 @@ impl Journal {
     }
 }
 
+/// Whether a cell outcome is journaled: a result or a deterministic
+/// failure, never a transient failure or a shutdown skip. Both front
+/// ends (batch sweeps and `mg-serve`) decide through this one rule.
+pub fn persists(cell: &Result<SchemeRun, BenchError>) -> bool {
+    match cell {
+        Ok(_) => true,
+        Err(e) => !crate::supervisor::transient(e) && !matches!(e, BenchError::Interrupted { .. }),
+    }
+}
+
 /// Logs and counts a failed journal write: the row simply re-runs on
 /// resume, but the operator can see the journal is not persisting
 /// instead of discovering it after a crash.
@@ -324,6 +337,29 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mg-journal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn only_results_and_deterministic_failures_persist() {
+        let rows = demo_rows("mib_sha");
+        assert!(persists(&rows.runs[0]));
+        assert!(!persists(&rows.runs[1]), "a panic is transient");
+        let err = |e: BenchError| persists(&Err(e));
+        assert!(!err(BenchError::TimedOut {
+            bench: "b".into(),
+            cell: 0,
+            limit_ms: 1,
+        }));
+        assert!(!err(BenchError::Interrupted { bench: "b".into() }));
+        assert!(err(BenchError::CycleCap {
+            bench: "b".into(),
+            scheme: Scheme::NoMg,
+        }));
+        assert!(err(BenchError::Rewrite {
+            bench: "b".into(),
+            scheme: Scheme::StructAll,
+            detail: "unschedulable".into(),
+        }));
     }
 
     #[test]

@@ -28,7 +28,6 @@
 use crate::cache::{self, stable_hash64, CacheCounters, CacheOutcome};
 use crate::harness::{BenchContext, BenchError, Scheme, SchemeRun};
 use crate::journal::{self, Journal};
-use crate::signals::SignalWatch;
 use crate::supervisor;
 use mg_core::candidate::SelectionConfig;
 use mg_obs::{mg_debug, mg_error, mg_info, tele_counter, tele_hist};
@@ -51,7 +50,8 @@ pub struct SweepCell {
     pub machine: MachineConfig,
     /// Mini-graph hardware override (default: [`MgConfig::paper`]).
     pub mg: Option<MgConfig>,
-    /// Selection-configuration override (default: the context's).
+    /// Selection-configuration override (default:
+    /// [`SelectionConfig::default`]).
     pub sel: Option<SelectionConfig>,
 }
 
@@ -110,7 +110,9 @@ pub struct SweepSpec {
     train_cfg: MachineConfig,
     train_input: InputSel,
     run_input: InputSel,
-    jobs: Option<usize>,
+    /// Worker count; `None` is available parallelism.
+    /// [`supervisor::run_cli`] fills it from `MG_JOBS`.
+    pub(crate) jobs: Option<usize>,
     disk_cache: bool,
     quiet: bool,
     watchdog: Option<Duration>,
@@ -118,8 +120,7 @@ pub struct SweepSpec {
     journal: bool,
     resume: bool,
     journal_root: PathBuf,
-    graceful: bool,
-    obs: Option<mg_obs::ObsConfig>,
+    obs: bool,
 }
 
 impl SweepSpec {
@@ -139,8 +140,7 @@ impl SweepSpec {
             journal: false,
             resume: false,
             journal_root: PathBuf::from(journal::JOURNAL_DIR),
-            graceful: false,
-            obs: None,
+            obs: false,
         }
     }
 
@@ -187,16 +187,6 @@ impl SweepSpec {
         self
     }
 
-    /// Sets the worker count only if none has been forced yet — how the
-    /// config layer injects `MG_JOBS` without overriding an explicit
-    /// [`SweepSpec::jobs`] call.
-    pub fn jobs_if_unset(mut self, jobs: usize) -> SweepSpec {
-        if self.jobs.is_none() {
-            self.jobs = Some(jobs.max(1));
-        }
-        self
-    }
-
     /// Enables/disables the on-disk context cache layer (default on; the
     /// in-memory layer is always active).
     pub fn disk_cache(mut self, on: bool) -> SweepSpec {
@@ -227,8 +217,9 @@ impl SweepSpec {
         self
     }
 
-    /// Journals every finished benchmark row to a crash-safe on-disk
-    /// journal (one atomically-written, checksummed file per row under
+    /// Journals each benchmark row whose cells all
+    /// [`journal::persists`] to a crash-safe on-disk journal (one
+    /// atomically-written, checksummed file per row under
     /// `results/journal/`), so an interrupted sweep can be resumed.
     /// Default: off for library callers; [`crate::supervisor::run_cli`]
     /// turns it on for every figure sweep.
@@ -253,23 +244,12 @@ impl SweepSpec {
         self
     }
 
-    /// Installs a SIGINT/SIGTERM watcher for the duration of the sweep:
-    /// the first signal requests cooperative shutdown (in-flight
-    /// benchmarks drain, the journal keeps finished rows, the summary
-    /// prints a resume hint), a second aborts immediately. Default: off;
-    /// on unsupported platforms this degrades to cooperative
-    /// [`crate::supervisor::request_shutdown`] only.
-    pub fn graceful_shutdown(mut self, on: bool) -> SweepSpec {
-        self.graceful = on;
-        self
-    }
-
-    /// Attaches the pipeline observer to every cell run: each benchmark
-    /// row then gets a per-benchmark [`mg_obs::ObsAggregate`] in
-    /// [`SweepResult::obs`], and [`SweepResult::obs_aggregate`] merges
-    /// them sweep-wide.
-    pub fn observe(mut self, cfg: mg_obs::ObsConfig) -> SweepSpec {
-        self.obs = Some(cfg);
+    /// Attaches the pipeline observer to every cell run (default off):
+    /// each benchmark row then gets a per-benchmark
+    /// [`mg_obs::ObsAggregate`] in [`SweepResult::obs`], and
+    /// [`SweepResult::obs_aggregate`] merges them sweep-wide.
+    pub fn observe(mut self, on: bool) -> SweepSpec {
+        self.obs = on;
         self
     }
 
@@ -303,7 +283,7 @@ impl SweepSpec {
     /// journal cannot replay observer reports, so a replayed row would
     /// silently lose its instrumentation.
     fn journal_active(&self) -> bool {
-        self.journal && self.obs.is_none()
+        self.journal && !self.obs
     }
 
     /// Executes the sweep with configuration errors reported as values.
@@ -340,22 +320,6 @@ impl SweepSpec {
                 .collect(),
             _ => vec![None; self.benches.len()],
         };
-        let _watch = self
-            .graceful
-            .then(|| {
-                SignalWatch::install(|signo, count| {
-                    if count == 1 {
-                        mg_error!(
-                            "signal {signo}: draining in-flight benchmarks \
-                             (signal again to abort immediately)"
-                        );
-                        supervisor::request_shutdown();
-                    } else {
-                        std::process::exit(128 + signo);
-                    }
-                })
-            })
-            .flatten();
         let before = cache::counters();
         let t0 = Instant::now();
         let _sweep_span = mg_obs::span(
@@ -373,16 +337,10 @@ impl SweepSpec {
                 return (rows.clone(), None);
             }
             let (rows, obs) = self.run_bench_task(spec);
-            // Interrupted rows are unfinished by definition: journaling
-            // them would make resume skip work that never ran.
-            if let Some(j) = journal_ref {
-                let interrupted = rows
-                    .runs
-                    .iter()
-                    .any(|r| matches!(r, Err(BenchError::Interrupted { .. })));
-                if !interrupted {
-                    j.store_row(i, &rows);
-                }
+            // A row with a transient failure or a shutdown skip holds
+            // work that never completed: resume re-runs it.
+            if let Some(j) = journal_ref.filter(|_| rows.runs.iter().all(journal::persists)) {
+                j.store_row(i, &rows);
             }
             if !quiet {
                 mg_obs::log::raw(".");
@@ -481,7 +439,7 @@ impl SweepSpec {
     fn run_bench_task(&self, spec: &BenchmarkSpec) -> (BenchRows, Option<mg_obs::ObsAggregate>) {
         let task0 = Instant::now();
         let _bench_span = mg_obs::span("bench", spec.name.clone());
-        let mut obs_agg = self.obs.map(|_| mg_obs::ObsAggregate::new());
+        let mut obs_agg = self.obs.then(mg_obs::ObsAggregate::new);
         let mut runs: Vec<Result<SchemeRun, BenchError>> = Vec::with_capacity(self.cells.len());
         let mut retries_total = 0u32;
         // Context construction gets the same panic isolation as cells: a

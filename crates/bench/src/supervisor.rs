@@ -5,7 +5,7 @@
 //! execution to [`run_cell_supervised`], which layers, outermost first:
 //!
 //! 1. **Shutdown check** — once [`request_shutdown`] has been called
-//!    (cooperatively, or by the SIGINT/SIGTERM watcher a graceful sweep
+//!    (cooperatively, or by the SIGINT/SIGTERM watcher [`run_cli`]
 //!    installs), cells that have not started yield
 //!    [`BenchError::Interrupted`] instead of running; in-flight cells
 //!    drain normally.
@@ -29,13 +29,17 @@
 //!    gets the same isolation through [`supervise_context`].
 //!
 //! [`run_cli`] is the binary entry point that turns all of this on:
-//! journaling to `results/journal/`, resume via `MG_RESUME=1`, graceful
-//! signal shutdown, and the conventional exit codes (`2` for
-//! configuration errors, `130` after an interrupt).
+//! journaling to `results/journal/`, resume via `MG_RESUME=1`, the
+//! `MG_JOBS` worker count, a SIGINT/SIGTERM watcher held for the
+//! sweep's duration, and the conventional exit codes (`2` for
+//! configuration errors, `130` after an interrupt). Library callers of
+//! [`SweepSpec::try_run`] get none of the process-wide parts: no signal
+//! handling and no environment.
 
 use crate::harness::{BenchContext, BenchContextBuilder, BenchError, SchemeRun};
 use crate::runner::{SweepCell, SweepResult, SweepSpec};
-use mg_obs::{mg_debug, mg_error, mg_info, tele_counter, ObsConfig, ObsReport};
+use crate::signals::SignalWatch;
+use mg_obs::{mg_debug, mg_error, mg_info, tele_counter, ObsReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -79,19 +83,19 @@ pub(crate) fn panic_payload(e: Box<dyn std::any::Any + Send>) -> String {
 /// when the sweep observes.
 pub(crate) type ObsPayload = Option<Box<ObsReport>>;
 
-/// The raw cell body: fault hooks, then the (optionally instrumented)
-/// scheme run. Everything that can panic or stall lives in here, so the
-/// supervision layers wrap exactly this.
+/// The raw cell body: fault hooks, then the scheme run, observed when
+/// `obs` is set. Everything that can panic or stall lives in here, so
+/// the supervision layers wrap exactly this.
 fn run_cell_once(
     ctx: &BenchContext,
     cell: &SweepCell,
     cell_idx: usize,
-    obs: Option<ObsConfig>,
+    obs: bool,
 ) -> Result<(SchemeRun, ObsPayload), BenchError> {
     crate::fault::before_cell(&ctx.spec.name, cell_idx);
-    if let Some(oc) = obs {
+    if obs {
         return ctx
-            .try_run_with_obs(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref(), oc)
+            .try_run_with_obs(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
             .map(|(run, report)| (run, Some(Box::new(report))));
     }
     ctx.try_run_with(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
@@ -105,7 +109,7 @@ fn attempt_cell(
     cell: &SweepCell,
     cell_idx: usize,
     watchdog: Option<Duration>,
-    obs: Option<ObsConfig>,
+    obs: bool,
 ) -> Result<(SchemeRun, ObsPayload), BenchError> {
     let bench = ctx.spec.name.clone();
     let Some(limit) = watchdog else {
@@ -157,8 +161,9 @@ fn attempt_cell(
 
 /// Whether an error is worth retrying: only the transient class. A
 /// deterministic failure retried N times is the same failure N times
-/// slower.
-fn transient(e: &BenchError) -> bool {
+/// slower. Transient failures are not journaled either
+/// ([`crate::journal::persists`]).
+pub(crate) fn transient(e: &BenchError) -> bool {
     matches!(e, BenchError::Panicked { .. } | BenchError::TimedOut { .. })
 }
 
@@ -170,7 +175,7 @@ pub(crate) fn run_cell_supervised(
     cell_idx: usize,
     watchdog: Option<Duration>,
     max_retries: u32,
-    obs: Option<ObsConfig>,
+    obs: bool,
 ) -> (Result<(SchemeRun, ObsPayload), BenchError>, u32) {
     let mut retries = 0u32;
     loop {
@@ -239,7 +244,7 @@ pub fn supervise_cell(
     watchdog: Option<Duration>,
     max_retries: u32,
 ) -> (Result<SchemeRun, BenchError>, u32) {
-    let (res, retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, None);
+    let (res, retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, false);
     (res.map(|(run, _payload)| run), retries)
 }
 
@@ -283,15 +288,21 @@ pub fn supervise_cell_until(
 /// [`crate::config::Config::init_cli`] — the one environment parse
 /// point.
 ///
-/// - Journals every finished row under `results/journal/` and clears the
-///   journal when the sweep completes without interruption (error rows
-///   are a completed sweep; only a shutdown leaves the journal behind).
+/// - Journals every row whose cells all persist
+///   ([`crate::journal::persists`]) under `results/journal/` and clears
+///   the journal when the sweep completes without interruption (error
+///   rows are a completed sweep; only a shutdown leaves the journal
+///   behind).
 ///   `MG_JOURNAL_KEEP=1` keeps it anyway, for audit trails and CI
 ///   artifacts.
 /// - `MG_RESUME=1` replays journaled rows from a previous interrupted
 ///   invocation of the same sweep bit-identically.
+/// - Runs on `MG_JOBS` workers unless the spec forced
+///   [`SweepSpec::jobs`].
 /// - SIGINT/SIGTERM drain in-flight benchmarks, flush the journal, and
 ///   exit `130` with a resume hint; a second signal aborts immediately.
+///   On platforms without signal watching only cooperative
+///   [`request_shutdown`] remains.
 /// - Configuration errors (`MG_JOBS`, `MG_FAULT`, any malformed knob)
 ///   print a diagnostic and exit `2` instead of panicking.
 /// - At sweep exit (completed *or* interrupted) the global telemetry
@@ -301,12 +312,22 @@ pub fn supervise_cell_until(
 ///   `export_json` renders it as the Chrome trace JSON for Perfetto).
 pub fn run_cli(spec: SweepSpec) -> SweepResult {
     let cfg = crate::config::Config::init_cli();
-    let spec = spec
-        .journal(true)
-        .graceful_shutdown(true)
-        .resume(cfg.resume)
-        .jobs_if_unset(cfg.effective_jobs());
-    match spec.try_run() {
+    let mut spec = spec.journal(true).resume(cfg.resume);
+    spec.jobs.get_or_insert(cfg.effective_jobs());
+    let watch = SignalWatch::install(|signo, count| {
+        if count == 1 {
+            mg_error!(
+                "signal {signo}: draining in-flight benchmarks \
+                 (signal again to abort immediately)"
+            );
+            request_shutdown();
+        } else {
+            std::process::exit(128 + signo);
+        }
+    });
+    let outcome = spec.try_run();
+    drop(watch);
+    match outcome {
         Err(e) => {
             mg_error!("sweep configuration error: {e}");
             std::process::exit(2);

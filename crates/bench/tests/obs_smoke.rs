@@ -7,7 +7,7 @@ use mg_bench::{
     machine_fingerprint, BenchContext, Envelope, ObsSection, Scheme, SweepCell, SweepSpec,
     SCHEMA_VERSION,
 };
-use mg_sim::{MachineConfig, ObsConfig};
+use mg_sim::MachineConfig;
 use mg_workloads::{suite, BenchmarkSpec};
 use serde::Serialize;
 
@@ -32,7 +32,7 @@ fn ctx(name: &str) -> BenchContext {
 fn stall_attribution_conserves_engine_cycles() {
     let red = MachineConfig::reduced();
     let (run, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red, ObsConfig::default())
+        .try_run_obs(Scheme::StructAll, &red)
         .expect("instrumented run succeeds");
     assert_eq!(
         report.cycles, run.cycles,
@@ -54,7 +54,7 @@ fn observer_does_not_perturb_the_simulation() {
         .expect("cell prepares");
     let plain = p.simulate();
     let mut instrumented = p.clone();
-    instrumented.opts.obs = Some(ObsConfig::default());
+    instrumented.opts.obs = true;
     let observed = instrumented.simulate();
     assert_eq!(
         plain.stats, observed.stats,
@@ -68,7 +68,7 @@ fn observer_does_not_perturb_the_simulation() {
 fn pipeview_renders_the_tail_of_the_run() {
     let red = MachineConfig::reduced();
     let (_, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red, ObsConfig::default())
+        .try_run_obs(Scheme::StructAll, &red)
         .expect("instrumented run succeeds");
     let (lo, hi) = report.tail_window(32);
     let view = report.pipeview(lo, hi);
@@ -87,7 +87,7 @@ fn pipeview_renders_the_tail_of_the_run() {
 fn trace_json_matches_checked_in_schema() {
     let red = MachineConfig::reduced();
     let (_, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red, ObsConfig::default())
+        .try_run_obs(Scheme::StructAll, &red)
         .expect("instrumented run succeeds");
     let envelope = Envelope {
         schema_version: SCHEMA_VERSION,
@@ -114,7 +114,7 @@ fn observed_sweep_aggregates_and_conserves() {
         .disk_cache(false)
         .quiet(true)
         .jobs(2)
-        .observe(ObsConfig::default())
+        .observe(true)
         .run();
     assert_eq!(result.summary.failures, 0);
     assert_eq!(result.obs.len(), result.rows.len());

@@ -36,7 +36,7 @@ fn check_bench(spec: &BenchmarkSpec, ablation: &[SelectionConfig]) -> usize {
         .cache(false)
         .build()
         .expect("context builds");
-    let default_sel = *ctx.selection_config();
+    let default_sel = SelectionConfig::default();
     let cells = SELECTING
         .iter()
         .map(|&scheme| (scheme, default_sel))

@@ -27,13 +27,17 @@ pub enum SpKind {
     Sial,
 }
 
+/// Tolerance in cycles of every Slack-Profile comparison: profile values
+/// are averages over many executions, so a delay up to half a cycle
+/// beyond the slack (or, for Slack-Profile-Delay and -SIAL, beyond zero)
+/// is noise, not harm.
+pub const SLACK_EPS: f64 = 0.5;
+
 /// Parameters of the Slack-Profile model.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct SlackProfileModel {
     /// Which variant of the model to apply.
     pub kind: SpKind,
-    /// Comparison tolerance in cycles (profile values are averages).
-    pub eps: f64,
     /// Use *observed* per-static execution latencies (which include real
     /// cache-miss time) instead of optimistic latencies in rule #2.
     ///
@@ -47,7 +51,6 @@ impl Default for SlackProfileModel {
     fn default() -> SlackProfileModel {
         SlackProfileModel {
             kind: SpKind::Full,
-            eps: 0.5,
             observed_latencies: false,
         }
     }
@@ -246,7 +249,7 @@ pub fn slack_profile_admits(
         SpKind::Sial => {
             // Heuristic: reject when a serializing input arrives last.
             match dm.ser_arrival {
-                Some(s) => s <= dm.first_floor + model.eps,
+                Some(s) => s <= dm.first_floor + SLACK_EPS,
                 None => true,
             }
         }
@@ -273,14 +276,14 @@ pub fn slack_profile_admits(
                 let d = dm.delay[p];
                 match model.kind {
                     SpKind::DelayOnly => {
-                        if d > model.eps {
+                        if d > SLACK_EPS {
                             return false;
                         }
                     }
                     SpKind::Full => {
                         let id = program.id_of(candidate.block, candidate.positions[p]);
                         let slack = profile.get(id).local_slack;
-                        if d > slack + model.eps {
+                        if d > slack + SLACK_EPS {
                             return false;
                         }
                     }

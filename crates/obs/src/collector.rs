@@ -8,6 +8,11 @@
 //! single `end_cycle` call charges every issue slot for the cycle, which
 //! is what makes the stall table conserve cycles by construction.
 //!
+//! A collector has no settings of its own: the pipeline trace keeps the
+//! last [`TRACE_CAP`] ops, windowed IPC buckets [`IPC_WINDOW`] cycles,
+//! and the occupancy histograms are sized from the machine's
+//! [`MachineCaps`].
+//!
 //! # Attribution priority
 //!
 //! A cycle's un-issued slots are all charged to the *highest-priority*
@@ -34,23 +39,11 @@ use crate::ring::Ring;
 use crate::stall::{StallCause, StallTable};
 use crate::trace::OpTrace;
 
-/// Tuning knobs for a collector, carried inside the simulator's options.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Capacity of the pipeline-trace ring buffer (ops retained).
-    pub trace_cap: usize,
-    /// Cycle-window size for windowed IPC.
-    pub ipc_window: u64,
-}
+/// Capacity of the pipeline-trace ring buffer (ops retained).
+pub const TRACE_CAP: usize = 4096;
 
-impl Default for ObsConfig {
-    fn default() -> ObsConfig {
-        ObsConfig {
-            trace_cap: 4096,
-            ipc_window: 1024,
-        }
-    }
-}
+/// Cycle-window size for windowed IPC.
+pub const IPC_WINDOW: u64 = 1024;
 
 /// Machine capacities the collector sizes its histograms from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,16 +133,16 @@ pub struct ObsCollector {
 
 impl ObsCollector {
     /// A collector for one run on a machine with the given capacities.
-    pub fn new(cfg: ObsConfig, caps: MachineCaps) -> ObsCollector {
+    pub fn new(caps: MachineCaps) -> ObsCollector {
         ObsCollector {
             caps,
-            trace: Ring::new(cfg.trace_cap),
+            trace: Ring::new(TRACE_CAP),
             stalls: StallTable::new(caps.issue_width.max(1)),
             iq_occ: Histogram::new(caps.iq),
             rob_occ: Histogram::new(caps.rob),
             lq_occ: Histogram::new(caps.lq),
             sq_occ: Histogram::new(caps.sq),
-            ipc: WindowIpc::new(cfg.ipc_window),
+            ipc: WindowIpc::new(IPC_WINDOW),
             committed_instrs: 0,
             issued_this_cycle: 0,
             block_this_cycle: None,
@@ -275,7 +268,7 @@ mod tests {
 
     #[test]
     fn attribution_priority_order() {
-        let mut c = ObsCollector::new(ObsConfig::default(), caps());
+        let mut c = ObsCollector::new(caps());
         // Cycle 0: port conflict beats everything.
         c.note_load_miss(100);
         c.end_cycle(
@@ -304,7 +297,7 @@ mod tests {
 
     #[test]
     fn structural_and_frontend_causes() {
-        let mut c = ObsCollector::new(ObsConfig::default(), caps());
+        let mut c = ObsCollector::new(caps());
         c.note_dispatch_block(DispatchBlock::Rob);
         c.note_dispatch_block(DispatchBlock::Iq); // first one wins
         c.end_cycle(
@@ -340,7 +333,7 @@ mod tests {
 
     #[test]
     fn busy_slots_and_commit_flow() {
-        let mut c = ObsCollector::new(ObsConfig::default(), caps());
+        let mut c = ObsCollector::new(caps());
         for _ in 0..3 {
             c.note_issue();
         }

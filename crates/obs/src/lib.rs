@@ -52,9 +52,7 @@ pub mod stall;
 pub mod telemetry;
 pub mod trace;
 
-pub use collector::{
-    CycleState, DispatchBlock, MachineCaps, ObsCollector, ObsConfig, RedirectKind,
-};
+pub use collector::{CycleState, DispatchBlock, MachineCaps, ObsCollector, RedirectKind};
 pub use log::Level;
 pub use metrics::{Histogram, WindowIpc};
 pub use report::{ObsAggregate, ObsReport, OccupancyReport};

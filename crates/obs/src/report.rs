@@ -162,23 +162,17 @@ impl ObsAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::{CycleState, MachineCaps, ObsCollector, ObsConfig};
+    use crate::collector::{CycleState, MachineCaps, ObsCollector};
     use crate::stall::StallCause;
 
     fn tiny_report(cycles: u64) -> ObsReport {
-        let mut c = ObsCollector::new(
-            ObsConfig {
-                trace_cap: 4,
-                ipc_window: 2,
-            },
-            MachineCaps {
-                issue_width: 2,
-                iq: 4,
-                rob: 8,
-                lq: 2,
-                sq: 2,
-            },
-        );
+        let mut c = ObsCollector::new(MachineCaps {
+            issue_width: 2,
+            iq: 4,
+            rob: 8,
+            lq: 2,
+            sq: 2,
+        });
         for cyc in 0..cycles {
             c.note_issue();
             c.note_commit_instrs(1);

@@ -12,10 +12,12 @@
 //!
 //! - [`Counter`]: a monotonically increasing `AtomicU64`.
 //! - [`Gauge`]: a signed `AtomicI64` level (queue depth, workers busy).
-//! - [`TeleHist`]: a log-bucketed latency histogram — fixed octave ×
-//!   sub-bucket layout of `AtomicU64` buckets with ≤ 1/8 relative
-//!   bucket width, lock-free on the record path, plus exact `count`,
-//!   `sum`, and `max` side-channels so `p100` and the mean are exact.
+//! - [`TeleHist`]: a log-bucketed latency histogram — one fixed octave
+//!   × sub-bucket layout ([`SUB_BITS`], [`BUCKETS`]) of `AtomicU64`
+//!   buckets with ≤ 1/8 relative bucket width, lock-free on the record
+//!   path, plus exact `count`, `sum`, and `max` side-channels so `p100`
+//!   and the mean are exact. Every histogram and snapshot shares the
+//!   layout, so snapshots merge by bucket-wise addition.
 //!
 //! Metrics live in a process-global [`Registry`]: registration takes a
 //! mutex (cold path, once per call site via the [`tele_counter!`],
@@ -39,9 +41,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-/// Default sub-bucket resolution: 2^3 = 8 sub-buckets per octave,
-/// bounding bucket relative width at 1/8 (12.5%).
-pub const DEFAULT_SUB_BITS: u32 = 3;
+/// Sub-bucket resolution of every histogram: 2^3 = 8 sub-buckets per
+/// octave, bounding bucket relative width at 1/8 (12.5%).
+pub const SUB_BITS: u32 = 3;
+
+/// Number of buckets in every histogram.
+///
+/// Values below `2^SUB_BITS` get one exact bucket each; every octave
+/// `[2^e, 2^(e+1))` for `e in SUB_BITS..64` gets `2^SUB_BITS`
+/// sub-buckets. The top octave's upper half never overflows `u64`, so
+/// the layout covers the full `u64` range with no overflow bucket.
+pub const BUCKETS: usize = (((63 - SUB_BITS) as usize) << SUB_BITS) + (1usize << (SUB_BITS + 1));
 
 /// A monotonically increasing counter. Updates are relaxed atomics.
 #[derive(Debug, Default)]
@@ -121,40 +131,29 @@ impl Gauge {
     }
 }
 
-/// Number of buckets for a given sub-bucket resolution.
-///
-/// Values below `2^s` get one exact bucket each; every octave `[2^e,
-/// 2^(e+1))` for `e in s..64` gets `2^s` sub-buckets. The top octave's
-/// upper half never overflows `u64`, so the layout covers the full
-/// `u64` range with no overflow bucket.
-pub fn bucket_count(sub_bits: u32) -> usize {
-    (((63 - sub_bits) as usize) << sub_bits) + (1usize << (sub_bits + 1))
-}
-
-/// Bucket index for value `v` under `sub_bits` resolution.
+/// Bucket index for value `v`.
 #[inline]
-pub fn bucket_index(v: u64, sub_bits: u32) -> usize {
-    if v < (1u64 << sub_bits) {
+pub fn bucket_index(v: u64) -> usize {
+    if v < (1u64 << SUB_BITS) {
         v as usize
     } else {
         let exp = 63 - v.leading_zeros();
-        let shift = exp - sub_bits;
-        (((exp - sub_bits) as usize) << sub_bits) + ((v >> shift) as usize)
+        let shift = exp - SUB_BITS;
+        (((exp - SUB_BITS) as usize) << SUB_BITS) + ((v >> shift) as usize)
     }
 }
 
-/// Inclusive `[lower, upper]` value range of bucket `i` under
-/// `sub_bits` resolution.
-pub fn bucket_bounds(i: usize, sub_bits: u32) -> (u64, u64) {
-    let small = 1usize << sub_bits;
+/// Inclusive `[lower, upper]` value range of bucket `i`.
+pub fn bucket_bounds(i: usize) -> (u64, u64) {
+    let small = 1usize << SUB_BITS;
     if i < small {
         (i as u64, i as u64)
     } else {
         // Invert bucket_index: i = ((exp - s) << s) + m with m in
         // [2^s, 2^(s+1)).
-        let exp = ((i - small) >> sub_bits) as u32 + sub_bits;
+        let exp = ((i - small) >> SUB_BITS) as u32 + SUB_BITS;
         let m = ((i & (small - 1)) + small) as u64;
-        let shift = exp - sub_bits;
+        let shift = exp - SUB_BITS;
         let lower = m << shift;
         let upper = ((((m as u128) + 1) << shift) - 1).min(u64::MAX as u128) as u64;
         (lower, upper)
@@ -169,7 +168,6 @@ pub struct TeleHist {
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
-    sub_bits: u32,
 }
 
 impl Default for TeleHist {
@@ -179,30 +177,20 @@ impl Default for TeleHist {
 }
 
 impl TeleHist {
-    /// Creates an empty histogram at [`DEFAULT_SUB_BITS`] resolution.
+    /// Creates an empty histogram.
     pub fn new() -> TeleHist {
-        TeleHist::with_sub_bits(DEFAULT_SUB_BITS)
-    }
-
-    /// Creates an empty histogram with `2^sub_bits` sub-buckets per
-    /// octave (`sub_bits` clamped to `1..=6`).
-    pub fn with_sub_bits(sub_bits: u32) -> TeleHist {
-        let sub_bits = sub_bits.clamp(1, 6);
-        let n = bucket_count(sub_bits);
-        let buckets = (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         TeleHist {
-            buckets: buckets.into_boxed_slice(),
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
-            sub_bits,
         }
     }
 
     /// Records one observation. Saturates `sum` instead of wrapping.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v, self.sub_bits)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         // fetch_update would loop; a saturating two-step is fine under
         // relaxed semantics because sum is only ever read in snapshots.
@@ -227,7 +215,7 @@ impl TeleHist {
     /// Copies the live buckets into a mergeable, serializable snapshot.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
-            sub_bits: self.sub_bits,
+            sub_bits: SUB_BITS,
             buckets: self
                 .buckets
                 .iter()
@@ -241,15 +229,15 @@ impl TeleHist {
 }
 
 /// A point-in-time copy of a [`TeleHist`]: plain `u64` buckets plus the
-/// exact `count` / `sum` / `max` side-channels. Snapshots merge
-/// bucket-wise (exactly — octave sub-buckets nest across resolutions,
-/// so cross-width merges fold the finer layout into the coarser one
-/// without approximation beyond the coarser layout's own width).
-#[derive(Serialize, Deserialize, Clone, Debug, Default, PartialEq, Eq)]
+/// exact `count` / `sum` / `max` side-channels. Every snapshot shares
+/// one bucket layout, so snapshots merge exactly by bucket-wise addition.
+/// The default is the empty snapshot.
+#[derive(Serialize, Deserialize, Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
-    /// Sub-bucket resolution this snapshot was recorded at.
+    /// Sub-bucket resolution of the layout: always [`SUB_BITS`], kept so
+    /// the serialized form describes its own buckets.
     pub sub_bits: u32,
-    /// One count per bucket; length is `bucket_count(sub_bits)`.
+    /// One count per bucket; length is [`BUCKETS`].
     pub buckets: Vec<u64>,
     /// Exact number of observations.
     pub count: u64,
@@ -259,54 +247,21 @@ pub struct HistSnapshot {
     pub max: u64,
 }
 
-impl HistSnapshot {
-    /// An empty snapshot at the given resolution.
-    pub fn empty(sub_bits: u32) -> HistSnapshot {
-        let sub_bits = sub_bits.clamp(1, 6);
+impl Default for HistSnapshot {
+    fn default() -> HistSnapshot {
         HistSnapshot {
-            sub_bits,
-            buckets: vec![0; bucket_count(sub_bits)],
+            sub_bits: SUB_BITS,
+            buckets: vec![0; BUCKETS],
             count: 0,
             sum: 0,
             max: 0,
         }
     }
+}
 
-    /// Re-buckets this snapshot into a coarser (or equal) resolution.
-    /// Exact: every source bucket lies inside exactly one target
-    /// bucket because sub-bucket boundaries nest between resolutions.
-    pub fn fold_to(&self, sub_bits: u32) -> HistSnapshot {
-        let sub_bits = sub_bits.clamp(1, self.sub_bits);
-        if sub_bits == self.sub_bits {
-            return self.clone();
-        }
-        let mut out = HistSnapshot::empty(sub_bits);
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n > 0 {
-                let (lower, _) = bucket_bounds(i, self.sub_bits);
-                out.buckets[bucket_index(lower, sub_bits)] += n;
-            }
-        }
-        out.count = self.count;
-        out.sum = self.sum;
-        out.max = self.max;
-        out
-    }
-
-    /// Merges `other` into `self`. Same-width merges add bucket-wise;
-    /// cross-width merges first fold the finer snapshot down to the
-    /// coarser resolution (which then becomes `self`'s resolution).
+impl HistSnapshot {
+    /// Merges `other` into `self` by bucket-wise addition.
     pub fn merge(&mut self, other: &HistSnapshot) {
-        if other.count == 0 && other.buckets.iter().all(|&b| b == 0) {
-            return;
-        }
-        if self.sub_bits != other.sub_bits {
-            let common = self.sub_bits.min(other.sub_bits);
-            let folded_self = self.fold_to(common);
-            let folded_other = other.fold_to(common);
-            *self = folded_self;
-            return self.merge(&folded_other);
-        }
         if self.buckets.len() < other.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
@@ -321,7 +276,7 @@ impl HistSnapshot {
     /// Quantile `q` in `[0, 1]`. Returns the upper bound of the bucket
     /// holding the `ceil(q * count)`-th observation, clamped to the
     /// exact recorded `max` (so `quantile(1.0)` is exact). Zero when
-    /// empty. Accurate to the bucket's relative width (≤ `1 / 2^sub_bits`).
+    /// empty. Accurate to the bucket's relative width (≤ `1 / 2^SUB_BITS`).
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -332,7 +287,7 @@ impl HistSnapshot {
         for (i, &n) in self.buckets.iter().enumerate() {
             cum = cum.saturating_add(n);
             if cum >= target {
-                return bucket_bounds(i, self.sub_bits).1.min(self.max);
+                return bucket_bounds(i).1.min(self.max);
             }
         }
         self.max
@@ -459,10 +414,7 @@ impl TelemetrySnapshot {
             *self.gauges.entry(name.clone()).or_insert(0) += v;
         }
         for (name, h) in &other.hists {
-            self.hists
-                .entry(name.clone())
-                .or_insert_with(|| HistSnapshot::empty(h.sub_bits))
-                .merge(h);
+            self.hists.entry(name.clone()).or_default().merge(h);
         }
     }
 
@@ -507,10 +459,10 @@ impl TelemetrySnapshot {
         for (name, h) in &self.hists {
             type_line(&mut out, name, "histogram");
             let mut cum = 0u64;
-            let mut next_bound = 1u64 << (h.sub_bits + 1);
+            let mut next_bound = 1u64 << (SUB_BITS + 1);
             let mut i = 0usize;
             while i < h.buckets.len() {
-                let (_, upper) = bucket_bounds(i, h.sub_bits);
+                let (_, upper) = bucket_bounds(i);
                 if upper >= next_bound {
                     let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cum}", next_bound - 1);
                     if cum >= h.count {
@@ -595,13 +547,11 @@ mod tests {
 
     #[test]
     fn bucket_index_roundtrips_into_bounds() {
-        for s in 1..=6u32 {
-            for &v in &[0u64, 1, 2, 7, 8, 9, 15, 16, 100, 1000, 1 << 20, u64::MAX] {
-                let i = bucket_index(v, s);
-                let (lo, hi) = bucket_bounds(i, s);
-                assert!(lo <= v && v <= hi, "v={v} s={s} i={i} lo={lo} hi={hi}");
-                assert!(i < bucket_count(s));
-            }
+        for &v in &[0u64, 1, 2, 7, 8, 9, 15, 16, 100, 1000, 1 << 20, u64::MAX] {
+            let i = bucket_index(v);
+            let (lo, hi) = bucket_bounds(i);
+            assert!(lo <= v && v <= hi, "v={v} i={i} lo={lo} hi={hi}");
+            assert!(i < BUCKETS);
         }
     }
 

@@ -3,12 +3,12 @@
 //! The histogram's contract is precise: `count`, `sum` (saturating),
 //! and `max` are exact side-channels; quantiles are bucket upper
 //! bounds, so they over-estimate by at most the bucket's relative
-//! width (`1 / 2^sub_bits`); and cross-width merges are exact because
-//! sub-bucket boundaries nest between resolutions. Each of those
-//! claims gets a generative test here, driven by a seeded generator so
-//! runs are reproducible.
+//! width (`1 / 2^SUB_BITS`); and merges add bucket-wise, from any
+//! snapshot including the default empty one. Each of those claims gets
+//! a test here, the statistical ones generative and driven by a seeded
+//! generator so runs are reproducible.
 
-use mg_obs::telemetry::{bucket_count, bucket_index, HistSnapshot, TeleHist};
+use mg_obs::telemetry::{bucket_index, HistSnapshot, TeleHist, TelemetrySnapshot, BUCKETS};
 use mg_obs::{span, ChromeTrace, TraceEvent};
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ proptest! {
 
     /// Exact side-channels plus the quantile error bound: the reported
     /// quantile is at least the exact one and overshoots by at most
-    /// `v >> sub_bits` (one bucket width).
+    /// `v >> SUB_BITS` (one bucket width).
     #[test]
     fn quantiles_are_within_one_bucket_width(seed in 0u64..512) {
         let n = 1 + (seed as usize % 200);
@@ -93,34 +93,7 @@ proptest! {
         }
     }
 
-    /// Merging a finer-resolution snapshot into a coarser one lands
-    /// every observation in exactly the bucket a direct coarse
-    /// recording would have used — merge is exact, not approximate.
-    #[test]
-    fn cross_width_merge_equals_direct_recording(seed in 0u64..256) {
-        let coarse_vals = values_from_seed(seed, 40);
-        let fine_vals = values_from_seed(seed.wrapping_add(1 << 32), 40);
-
-        let coarse = TeleHist::with_sub_bits(3);
-        for &v in &coarse_vals {
-            coarse.record(v);
-        }
-        let fine = TeleHist::with_sub_bits(5);
-        for &v in &fine_vals {
-            fine.record(v);
-        }
-
-        let mut merged = coarse.snapshot();
-        merged.merge(&fine.snapshot());
-
-        let direct = TeleHist::with_sub_bits(3);
-        for &v in coarse_vals.iter().chain(&fine_vals) {
-            direct.record(v);
-        }
-        prop_assert_eq!(merged, direct.snapshot());
-    }
-
-    /// Same-width merge is bucket-wise addition (commutative).
+    /// Merge is bucket-wise addition (commutative).
     #[test]
     fn same_width_merge_commutes(seed in 0u64..128) {
         let a_vals = values_from_seed(seed, 30);
@@ -154,20 +127,55 @@ fn saturation_at_u64_max_does_not_wrap() {
     assert_eq!(snap.quantile(1.0), u64::MAX);
     assert_eq!(snap.quantile(0.1), 5, "small values stay exact");
     // The top bucket exists: no overflow bucket, no panic.
-    assert!(bucket_index(u64::MAX, 3) < bucket_count(3));
+    assert!(bucket_index(u64::MAX) < BUCKETS);
 }
 
 #[test]
 fn merging_an_empty_snapshot_is_identity() {
-    let hist = TeleHist::with_sub_bits(4);
+    let hist = TeleHist::new();
     for v in [1u64, 100, 10_000] {
         hist.record(v);
     }
     let before = hist.snapshot();
     let mut after = before.clone();
-    // Cross-width empty merge must not even change the resolution.
-    after.merge(&HistSnapshot::empty(2));
+    after.merge(&HistSnapshot::default());
     assert_eq!(after, before);
+}
+
+#[test]
+fn merging_into_a_default_snapshot_copies_the_other() {
+    let hist = TeleHist::new();
+    for v in [0u64, 7, 100, 10_000, u64::MAX] {
+        hist.record(v);
+    }
+    let recorded = hist.snapshot();
+    let mut merged = HistSnapshot::default();
+    merged.merge(&recorded);
+    assert_eq!(merged, recorded);
+    assert_eq!(merged.quantile(1.0), u64::MAX);
+}
+
+#[test]
+fn telemetry_merge_takes_a_histogram_present_on_one_side() {
+    let hist = TeleHist::new();
+    hist.record(42);
+    let mut with_hist = TelemetrySnapshot::default();
+    with_hist
+        .hists
+        .insert("mg_x_us".to_string(), hist.snapshot());
+    with_hist.counters.insert("mg_y_total".to_string(), 2);
+
+    // Missing on the receiving side: the histogram is copied in.
+    let mut merged = TelemetrySnapshot::default();
+    merged.merge(&with_hist);
+    assert_eq!(merged, with_hist);
+
+    // Missing on the merged-in side: the histogram is unchanged.
+    let mut without_hist = TelemetrySnapshot::default();
+    without_hist.counters.insert("mg_y_total".to_string(), 3);
+    merged.merge(&without_hist);
+    assert_eq!(merged.hists["mg_x_us"], hist.snapshot());
+    assert_eq!(merged.counter("mg_y_total"), 5);
 }
 
 /// Span nesting and the Chrome-trace round trip share one test: the

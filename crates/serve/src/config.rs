@@ -6,7 +6,6 @@
 //! binary parses its command line into a [`ServeConfig`]; tests and the
 //! loadtest construct one directly.
 
-use crate::jobs::machine_by_tag;
 use crate::protocol::DEFAULT_MAX_LINE_BYTES;
 use crate::shed::ShedConfig;
 use mg_sim::MachineConfig;
@@ -91,7 +90,7 @@ impl ServeConfig {
     /// * `--watchdog-ms MS` — per-cell watchdog (0 disables)
     /// * `--retries N` — per-cell retry budget
     /// * `--train TAG` — training machine tag (see
-    ///   [`machine_by_tag`])
+    ///   [`MachineConfig::by_tag`])
     /// * `--no-disk-cache` — in-memory context cache only
     /// * `--metrics-addr HOST:PORT` — serve Prometheus text on
     ///   `GET /metrics` at this address (off unless given)
@@ -135,7 +134,7 @@ impl ServeConfig {
                 "--retries" => cfg.retries = parse_num(&value("--retries")?, "--retries")?,
                 "--train" => {
                     let tag = value("--train")?;
-                    cfg.train_machine = machine_by_tag(&tag)
+                    cfg.train_machine = MachineConfig::by_tag(&tag)
                         .ok_or_else(|| format!("unknown machine tag {tag:?}"))?;
                 }
                 "--no-disk-cache" => cfg.disk_cache = false,

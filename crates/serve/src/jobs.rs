@@ -43,18 +43,6 @@ pub struct JobSpec {
     pub resume_from: u64,
 }
 
-/// Resolves a machine tag the same way `mgtool` spells them.
-pub fn machine_by_tag(tag: &str) -> Option<MachineConfig> {
-    match tag.trim().to_ascii_lowercase().as_str() {
-        "baseline" | "base" | "4way" => Some(MachineConfig::baseline()),
-        "reduced" | "red" | "3way" => Some(MachineConfig::reduced()),
-        "2way" => Some(MachineConfig::two_way()),
-        "8way" => Some(MachineConfig::eight_way()),
-        "dmem4" => Some(MachineConfig::reduced_dmem4()),
-        _ => None,
-    }
-}
-
 impl JobSpec {
     /// Validates a request against the server's training machine.
     /// Every failure is a typed reject naming what was wrong.
@@ -96,7 +84,7 @@ impl JobSpec {
             .machines
             .iter()
             .map(|tag| {
-                machine_by_tag(tag).ok_or_else(|| {
+                MachineConfig::by_tag(tag).ok_or_else(|| {
                     (
                         ErrorCode::UnknownMachine,
                         format!("unknown machine tag {tag:?}"),

@@ -33,7 +33,8 @@ use crate::protocol::{
 use crate::queue::{FairQueue, Pop, PushError};
 use crate::shed::Shed;
 use crate::store::{Begin, CounterSnapshot, ResultStore, Sub};
-use mg_bench::{machine_fingerprint, shutdown_requested, BenchContext, BenchError, Journal};
+use mg_bench::journal::persists;
+use mg_bench::{machine_fingerprint, shutdown_requested, BenchContext, Journal};
 use mg_obs::mg_error;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -230,9 +231,10 @@ fn worker_loop(queue: &FairQueue<QueuedJob>, store: &ResultStore, shed: &Shed, c
 /// journaled *before* it is streamed (so any row a client ever saw is
 /// recoverable), and cells already journaled by a previous —
 /// possibly SIGKILL'd — daemon on the same directory are committed
-/// from the journal instead of re-running. Transient failures
-/// (panic, timeout) and interruptions are deliberately not journaled:
-/// a resubmit should re-run those, not replay them.
+/// from the journal instead of re-running. Only cells that
+/// [`mg_bench::journal::persists`] accepts are journaled: transient
+/// failures (panic, timeout) and interruptions are re-run by a
+/// resubmit, not replayed — the batch runner follows the same rule.
 fn run_job(job: QueuedJob, store: &ResultStore, cfg: &ServeConfig) {
     let spec = job.spec;
     let journal = cfg
@@ -275,15 +277,8 @@ fn run_job(job: QueuedJob, store: &ResultStore, cfg: &ServeConfig) {
             cfg.retries,
             job.deadline,
         );
-        if let Some(j) = &journal {
-            if !matches!(
-                res,
-                Err(BenchError::Panicked { .. }
-                    | BenchError::TimedOut { .. }
-                    | BenchError::Interrupted { .. })
-            ) {
-                j.store_cell(idx, &spec.bench.name, &res, started.elapsed());
-            }
+        if let Some(j) = journal.as_ref().filter(|_| persists(&res)) {
+            j.store_cell(idx, &spec.bench.name, &res, started.elapsed());
         }
         store.commit_row(job.key, idx, res);
     }
@@ -516,7 +511,7 @@ fn handle_line(
 mod tests {
     use super::*;
     use crate::protocol::decode_reply;
-    use mg_bench::{Scheme, SweepCell, SweepSpec};
+    use mg_bench::{BenchError, Scheme, SweepCell, SweepSpec};
     use mg_sim::MachineConfig;
 
     /// A context build that panics streams, cell for cell, the error

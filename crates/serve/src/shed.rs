@@ -78,7 +78,7 @@ impl Shed {
             window,
             state: Mutex::new(Windows {
                 current: TeleHist::new(),
-                previous: HistSnapshot::empty(mg_obs::telemetry::DEFAULT_SUB_BITS),
+                previous: HistSnapshot::default(),
                 rotated_at: Instant::now(),
             }),
         }

@@ -333,6 +333,20 @@ impl MachineConfig {
         }
     }
 
+    /// The preset a command-line or wire tag names, ignoring case and
+    /// surrounding whitespace: `baseline`/`base`/`4way`,
+    /// `reduced`/`red`/`3way`, `2way`, `8way` and `dmem4`.
+    pub fn by_tag(tag: &str) -> Option<MachineConfig> {
+        match tag.trim().to_ascii_lowercase().as_str() {
+            "baseline" | "base" | "4way" => Some(MachineConfig::baseline()),
+            "reduced" | "red" | "3way" => Some(MachineConfig::reduced()),
+            "2way" => Some(MachineConfig::two_way()),
+            "8way" => Some(MachineConfig::eight_way()),
+            "dmem4" => Some(MachineConfig::reduced_dmem4()),
+            _ => None,
+        }
+    }
+
     /// Returns a copy with mini-graph support enabled.
     pub fn with_mg(mut self, mg: MgConfig) -> MachineConfig {
         self.mg = mg;
@@ -402,6 +416,29 @@ mod tests {
         assert_eq!(d.l2.size_bytes, r.l2.size_bytes / 4);
         assert_eq!(d.il1, r.il1);
         assert_eq!(d.fetch_width, r.fetch_width);
+    }
+
+    #[test]
+    fn every_tag_alias_names_its_preset() {
+        let cases = [
+            ("baseline", MachineConfig::baseline()),
+            ("base", MachineConfig::baseline()),
+            ("4way", MachineConfig::baseline()),
+            ("reduced", MachineConfig::reduced()),
+            ("red", MachineConfig::reduced()),
+            ("3way", MachineConfig::reduced()),
+            ("2way", MachineConfig::two_way()),
+            ("8way", MachineConfig::eight_way()),
+            ("dmem4", MachineConfig::reduced_dmem4()),
+        ];
+        for (tag, preset) in cases {
+            assert_eq!(MachineConfig::by_tag(tag), Some(preset.clone()), "{tag}");
+            let shouted = format!("  {}\t", tag.to_ascii_uppercase());
+            assert_eq!(MachineConfig::by_tag(&shouted), Some(preset), "{shouted:?}");
+        }
+        for unknown in ["", "reduce", "4-way", "dmem"] {
+            assert_eq!(MachineConfig::by_tag(unknown), None, "{unknown:?}");
+        }
     }
 
     #[test]

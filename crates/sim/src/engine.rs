@@ -43,10 +43,8 @@ pub struct SimOptions {
     pub profile_slack: bool,
     /// Enable the Slack-Dynamic run-time controller.
     pub dyn_mg: Option<DynMgConfig>,
-    /// Hard cycle cap (0 = automatic: generous multiple of trace length).
-    pub max_cycles: u64,
     /// Collect pipeline trace, stall attribution, and occupancy metrics.
-    pub obs: Option<mg_obs::ObsConfig>,
+    pub obs: bool,
 }
 
 /// Result of a timing simulation.
@@ -362,7 +360,9 @@ struct Engine<'a> {
     program: &'a Program,
     trace: &'a Trace,
     cfg: &'a MachineConfig,
-    opts: SimOptions,
+    /// The run stops here and reports `hit_cycle_cap`: a generous
+    /// multiple of the trace length that only a modeling bug reaches.
+    max_cycles: u64,
     imap: InstanceMap,
     /// `program` decoded, indexed by `StaticId`.
     decoded: Vec<StaticOp>,
@@ -447,7 +447,7 @@ impl<'a> Engine<'a> {
             program,
             trace,
             cfg,
-            opts,
+            max_cycles: 200 * trace.len() as u64 + 100_000,
             mem: MemorySystem::new(cfg),
             dirpred: DirectionPredictor::new(&cfg.bpred),
             btb: Btb::new(&cfg.bpred),
@@ -479,19 +479,12 @@ impl<'a> Engine<'a> {
             last_fetch_line: u64::MAX,
             cycle: 0,
             stats: SimStats::default(),
-            obs: opts
-                .obs
-                .map(|oc| mg_obs::ObsCollector::new(oc, cfg.obs_caps())),
+            obs: opts.obs.then(|| mg_obs::ObsCollector::new(cfg.obs_caps())),
             obs_redirect: mg_obs::RedirectKind::None,
         }
     }
 
     fn run(&mut self) -> SimResult {
-        let cap = if self.opts.max_cycles > 0 {
-            self.opts.max_cycles
-        } else {
-            200 * self.trace.len() as u64 + 100_000
-        };
         // Always-on telemetry: cycles are accumulated locally and
         // flushed to the global counter in large batches, so the hot
         // loop pays one subtract-and-compare per cycle and one relaxed
@@ -501,6 +494,7 @@ impl<'a> Engine<'a> {
         let tele_cycles = mg_obs::tele_counter!("mg_sim_cycles_total");
         let mut tele_flushed = 0u64;
         let mut hit_cap = false;
+        let cap = self.max_cycles;
         while !self.finished() {
             if self.cycle >= cap {
                 hit_cap = true;
@@ -2196,7 +2190,7 @@ mod tests {
         let p = store_load_loop();
         let (t, _) = Executor::new(&p).run().unwrap();
         let opts = SimOptions {
-            obs: Some(mg_obs::ObsConfig::default()),
+            obs: true,
             ..SimOptions::default()
         };
         let r = run_with_growing_ring(&p, &t, &MachineConfig::baseline(), opts);
@@ -2318,11 +2312,10 @@ mod tests {
     fn cycle_cap_halts_simulation_cleanly() {
         let p = chain_loop(12, 400);
         let (t, _) = Executor::new(&p).run().unwrap();
-        let opts = SimOptions {
-            max_cycles: 50,
-            ..SimOptions::default()
-        };
-        let r = simulate(&p, &t, &MachineConfig::baseline(), opts);
+        let cfg = MachineConfig::baseline();
+        let mut e = Engine::new(&p, &t, &cfg, SimOptions::default());
+        e.max_cycles = 50;
+        let r = e.run();
         assert!(r.hit_cycle_cap);
         assert_eq!(r.stats.cycles, 50);
         assert!(r.stats.committed_instrs < t.len() as u64);

@@ -46,7 +46,7 @@ pub use archcheck::{replay_committed, ReplayError};
 pub use config::{BPredConfig, CacheConfig, MachineConfig, MgConfig, StoreSetsConfig};
 pub use dynmg::{DisableCost, DynMgConfig, DynMgController, DynPolicy};
 pub use engine::{simulate, SimOptions, SimResult};
-pub use mg_obs::{ObsConfig, ObsReport};
+pub use mg_obs::ObsReport;
 pub use mgi::{InstanceInfo, InstanceMap, SrcLink};
 pub use slack::{SlackProfile, StaticProfile, SLACK_CAP};
 pub use stats::SimStats;
