@@ -1,8 +1,7 @@
 //! Observability driver: runs one benchmark with the pipeline observer
-//! attached and dumps everything it produced — the binary trace record
-//! `results/OBS_<bench>.mgb`, a Konata-style text pipeview of the run's
-//! tail, the per-slot stall-attribution table, and the queue-occupancy
-//! summary.
+//! attached and dumps everything it produced — the run summary, the
+//! per-slot stall-attribution table, the queue-occupancy summary, and
+//! the binary report record `results/OBS_<bench>.mgb`.
 //!
 //! Usage: `obs [BENCH] [SCHEME] [TARGET_DYN]`
 //!
@@ -83,17 +82,6 @@ fn main() {
         run.coverage
     );
 
-    let (lo, hi) = report.tail_window(64);
-    println!("\npipeview, cycles [{lo}, {hi}):");
-    print!("{}", report.pipeview(lo, hi));
-    if report.trace_dropped > 0 {
-        println!(
-            "({} earlier ops fell out of the {}-entry trace ring)",
-            report.trace_dropped,
-            report.trace.len()
-        );
-    }
-
     println!("\nstall attribution over {} cycles:", report.cycles);
     print!("{}", report.stalls.render());
 
@@ -117,7 +105,7 @@ fn main() {
     let section = ObsSection::new(&spec.name, scheme, report);
     let name = format!("OBS_{}", spec.name);
     let path = save_bin(&name, RecordKind::ObsDump, &section);
-    println!("\ntrace dump written to {}", path.display());
+    println!("\nreport dump written to {}", path.display());
 
     // When run from the workspace root (as CI does), validate the dump
     // just written against the checked-in schema — decoded straight
@@ -125,15 +113,15 @@ fn main() {
     // checked.
     let schema_path = std::path::Path::new("crates/bench/tests/obs/trace.schema.json");
     if schema_path.exists() {
-        let written = std::fs::read(&path).expect("read back trace dump");
+        let written = std::fs::read(&path).expect("read back report dump");
         let value = binfmt::open_value(&written, RecordKind::ObsDump, SCHEMA_VERSION)
-            .expect("trace dump reopens");
+            .expect("report dump reopens");
         let schema_text = std::fs::read_to_string(schema_path).expect("read schema");
         let schema = serde_json::parse_value_str(&schema_text).expect("schema parses");
         match mg_obs::schema::validate(&value, &schema) {
-            Ok(()) => println!("trace dump validates against {}", schema_path.display()),
+            Ok(()) => println!("report dump validates against {}", schema_path.display()),
             Err(e) => {
-                eprintln!("trace dump violates {}: {e}", schema_path.display());
+                eprintln!("report dump violates {}: {e}", schema_path.display());
                 std::process::exit(1);
             }
         }

@@ -13,10 +13,11 @@
 //! are excluded from the timed region — this harness tracks the engine
 //! hot loop, nothing else.
 //!
-//! One benchmark is additionally timed with the pipeline observer
-//! attached vs. detached, recording the observer's run-time overhead
-//! ratio (and checking stall-attribution conservation) in the report's
-//! `obs` section. The `profile` section does the same for slack
+//! The Struct-All/red cell of every benchmark is additionally timed
+//! with the pipeline observer attached vs. detached, recording the
+//! observer's run-time overhead ratio (and checking stall-attribution
+//! conservation on every run) in the report's `obs` section. The
+//! `profile` section does the same for slack
 //! profiling: the no-mg/red cell, which is what a context's profiling run
 //! simulates, timed with `profile_slack` on against the same prepared
 //! cell run plain. It runs each benchmark at its full `target_dyn`, the
@@ -46,13 +47,16 @@ struct CellPerf {
 
 #[derive(Serialize)]
 struct ObsPerf {
-    bench: String,
-    cycles: u64,
+    scheme: String,
+    machine: String,
+    benches: usize,
+    sim_cycles: u64,
     plain_wall_sec: f64,
     observed_wall_sec: f64,
     /// Observed wall over plain wall: the run-time price of attaching
     /// the observer.
     overhead_ratio: f64,
+    /// Whether every observed run's stall table conserved cycles.
     conservation_ok: bool,
 }
 
@@ -83,7 +87,7 @@ struct PerfReport {
     total_sim_cycles: u64,
     total_wall_sec: f64,
     sim_cycles_per_sec: f64,
-    obs: Option<ObsPerf>,
+    obs: ObsPerf,
     profile: ProfilePerf,
 }
 
@@ -190,31 +194,38 @@ fn profile_overhead(take: usize) -> ProfilePerf {
     }
 }
 
-/// Times one benchmark with and without the pipeline observer attached:
-/// the ratio is the run-time cost of observing.
-fn obs_profile(target_dyn: usize) -> Option<ObsPerf> {
-    let red = MachineConfig::reduced();
-    let mut spec = suite().into_iter().find(|s| s.name == "mib_crc32")?;
-    spec.params.target_dyn = target_dyn;
-    let ctx = BenchContext::builder(&spec, &red)
-        .cache(false)
-        .build()
-        .ok()?;
-    let plain = ctx.prepare_sim(Scheme::StructAll, &red, None, None).ok()?;
-    let mut observed = plain.clone();
-    observed.opts.obs = true;
-    let (_, plain_wall_sec) = time_passes(std::iter::once(&plain));
-    let (_, observed_wall_sec) = time_passes(std::iter::once(&observed));
-    let r = observed.simulate();
-    let report = r.obs.as_ref()?;
-    Some(ObsPerf {
-        bench: spec.name,
-        cycles: r.stats.cycles,
+/// The cell the `obs` section times: Struct-All on the reduced machine.
+const OBS_CELL: (Scheme, &str) = (Scheme::StructAll, "red");
+
+/// Times the [`OBS_CELL`] of every prepared benchmark with and without
+/// the pipeline observer attached: the ratio is the run-time cost of
+/// observing. Leaves those cells of `prepared` switched to observed.
+fn obs_overhead(prepared: &mut [(String, Vec<PreparedSim>)]) -> ObsPerf {
+    let cell = cell_tags()
+        .iter()
+        .position(|&c| c == OBS_CELL)
+        .expect("the obs cell is a timed cell");
+    let (sim_cycles, plain_wall_sec) = time_cell(prepared, cell);
+    for (_, sims) in prepared.iter_mut() {
+        sims[cell].opts.obs = true;
+    }
+    let (_, observed_wall_sec) = time_cell(prepared, cell);
+    let conservation_ok = prepared.iter().all(|(_, sims)| {
+        sims[cell]
+            .simulate()
+            .obs
+            .is_some_and(|r| r.conservation_ok())
+    });
+    ObsPerf {
+        scheme: OBS_CELL.0.name().to_string(),
+        machine: OBS_CELL.1.to_string(),
+        benches: prepared.len(),
+        sim_cycles,
         plain_wall_sec,
         observed_wall_sec,
         overhead_ratio: observed_wall_sec / plain_wall_sec.max(1e-12),
-        conservation_ok: report.conservation_ok(),
-    })
+        conservation_ok,
+    }
 }
 
 fn main() {
@@ -229,7 +240,7 @@ fn main() {
         .unwrap_or(30_000);
 
     eprintln!("preparing sweep inputs…");
-    let prepared = prepare_all(take, target_dyn);
+    let mut prepared = prepare_all(take, target_dyn);
     assert!(!prepared.is_empty(), "no benchmarks prepared");
 
     let mut cells = Vec::new();
@@ -257,17 +268,17 @@ fn main() {
         });
     }
 
-    let obs = obs_profile(target_dyn);
-    if let Some(o) = &obs {
-        eprintln!(
-            "observer overhead on {}: {:.2}x ({:.3}s observed vs {:.3}s plain, conservation {})",
-            o.bench,
-            o.overhead_ratio,
-            o.observed_wall_sec,
-            o.plain_wall_sec,
-            if o.conservation_ok { "ok" } else { "VIOLATED" },
-        );
-    }
+    let obs = obs_overhead(&mut prepared);
+    eprintln!(
+        "observer overhead on {}/{} ({} benches): {:.2}x ({:.3}s observed vs {:.3}s plain, conservation {})",
+        obs.scheme,
+        obs.machine,
+        obs.benches,
+        obs.overhead_ratio,
+        obs.observed_wall_sec,
+        obs.plain_wall_sec,
+        if obs.conservation_ok { "ok" } else { "VIOLATED" },
+    );
 
     eprintln!("timing full-length slack profiling…");
     let profile = profile_overhead(take);

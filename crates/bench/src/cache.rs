@@ -166,9 +166,6 @@ impl CacheCounters {
 }
 
 static MEM: OnceLock<Mutex<HashMap<u64, Arc<ContextArtifacts>>>> = OnceLock::new();
-static MEM_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
 
 fn mem() -> &'static Mutex<HashMap<u64, Arc<ContextArtifacts>>> {
     MEM.get_or_init(|| Mutex::new(HashMap::new()))
@@ -182,12 +179,13 @@ pub fn clear_memory() {
     mem().lock().expect("context cache lock").clear();
 }
 
-/// Reads the process-wide cache counters.
+/// Reads the process-wide cache counters from the telemetry registry
+/// (`mg_cache_{mem_hits,disk_hits,misses}_total`), which never resets.
 pub fn counters() -> CacheCounters {
     CacheCounters {
-        mem_hits: MEM_HITS.load(Ordering::Relaxed),
-        disk_hits: DISK_HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
+        mem_hits: mg_obs::tele_counter!("mg_cache_mem_hits_total").get(),
+        disk_hits: mg_obs::tele_counter!("mg_cache_disk_hits_total").get(),
+        misses: mg_obs::tele_counter!("mg_cache_misses_total").get(),
     }
 }
 
@@ -574,7 +572,6 @@ pub(crate) fn context(
 ) -> Result<(Arc<ContextArtifacts>, CacheOutcome), BenchError> {
     let key = context_key(spec, train_cfg, train_input, run_input);
     if let Some(hit) = mem().lock().expect("context cache lock").get(&key) {
-        MEM_HITS.fetch_add(1, Ordering::Relaxed);
         mg_obs::tele_counter!("mg_cache_mem_hits_total").inc();
         return Ok((Arc::clone(hit), CacheOutcome::MemHit));
     }
@@ -609,11 +606,9 @@ pub(crate) fn context(
     };
     match outcome {
         CacheOutcome::DiskHit => {
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
             mg_obs::tele_counter!("mg_cache_disk_hits_total").inc();
         }
         _ => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
             mg_obs::tele_counter!("mg_cache_misses_total").inc();
             if use_disk {
                 let _span = mg_obs::span("stage", format!("{}/cache", spec.name));

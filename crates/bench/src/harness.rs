@@ -804,8 +804,8 @@ impl SchemeRun {
 
 /// The per-benchmark observability section attached to results produced
 /// with the observer enabled: identifies the (benchmark, scheme) cell and
-/// carries the full [`mg_obs::ObsReport`] (trace tail, stall attribution,
-/// occupancy, windowed IPC).
+/// carries the full [`mg_obs::ObsReport`] (stall attribution, occupancy,
+/// windowed IPC, committed instructions).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ObsSection {
     /// Benchmark name.

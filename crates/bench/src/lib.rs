@@ -45,8 +45,8 @@ pub use runner::{
 };
 pub use stats::{geomean, mean, s_curve};
 pub use supervisor::{
-    clear_shutdown, request_shutdown, run_cli, shutdown_requested, supervise_cell,
-    supervise_cell_until, supervise_context,
+    clear_shutdown, request_shutdown, run_cli, shutdown_requested, supervise_cell_until,
+    supervise_context,
 };
 
 // Watchdog cells run on a helper thread against a shared

@@ -1,7 +1,4 @@
 //! Summary statistics shared by the figures.
-//!
-//! These used to live in [`crate::harness`]; they are re-exported at the
-//! old paths (`mg_bench::{geomean, mean, s_curve}`) for compatibility.
 
 /// Geometric mean of a non-empty slice of positive values.
 pub fn geomean(values: &[f64]) -> f64 {

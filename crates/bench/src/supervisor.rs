@@ -237,25 +237,14 @@ pub fn supervise_context(builder: BenchContextBuilder) -> Result<BenchContext, B
 /// observer attached — the entry point `mg-serve` workers use, sharing
 /// shutdown, retry, and watchdog semantics with batch sweeps. Returns
 /// the run (or its error) and how many retries were spent on it.
-pub fn supervise_cell(
-    ctx: &Arc<BenchContext>,
-    cell: &SweepCell,
-    cell_idx: usize,
-    watchdog: Option<Duration>,
-    max_retries: u32,
-) -> (Result<SchemeRun, BenchError>, u32) {
-    let (res, retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, false);
-    (res.map(|(run, _payload)| run), retries)
-}
-
-/// [`supervise_cell`] with an optional absolute deadline, for callers
-/// executing on behalf of a remote client that attached a `deadline_ms`
-/// budget. The effective watchdog is capped at the remaining budget so a
-/// cell never runs past the deadline by more than the watchdog poll, an
+///
+/// `deadline` is an optional absolute deadline, for callers executing
+/// on behalf of a remote client that attached a `deadline_ms` budget.
+/// The effective watchdog is capped at the remaining budget so a cell
+/// never runs past the deadline by more than the watchdog poll, an
 /// already-expired deadline short-circuits to [`BenchError::TimedOut`]
 /// without running anything, and the retry budget is zeroed (a retry
-/// could only finish even later). `deadline: None` is exactly
-/// [`supervise_cell`].
+/// could only finish even later).
 pub fn supervise_cell_until(
     ctx: &Arc<BenchContext>,
     cell: &SweepCell,
@@ -264,23 +253,26 @@ pub fn supervise_cell_until(
     max_retries: u32,
     deadline: Option<std::time::Instant>,
 ) -> (Result<SchemeRun, BenchError>, u32) {
-    let Some(deadline) = deadline else {
-        return supervise_cell(ctx, cell, cell_idx, watchdog, max_retries);
+    let (watchdog, max_retries) = match deadline {
+        None => (watchdog, max_retries),
+        Some(deadline) => {
+            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            if remaining.is_zero() {
+                tele_counter!("mg_supervisor_deadline_expiries_total").inc();
+                return (
+                    Err(BenchError::TimedOut {
+                        bench: ctx.spec.name.clone(),
+                        cell: cell_idx,
+                        limit_ms: 0,
+                    }),
+                    0,
+                );
+            }
+            (Some(watchdog.map_or(remaining, |w| w.min(remaining))), 0)
+        }
     };
-    let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-    if remaining.is_zero() {
-        tele_counter!("mg_supervisor_deadline_expiries_total").inc();
-        return (
-            Err(BenchError::TimedOut {
-                bench: ctx.spec.name.clone(),
-                cell: cell_idx,
-                limit_ms: 0,
-            }),
-            0,
-        );
-    }
-    let capped = Some(watchdog.map_or(remaining, |w| w.min(remaining)));
-    supervise_cell(ctx, cell, cell_idx, capped, 0)
+    let (res, retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, false);
+    (res.map(|(run, _payload)| run), retries)
 }
 
 /// The standard binary entry point for a sweep: journaled, resumable,

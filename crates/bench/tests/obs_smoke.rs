@@ -1,7 +1,7 @@
 //! End-to-end smoke of the observability stack: conservation of stall
 //! attribution against the engine's own cycle count, schema validity of
-//! the emitted trace JSON, pipeview rendering, sweep-level aggregation,
-//! and bit-identical statistics with the observer attached.
+//! the emitted report JSON, sweep-level aggregation, and bit-identical
+//! statistics with the observer attached.
 
 use mg_bench::{
     machine_fingerprint, BenchContext, Envelope, ObsSection, Scheme, SweepCell, SweepSpec,
@@ -62,25 +62,6 @@ fn observer_does_not_perturb_the_simulation() {
     );
     assert!(plain.obs.is_none());
     assert!(observed.obs.is_some());
-}
-
-#[test]
-fn pipeview_renders_the_tail_of_the_run() {
-    let red = MachineConfig::reduced();
-    let (_, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red)
-        .expect("instrumented run succeeds");
-    let (lo, hi) = report.tail_window(32);
-    let view = report.pipeview(lo, hi);
-    assert!(view.contains("seq"), "header row present");
-    assert!(
-        view.lines().count() > 2,
-        "the tail window shows ops:\n{view}"
-    );
-    assert!(
-        view.contains('T'),
-        "ops commit in the tail of a finished run:\n{view}"
-    );
 }
 
 #[test]

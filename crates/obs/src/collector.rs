@@ -3,14 +3,14 @@
 //! The engine owns an `Option<ObsCollector>` (present only when the run
 //! requests observability) and calls the `note_*` methods at its existing
 //! event points — issue grant, dispatch resource block, load-miss
-//! scheduling, handle execution, commit, squash — then calls
+//! scheduling, handle execution, commit — then calls
 //! [`ObsCollector::end_cycle`] exactly once per simulated cycle. That
 //! single `end_cycle` call charges every issue slot for the cycle, which
 //! is what makes the stall table conserve cycles by construction.
 //!
-//! A collector has no settings of its own: the pipeline trace keeps the
-//! last [`TRACE_CAP`] ops, windowed IPC buckets [`IPC_WINDOW`] cycles,
-//! and the occupancy histograms are sized from the machine's
+//! A collector keeps counters only, no per-op record, and has no
+//! settings of its own: windowed IPC buckets [`IPC_WINDOW`] cycles, and
+//! the occupancy histograms are sized from the machine's
 //! [`MachineCaps`].
 //!
 //! # Attribution priority
@@ -35,12 +35,7 @@
 
 use crate::metrics::{Histogram, WindowIpc};
 use crate::report::{ObsReport, OccupancyReport};
-use crate::ring::Ring;
 use crate::stall::{StallCause, StallTable};
-use crate::trace::OpTrace;
-
-/// Capacity of the pipeline-trace ring buffer (ops retained).
-pub const TRACE_CAP: usize = 4096;
 
 /// Cycle-window size for windowed IPC.
 pub const IPC_WINDOW: u64 = 1024;
@@ -114,7 +109,6 @@ pub struct CycleState {
 #[derive(Clone, Debug)]
 pub struct ObsCollector {
     caps: MachineCaps,
-    trace: Ring<OpTrace>,
     stalls: StallTable,
     iq_occ: Histogram,
     rob_occ: Histogram,
@@ -136,7 +130,6 @@ impl ObsCollector {
     pub fn new(caps: MachineCaps) -> ObsCollector {
         ObsCollector {
             caps,
-            trace: Ring::new(TRACE_CAP),
             stalls: StallTable::new(caps.issue_width.max(1)),
             iq_occ: Histogram::new(caps.iq),
             rob_occ: Histogram::new(caps.rob),
@@ -178,11 +171,6 @@ impl ObsCollector {
     /// `n` architectural instructions committed this cycle.
     pub fn note_commit_instrs(&mut self, n: u64) {
         self.committed_this_cycle += n;
-    }
-
-    /// An op left the pipeline (commit or squash); record its trace.
-    pub fn note_op(&mut self, t: OpTrace) {
-        self.trace.push(t);
     }
 
     /// Closes out one simulated cycle: charges all issue slots, samples
@@ -231,9 +219,6 @@ impl ObsCollector {
     /// simulator's final cycle count and must equal the number of
     /// `end_cycle` calls for the conservation invariant to hold.
     pub fn finish(self, cycles: u64) -> ObsReport {
-        let dropped = self.trace.dropped();
-        let mut trace = self.trace.into_vec();
-        trace.sort_by_key(|t| (t.seq, t.fetch));
         ObsReport {
             cycles,
             committed_instrs: self.committed_instrs,
@@ -246,8 +231,6 @@ impl ObsCollector {
                 sq: self.sq_occ,
             },
             ipc: self.ipc,
-            trace,
-            trace_dropped: dropped,
         }
     }
 }

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::metrics::{Histogram, WindowIpc};
 use crate::stall::StallTable;
-use crate::trace::{pipeview, OpTrace};
 
 /// Occupancy histograms for the four bounded queues.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -34,10 +33,6 @@ pub struct ObsReport {
     pub occupancy: OccupancyReport,
     /// Windowed committed-instruction counts.
     pub ipc: WindowIpc,
-    /// Pipeline trace records (the tail of the run, ring-buffered).
-    pub trace: Vec<OpTrace>,
-    /// Ops that fell out of the trace ring before the run ended.
-    pub trace_dropped: u64,
 }
 
 impl ObsReport {
@@ -45,24 +40,6 @@ impl ObsReport {
     /// attribution conservation invariant.
     pub fn conservation_ok(&self) -> bool {
         self.stalls.conservation_ok(self.cycles)
-    }
-
-    /// Renders the trace over the cycle window `[lo, hi)` as a text
-    /// pipeview.
-    pub fn pipeview(&self, lo: u64, hi: u64) -> String {
-        pipeview(&self.trace, lo, hi)
-    }
-
-    /// A cycle window covering the last `span` cycles that the trace
-    /// actually has records for — convenient default for the pipeview.
-    pub fn tail_window(&self, span: u64) -> (u64, u64) {
-        let hi = self
-            .trace
-            .iter()
-            .map(|t| t.last_cycle() + 1)
-            .max()
-            .unwrap_or(self.cycles);
-        (hi.saturating_sub(span), hi)
     }
 }
 
@@ -221,12 +198,5 @@ mod tests {
         let back: ObsReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
         assert!(back.conservation_ok());
-    }
-
-    #[test]
-    fn tail_window_tracks_trace() {
-        let r = tiny_report(4);
-        // No trace records were pushed, so the window anchors at cycles.
-        assert_eq!(r.tail_window(10), (0, 4));
     }
 }

@@ -537,8 +537,8 @@ impl<'a> Engine<'a> {
     /// Closes the current cycle out in the observability collector:
     /// exactly one call per loop iteration, so attributed cycles equal
     /// `stats.cycles` by construction (the cap check breaks *before* any
-    /// stage runs). Observer helpers stay out of line and cold, so an
-    /// unobserved run's hot loop carries only the `is_some` checks.
+    /// stage runs). It stays out of line and cold, so an unobserved
+    /// run's hot loop carries only the `is_some` check.
     #[cold]
     #[inline(never)]
     fn obs_end_cycle(&mut self) {
@@ -557,49 +557,6 @@ impl<'a> Engine<'a> {
         let cycle = self.cycle;
         if let Some(obs) = self.obs.as_mut() {
             obs.end_cycle(cycle, &state);
-        }
-    }
-
-    /// Builds the pipeline-trace record for op `oi` as it leaves the
-    /// window. The fetch cycle is recovered from `avail_at` (fetch cycle
-    /// plus front-end depth); the operand-ready cycle is recomputed from
-    /// the producers, whose completion times are final by now.
-    #[cold]
-    #[inline(never)]
-    fn obs_trace_of(&self, oi: u32, commit: Option<u64>, squash: Option<u64>) -> mg_obs::OpTrace {
-        let op = &self.ops[oi];
-        let class = match op.kind {
-            OpKind::Singleton(_) => mg_obs::OpClass::Singleton,
-            OpKind::Handle(_) => mg_obs::OpClass::Handle,
-            OpKind::OutJump(_) => mg_obs::OpClass::OutlineJump,
-            OpKind::RetJump(_) => mg_obs::OpClass::ReturnJump,
-        };
-        let mut ready = None;
-        if op.needs_iq && op.dispatched_at != NEVER {
-            // First issue opportunity is the cycle after dispatch.
-            let mut r = op.dispatched_at + 1;
-            for &p in &op.srcs[..op.n_srcs as usize] {
-                if p != NO_OP {
-                    let pr = self.ready_at[p as usize];
-                    if pr != NEVER {
-                        r = r.max(pr);
-                    }
-                }
-            }
-            ready = Some(r);
-        }
-        let at = |t: u64| (t != NEVER).then_some(t);
-        mg_obs::OpTrace {
-            seq: oi as u64,
-            pc: op.pc,
-            class,
-            fetch: op.avail_at.saturating_sub(self.cfg.front_depth as u64),
-            dispatch: at(op.dispatched_at),
-            ready,
-            issue: at(op.issued_at),
-            done: at(op.done_at),
-            commit,
-            squash,
         }
     }
 
@@ -673,13 +630,8 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            if self.obs.is_some() {
-                let t = self.obs_trace_of(head, Some(self.cycle), None);
-                let n = self.ops[head].trace_len as u64;
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.note_commit_instrs(n);
-                    obs.note_op(t);
-                }
+            if let Some(obs) = self.obs.as_mut() {
+                obs.note_commit_instrs(op.trace_len as u64);
             }
         }
     }
@@ -1161,32 +1113,24 @@ impl<'a> Engine<'a> {
         // squashed ops are dropped on their next touch. (A flush can fire
         // mid-issue-pass, so the ready list must not be edited here.)
         for oi in from..self.next_seq {
-            {
-                let op = &mut self.ops[oi];
-                // A reused slot means op `oi` left the window long ago.
-                if op.seq != oi || op.squashed || op.committed {
-                    continue;
-                }
-                op.squashed = true;
-                if op.dispatched_at != NEVER {
-                    if op.dest.is_some() {
-                        self.free_regs += 1;
-                    }
-                    if op.needs_iq && op.issued_at == NEVER {
-                        self.iq_free += 1;
-                    }
-                    if op.is_load {
-                        self.lq_free += 1;
-                    }
-                    if op.is_store {
-                        self.sq_free += 1;
-                    }
-                }
+            let op = &mut self.ops[oi];
+            // A reused slot means op `oi` left the window long ago.
+            if op.seq != oi || op.squashed || op.committed {
+                continue;
             }
-            if self.obs.is_some() {
-                let t = self.obs_trace_of(oi, None, Some(self.cycle));
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.note_op(t);
+            op.squashed = true;
+            if op.dispatched_at != NEVER {
+                if op.dest.is_some() {
+                    self.free_regs += 1;
+                }
+                if op.needs_iq && op.issued_at == NEVER {
+                    self.iq_free += 1;
+                }
+                if op.is_load {
+                    self.lq_free += 1;
+                }
+                if op.is_store {
+                    self.sq_free += 1;
                 }
             }
         }
