@@ -12,8 +12,10 @@
 //! then re-reads every journal row and disk-cache entry it produced.
 //! Each record is also rendered as JSON of its decoded value (the view
 //! `export_json` writes, compact rather than pretty-printed), so both
-//! formats decode the same data. The span-trace and obs-pipeline layers
-//! use deterministic synthetic documents of realistic shape. Per-record
+//! formats decode the same data. The obs-pipeline layer is the `obs`
+//! binary's default report record, produced the same way; the
+//! span-trace layer uses a deterministic synthetic document of
+//! realistic shape. Per-record
 //! columns divide the totals by the record count (sizes) and by `REPS`
 //! × records (load times).
 //!
@@ -22,7 +24,10 @@
 //! smaller than JSON and replay at least as fast.
 
 use mg_bench::binfmt::{self, RecordKind};
-use mg_bench::{save_json, Scheme, SweepCell, SweepSpec};
+use mg_bench::{
+    machine_fingerprint, save_json, BenchContext, Envelope, ObsSection, Scheme, SweepCell,
+    SweepSpec, SCHEMA_VERSION,
+};
 use mg_obs::mg_info;
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
@@ -170,37 +175,32 @@ fn synthetic_trace(n: u64) -> Vec<Pair> {
     vec![Pair { bin, json }]
 }
 
-/// A deterministic obs-style pipeline dump of `n` per-op trace rows,
-/// shaped like the `OBS_<bench>` artifact's dominant section.
-fn synthetic_obs(n: u64) -> Vec<Pair> {
-    let classes = ["alu", "load", "store", "branch", "mg"];
-    let rows: Vec<Value> = (0..n)
-        .map(|i| {
-            Value::Map(vec![
-                ("seq".into(), Value::U64(i)),
-                ("pc".into(), Value::U64(0x0040_0000 + 4 * (i % 9000))),
-                (
-                    "class".into(),
-                    Value::Str(classes[(i % 5) as usize].to_string()),
-                ),
-                ("fetch".into(), Value::U64(10 * i)),
-                ("dispatch".into(), Value::U64(10 * i + 3)),
-                ("issue".into(), Value::U64(10 * i + 5)),
-                ("commit".into(), Value::U64(10 * i + 9)),
-            ])
-        })
-        .collect();
-    let doc = Value::Map(vec![
-        ("schema_version".into(), Value::U64(1)),
-        ("bench".into(), Value::Str("mib_crc32".into())),
-        ("scheme".into(), Value::Str("Struct-All".into())),
-        ("trace".into(), Value::Seq(rows)),
-    ]);
-    let bin = binfmt::to_record(RecordKind::ObsDump, 1, &doc);
-    let json = serde_json::to_string(&doc)
-        .expect("dump renders")
-        .into_bytes();
-    vec![Pair { bin, json }]
+/// The `obs` binary's default record, `OBS_mib_crc32`: the observed
+/// Struct-All cell of `mib_crc32` on the reduced machine at 30000
+/// dynamic instructions, sealed in the same envelope.
+fn obs_record() -> Vec<Pair> {
+    let red = MachineConfig::reduced();
+    let mut spec = suite()
+        .into_iter()
+        .find(|s| s.name == "mib_crc32")
+        .expect("mib_crc32 is in the suite");
+    spec.params.target_dyn = 30_000;
+    let (mut r, _) = BenchContext::builder(&spec, &red)
+        .cache(false)
+        .build()
+        .and_then(|ctx| ctx.try_cell(&SweepCell::new(Scheme::StructAll, &red), true))
+        .unwrap_or_else(|e| {
+            eprintln!("format bench obs cell failed: {e}");
+            std::process::exit(2);
+        });
+    let report = r.obs.take().expect("an observed cell returns a report");
+    let envelope = Envelope {
+        schema_version: SCHEMA_VERSION,
+        machine_fingerprint: machine_fingerprint(),
+        rows: ObsSection::new(&spec.name, Scheme::StructAll, report),
+    };
+    let bin = binfmt::to_record(RecordKind::ObsDump, SCHEMA_VERSION, &envelope);
+    vec![pair_from_record(bin).expect("the obs record reopens")]
 }
 
 fn main() {
@@ -237,7 +237,7 @@ fn main() {
         measure("journal", &pairs_from_dir(&journal_dir, "row-")),
         measure("cache", &pairs_from_dir(Path::new("results/cache"), "ctx-")),
         measure("trace_spans", &synthetic_trace(5_000)),
-        measure("obs_pipeline", &synthetic_obs(5_000)),
+        measure("obs_pipeline", &obs_record()),
     ];
     let _ = std::fs::remove_dir_all(&journal_root);
 

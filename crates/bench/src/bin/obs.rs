@@ -16,7 +16,7 @@
 //! cycle charged exactly once) — CI's `release-smoke` job relies on this.
 
 use mg_bench::binfmt::{self, RecordKind};
-use mg_bench::{save_bin, BenchContext, ObsSection, Scheme, SCHEMA_VERSION};
+use mg_bench::{save_bin, BenchContext, ObsSection, Scheme, SchemeRun, SweepCell, SCHEMA_VERSION};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
 
@@ -65,7 +65,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let (run, report) = match ctx.try_run_obs(scheme, &red) {
+    let observed =
+        ctx.try_cell(&SweepCell::new(scheme, &red), true)
+            .and_then(|(mut r, est_coverage)| {
+                let report = r.obs.take().expect("an observed cell returns a report");
+                Ok((
+                    SchemeRun::try_from_sim(&spec.name, scheme, r, est_coverage)?,
+                    report,
+                ))
+            });
+    let (run, report) = match observed {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("instrumented run failed: {e}");

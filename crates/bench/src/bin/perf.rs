@@ -7,7 +7,8 @@
 //! (default: 30000).
 //!
 //! Per (scheme, machine) cell, every benchmark's simulation input is
-//! prepared once ([`mg_bench::harness::PreparedSim`]) and `simulate` is
+//! prepared once ([`mg_bench::harness::PreparedSim`], borrowing the
+//! benchmark's context) and `simulate` is
 //! then timed in isolation over `REPEATS` passes, keeping the best
 //! (least-noisy) pass. Selection, rewriting, and functional execution
 //! are excluded from the timed region — this harness tracks the engine
@@ -27,7 +28,7 @@
 //! `crates/sim/tests/alloc_free.rs`, not measured here.
 
 use mg_bench::harness::PreparedSim;
-use mg_bench::{machine_fingerprint, BenchContext, Scheme, SCHEMA_VERSION};
+use mg_bench::{machine_fingerprint, BenchContext, Scheme, SweepCell, SCHEMA_VERSION};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
 use serde::Serialize;
@@ -101,40 +102,54 @@ fn cell_tags() -> Vec<(Scheme, &'static str)> {
     ]
 }
 
-fn prepare_all(take: usize, target_dyn: usize) -> Vec<(String, Vec<PreparedSim>)> {
-    let base = MachineConfig::baseline();
+/// Builds the context of each of the first `take` benchmarks, truncated
+/// to `target_dyn`.
+fn build_all(take: usize, target_dyn: usize) -> Vec<BenchContext> {
     let red = MachineConfig::reduced();
     suite()
         .into_iter()
         .take(take)
         .filter_map(|mut spec| {
             spec.params.target_dyn = target_dyn;
-            let ctx = match BenchContext::builder(&spec, &red).cache(false).build() {
-                Ok(ctx) => ctx,
-                Err(e) => {
-                    eprintln!("skipped {}: {e}", spec.name);
-                    return None;
-                }
-            };
-            let mut sims = Vec::new();
-            for (scheme, tag) in cell_tags() {
-                let machine = if tag == "base" { &base } else { &red };
-                match ctx.prepare_sim(scheme, machine, None, None) {
-                    Ok(p) => sims.push(p),
-                    Err(e) => {
-                        eprintln!("skipped {} cell {}/{tag}: {e}", spec.name, scheme.name());
-                        return None;
-                    }
-                }
-            }
-            Some((spec.name.clone(), sims))
+            BenchContext::builder(&spec, &red)
+                .cache(false)
+                .build()
+                .inspect_err(|e| eprintln!("skipped {}: {e}", spec.name))
+                .ok()
+        })
+        .collect()
+}
+
+/// Prepares every timed cell of every context; a benchmark with a cell
+/// that fails to prepare is skipped whole.
+fn prepare_all(contexts: &[BenchContext]) -> Vec<Vec<PreparedSim<'_>>> {
+    let base = MachineConfig::baseline();
+    let red = MachineConfig::reduced();
+    contexts
+        .iter()
+        .filter_map(|ctx| {
+            cell_tags()
+                .into_iter()
+                .map(|(scheme, tag)| {
+                    let machine = if tag == "base" { &base } else { &red };
+                    ctx.prepare_sim(&SweepCell::new(scheme, machine))
+                        .inspect_err(|e| {
+                            eprintln!(
+                                "skipped {} cell {}/{tag}: {e}",
+                                ctx.spec.name,
+                                scheme.name()
+                            )
+                        })
+                        .ok()
+                })
+                .collect()
         })
         .collect()
 }
 
 /// Times `REPEATS` passes over `sims`, returning (total simulated cycles
 /// of a pass, wall seconds of the fastest pass).
-fn time_passes<'a>(sims: impl Iterator<Item = &'a PreparedSim> + Clone) -> (u64, f64) {
+fn time_passes<'a, 'c: 'a>(sims: impl Iterator<Item = &'a PreparedSim<'c>> + Clone) -> (u64, f64) {
     let mut best_wall = f64::INFINITY;
     let mut cycles = 0u64;
     for _ in 0..REPEATS {
@@ -146,8 +161,8 @@ fn time_passes<'a>(sims: impl Iterator<Item = &'a PreparedSim> + Clone) -> (u64,
 }
 
 /// Times one full pass of every benchmark under one cell index.
-fn time_cell(prepared: &[(String, Vec<PreparedSim>)], cell: usize) -> (u64, f64) {
-    time_passes(prepared.iter().map(|(_, sims)| &sims[cell]))
+fn time_cell(prepared: &[Vec<PreparedSim<'_>>], cell: usize) -> (u64, f64) {
+    time_passes(prepared.iter().map(|sims| &sims[cell]))
 }
 
 /// Times the no-mg/red cell of the first `take` benchmarks with slack
@@ -162,22 +177,24 @@ fn profile_overhead(take: usize) -> ProfilePerf {
         .into_iter()
         .take(take)
         .filter_map(|spec| {
-            let plain = match BenchContext::builder(&spec, &red)
+            BenchContext::builder(&spec, &red)
                 .cache(false)
                 .build()
-                .and_then(|ctx| ctx.prepare_sim(Scheme::NoMg, &red, None, None))
-            {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("skipped {} in the profile section: {e}", spec.name);
-                    return None;
-                }
-            };
-            let mut profiled = plain.clone();
-            profiled.opts.profile_slack = true;
-            let (cycles, plain_wall) = time_passes(std::iter::once(&plain));
-            let (_, profiled_wall) = time_passes(std::iter::once(&profiled));
-            Some((plain.trace_len() as u64, cycles, plain_wall, profiled_wall))
+                .and_then(|ctx| {
+                    let plain = ctx.prepare_sim(&SweepCell::new(Scheme::NoMg, &red))?;
+                    let mut profiled = plain.clone();
+                    profiled.opts.profile_slack = true;
+                    let (cycles, plain_wall) = time_passes(std::iter::once(&plain));
+                    let (_, profiled_wall) = time_passes(std::iter::once(&profiled));
+                    Ok((
+                        plain.trace().len() as u64,
+                        cycles,
+                        plain_wall,
+                        profiled_wall,
+                    ))
+                })
+                .inspect_err(|e| eprintln!("skipped {} in the profile section: {e}", spec.name))
+                .ok()
         })
         .collect();
     let plain_wall_sec: f64 = runs.iter().map(|r| r.2).sum();
@@ -200,17 +217,17 @@ const OBS_CELL: (Scheme, &str) = (Scheme::StructAll, "red");
 /// Times the [`OBS_CELL`] of every prepared benchmark with and without
 /// the pipeline observer attached: the ratio is the run-time cost of
 /// observing. Leaves those cells of `prepared` switched to observed.
-fn obs_overhead(prepared: &mut [(String, Vec<PreparedSim>)]) -> ObsPerf {
+fn obs_overhead(prepared: &mut [Vec<PreparedSim<'_>>]) -> ObsPerf {
     let cell = cell_tags()
         .iter()
         .position(|&c| c == OBS_CELL)
         .expect("the obs cell is a timed cell");
     let (sim_cycles, plain_wall_sec) = time_cell(prepared, cell);
-    for (_, sims) in prepared.iter_mut() {
+    for sims in prepared.iter_mut() {
         sims[cell].opts.obs = true;
     }
     let (_, observed_wall_sec) = time_cell(prepared, cell);
-    let conservation_ok = prepared.iter().all(|(_, sims)| {
+    let conservation_ok = prepared.iter().all(|sims| {
         sims[cell]
             .simulate()
             .obs
@@ -240,7 +257,8 @@ fn main() {
         .unwrap_or(30_000);
 
     eprintln!("preparing sweep inputs…");
-    let mut prepared = prepare_all(take, target_dyn);
+    let contexts = build_all(take, target_dyn);
+    let mut prepared = prepare_all(&contexts);
     assert!(!prepared.is_empty(), "no benchmarks prepared");
 
     let mut cells = Vec::new();

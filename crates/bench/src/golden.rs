@@ -16,7 +16,7 @@
 
 use crate::cache::stable_hash64;
 use crate::harness::{BenchContext, Scheme};
-use crate::runner::par_map;
+use crate::runner::{par_map, SweepCell};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
 use serde::{Deserialize, Serialize};
@@ -115,7 +115,7 @@ fn golden_row(spec: &mg_workloads::BenchmarkSpec) -> GoldenRow {
     let mut ipcs = Vec::new();
     for (scheme, machine_tag) in cell_schemes() {
         let machine = if machine_tag == "base" { &base } else { &red };
-        match ctx.try_sim_with(scheme, machine, None, None) {
+        match ctx.try_cell(&SweepCell::new(scheme, machine), false) {
             Ok((r, _)) => {
                 let ipc = r.ipc();
                 ipcs.push(if r.hit_cycle_cap { None } else { Some(ipc) });

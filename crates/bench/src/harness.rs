@@ -2,13 +2,13 @@
 //! machine configuration, producing the rows behind each figure.
 //!
 //! The harness API is *fallible*: contexts are built with
-//! [`BenchContext::builder`] (or [`BenchContext::try_new`]) and runs
-//! executed with [`BenchContext::try_run`], both returning
-//! [`Result`]s over [`BenchError`] so a sweep can record a failed cell
-//! and continue. This is the only construction path — the old
-//! panicking wrappers are gone.
+//! [`BenchContext::builder`] (or [`BenchContext::try_new`]) and cells
+//! run with [`BenchContext::try_cell`] (or the [`BenchContext::try_run`]
+//! shorthand), both returning [`Result`]s over [`BenchError`] so a
+//! sweep can record a failed cell and continue.
 
 use crate::cache::{self, CacheOutcome, ContextArtifacts, TrainingRun};
+use crate::runner::SweepCell;
 use mg_core::candidate::{Candidate, SelectionConfig};
 use mg_core::pipeline::try_prepare_indexed;
 use mg_core::select::{PoolIndex, Selector, SlackProfileModel, SpKind};
@@ -447,20 +447,6 @@ struct Pool {
     index: PoolIndex,
 }
 
-/// One cell's simulation inputs: its selection (`None` runs the
-/// context's own program and trace), the machine and the options.
-struct CellSim {
-    selection: Option<Arc<Selection>>,
-    machine: MachineConfig,
-    opts: SimOptions,
-}
-
-impl CellSim {
-    fn est_coverage(&self) -> f64 {
-        self.selection.as_ref().map_or(0.0, |s| s.est_coverage)
-    }
-}
-
 impl BenchContext {
     /// Starts building a context that trains its slack profile on
     /// `train_cfg` (the paper self-trains on the reduced target machine).
@@ -560,48 +546,14 @@ impl BenchContext {
         ))
     }
 
-    /// Resolves one (scheme, machine) cell's simulation inputs.
-    fn cell_sim(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
-    ) -> Result<CellSim, BenchError> {
-        let Some(key) = SelectionKey::of(scheme) else {
-            return Ok(CellSim {
-                selection: None,
-                machine: machine.clone(),
-                opts: SimOptions::default(),
-            });
-        };
-        let selection = self.selection(scheme, key, &sel.copied().unwrap_or_default())?;
-        Ok(CellSim {
-            selection: Some(selection),
-            machine: machine.clone().with_mg(mg.unwrap_or_else(MgConfig::paper)),
-            opts: SimOptions {
-                dyn_mg: scheme.dyn_config(),
-                ..SimOptions::default()
-            },
-        })
-    }
-
-    /// The program and committed trace a cell simulates.
-    fn cell_inputs<'a>(&'a self, cell: &'a CellSim) -> (&'a mg_isa::Program, &'a Trace) {
-        match &cell.selection {
-            Some(s) => (&s.program, &s.trace),
-            None => (&self.workload.program, &self.trace),
-        }
-    }
-
-    /// The profiling run's result, if the (scheme, machine) cell is the
-    /// one it simulated: no mini-graphs, on the train machine, with the
-    /// run input profiled. Mini-graph and selection overrides do not
-    /// apply to a no-mini-graph cell.
-    fn training_cell(&self, scheme: Scheme, machine: &MachineConfig) -> Option<SimResult> {
+    /// The profiling run's result, if `cell` is the one it simulated:
+    /// no mini-graphs, on the train machine, with the run input
+    /// profiled. Mini-graph and selection overrides do not apply to a
+    /// no-mini-graph cell.
+    fn training_cell(&self, cell: &SweepCell) -> Option<SimResult> {
         let run = self
             .training
-            .filter(|_| scheme == Scheme::NoMg && *machine == self.train_cfg)?;
+            .filter(|_| cell.scheme == Scheme::NoMg && cell.machine == self.train_cfg)?;
         tele_counter!("mg_sim_training_cell_reused_total").inc();
         Some(SimResult {
             stats: run.stats,
@@ -610,148 +562,119 @@ impl BenchContext {
         })
     }
 
-    /// Runs a cell's timing simulation with `opts`.
-    fn simulate_cell(&self, cell: &CellSim, opts: SimOptions) -> SimResult {
-        let _span = mg_obs::span("stage", format!("{}/simulate", self.spec.name));
-        let (program, trace) = self.cell_inputs(cell);
-        simulate(program, trace, &cell.machine, opts)
-    }
-
-    /// Runs one scheme on one machine configuration.
+    /// Runs one scheme on one machine with the default mini-graph
+    /// hardware and selection configuration: shorthand for
+    /// [`BenchContext::try_cell`] condensed by
+    /// [`SchemeRun::try_from_sim`].
     pub fn try_run(
         &self,
         scheme: Scheme,
         machine: &MachineConfig,
     ) -> Result<SchemeRun, BenchError> {
-        self.try_run_with(scheme, machine, None, None)
-    }
-
-    /// Runs one scheme on one machine with optional overrides for the
-    /// mini-graph hardware (default [`MgConfig::paper`]) and the
-    /// selection configuration (default [`SelectionConfig::default`]).
-    pub fn try_run_with(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
-    ) -> Result<SchemeRun, BenchError> {
-        let (r, est_coverage) = self.try_sim_with(scheme, machine, mg, sel)?;
+        let (r, est_coverage) = self.try_cell(&SweepCell::new(scheme, machine), false)?;
         SchemeRun::try_from_sim(&self.spec.name, scheme, r, est_coverage)
     }
 
-    /// Like [`BenchContext::try_run_with`], but returns the raw
-    /// [`SimResult`] (plus the selection-time coverage estimate) instead
-    /// of the condensed [`SchemeRun`]. A cycle-capped run is *not* an
-    /// error at this layer — `hit_cycle_cap` is reported in the result —
-    /// so callers like the golden-stats digest can still observe the full
-    /// statistics.
+    /// Runs one cell's timing simulation, returning the raw
+    /// [`SimResult`] and the selection-time coverage estimate. With
+    /// `observe` set, the pipeline observer is attached and its report
+    /// is in [`SimResult::obs`]. A cycle-capped run is *not* an error at
+    /// this layer — `hit_cycle_cap` is reported in the result — so
+    /// callers like the golden-stats digest can still read the full
+    /// statistics; [`SchemeRun::try_from_sim`] condenses it into a row.
     ///
-    /// The training machine's no-mini-graph cell is served from the
-    /// profiling run when the context has it (see [`BenchContext`]); its
-    /// result carries the run's statistics and cycle-cap flag only.
-    pub fn try_sim_with(
+    /// An unobserved training-machine no-mini-graph cell is served from
+    /// the profiling run when the context has it (see [`BenchContext`]);
+    /// its result carries the run's statistics and cycle-cap flag only.
+    /// An observed one simulates, since the profiling run recorded no
+    /// report.
+    pub fn try_cell(
         &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
+        cell: &SweepCell,
+        observe: bool,
     ) -> Result<(SimResult, f64), BenchError> {
-        if let Some(r) = self.training_cell(scheme, machine) {
-            return Ok((r, 0.0));
+        if !observe {
+            if let Some(r) = self.training_cell(cell) {
+                return Ok((r, 0.0));
+            }
         }
-        let cell = self.cell_sim(scheme, machine, mg, sel)?;
-        Ok((self.simulate_cell(&cell, cell.opts), cell.est_coverage()))
+        let mut sim = self.prepare_sim(cell)?;
+        sim.opts.obs = observe;
+        let _span = mg_obs::span("stage", format!("{}/simulate", self.spec.name));
+        Ok((sim.simulate(), sim.est_coverage()))
     }
 
-    /// Builds an owned copy of everything a timing simulation of one
-    /// (scheme, machine) cell needs — the (possibly rewritten) program,
-    /// its committed trace, the machine, and the simulator options —
+    /// Resolves everything a timing simulation of `cell` needs — its
+    /// (possibly rewritten) program and committed trace, the machine
+    /// with the cell's mini-graph hardware, and the simulator options —
     /// without running it. Selection, rewriting and trace projection go
-    /// through the context's memo like any cell's, so repeated calls
-    /// copy the shared selection instead of redoing it. This is the seam
-    /// the engine-throughput harness (`perf`) uses to time [`simulate`]
-    /// in isolation.
-    pub fn prepare_sim(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
-    ) -> Result<PreparedSim, BenchError> {
-        let cell = self.cell_sim(scheme, machine, mg, sel)?;
-        let (program, trace) = self.cell_inputs(&cell);
-        Ok(PreparedSim {
-            program: program.clone(),
-            trace: trace.clone(),
-            est_coverage: cell.est_coverage(),
-            machine: cell.machine,
-            opts: cell.opts,
-        })
-    }
-
-    /// Runs one scheme on one machine with the pipeline observer
-    /// attached, returning both the condensed row and the full
-    /// observability report (trace, stall attribution, occupancy).
-    pub fn try_run_obs(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-    ) -> Result<(SchemeRun, mg_obs::ObsReport), BenchError> {
-        self.try_run_with_obs(scheme, machine, None, None)
-    }
-
-    /// [`BenchContext::try_run_obs`] with the full per-cell overrides of
-    /// [`BenchContext::try_run_with`] — the sweep runner's instrumented
-    /// cell path.
-    pub fn try_run_with_obs(
-        &self,
-        scheme: Scheme,
-        machine: &MachineConfig,
-        mg: Option<MgConfig>,
-        sel: Option<&SelectionConfig>,
-    ) -> Result<(SchemeRun, mg_obs::ObsReport), BenchError> {
-        let cell = self.cell_sim(scheme, machine, mg, sel)?;
-        let opts = SimOptions {
-            obs: true,
-            ..cell.opts
+    /// through the context's memo, and the result borrows the memo's
+    /// selection and this context's program and trace instead of
+    /// copying them. This is the seam the engine-throughput harness
+    /// (`perf`) uses to time [`simulate`] in isolation.
+    pub fn prepare_sim(&self, cell: &SweepCell) -> Result<PreparedSim<'_>, BenchError> {
+        let Some(key) = SelectionKey::of(cell.scheme) else {
+            return Ok(PreparedSim {
+                ctx: self,
+                selection: None,
+                machine: cell.machine.clone(),
+                opts: SimOptions::default(),
+            });
         };
-        let mut r = self.simulate_cell(&cell, opts);
-        let report = r
-            .obs
-            .take()
-            .expect("simulate returns a report when the run observes");
-        let run = SchemeRun::try_from_sim(&self.spec.name, scheme, r, cell.est_coverage())?;
-        Ok((run, report))
+        let selection = self.selection(cell.scheme, key, &cell.sel.unwrap_or_default())?;
+        Ok(PreparedSim {
+            ctx: self,
+            selection: Some(selection),
+            machine: cell
+                .machine
+                .clone()
+                .with_mg(cell.mg.unwrap_or_else(MgConfig::paper)),
+            opts: SimOptions {
+                dyn_mg: cell.scheme.dyn_config(),
+                ..SimOptions::default()
+            },
+        })
     }
 }
 
-/// A fully prepared timing-simulation input for one (scheme, machine)
-/// cell: run [`PreparedSim::simulate`] any number of times; every run is
-/// identical.
-#[derive(Clone, Debug)]
-pub struct PreparedSim {
-    /// The (possibly rewritten/tagged) program to simulate.
-    pub program: mg_isa::Program,
-    /// Its committed-path trace.
-    pub trace: Trace,
+/// A fully prepared timing-simulation input for one cell of a
+/// [`BenchContext`]: run [`PreparedSim::simulate`] any number of times;
+/// every run is identical. It borrows the context's program and trace
+/// (or its memoized selection's), so preparing a cell copies neither.
+#[derive(Clone)]
+pub struct PreparedSim<'a> {
+    ctx: &'a BenchContext,
+    /// The cell's selection; `None` runs the context's own program.
+    selection: Option<Arc<Selection>>,
     /// The machine configuration (mini-graph support applied).
     pub machine: MachineConfig,
     /// Simulator options (dynamic-disabling config applied).
     pub opts: SimOptions,
-    /// Coverage estimated at selection time.
-    pub est_coverage: f64,
 }
 
-impl PreparedSim {
-    /// Runs the timing simulation.
-    pub fn simulate(&self) -> SimResult {
-        simulate(&self.program, &self.trace, &self.machine, self.opts)
+impl PreparedSim<'_> {
+    /// The (possibly rewritten/tagged) program to simulate.
+    pub fn program(&self) -> &mg_isa::Program {
+        self.selection
+            .as_ref()
+            .map_or(&self.ctx.workload.program, |s| &s.program)
     }
 
-    /// Dynamic trace length (committed operations fed to the engine).
-    pub fn trace_len(&self) -> usize {
-        self.trace.len()
+    /// Its committed-path trace.
+    pub fn trace(&self) -> &Trace {
+        self.selection
+            .as_ref()
+            .map_or(&self.ctx.trace, |s| &s.trace)
+    }
+
+    /// Coverage estimated at selection time (0 without mini-graphs).
+    pub fn est_coverage(&self) -> f64 {
+        self.selection.as_ref().map_or(0.0, |s| s.est_coverage)
+    }
+
+    /// Runs the timing simulation.
+    pub fn simulate(&self) -> SimResult {
+        simulate(self.program(), self.trace(), &self.machine, self.opts)
     }
 }
 
@@ -777,7 +700,10 @@ pub struct SchemeRun {
 }
 
 impl SchemeRun {
-    fn try_from_sim(
+    /// Condenses a cell's raw result (from [`BenchContext::try_cell`])
+    /// into a row. A run that hit its cycle cap is an error here: its
+    /// numbers are meaningless.
+    pub fn try_from_sim(
         bench: &str,
         scheme: Scheme,
         r: SimResult,

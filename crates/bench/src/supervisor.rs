@@ -93,13 +93,10 @@ fn run_cell_once(
     obs: bool,
 ) -> Result<(SchemeRun, ObsPayload), BenchError> {
     crate::fault::before_cell(&ctx.spec.name, cell_idx);
-    if obs {
-        return ctx
-            .try_run_with_obs(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
-            .map(|(run, report)| (run, Some(Box::new(report))));
-    }
-    ctx.try_run_with(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
-        .map(|run| (run, None))
+    let (mut r, est_coverage) = ctx.try_cell(cell, obs)?;
+    let report = r.obs.take().map(Box::new);
+    let run = SchemeRun::try_from_sim(&ctx.spec.name, cell.scheme, r, est_coverage)?;
+    Ok((run, report))
 }
 
 /// One supervised attempt: panic isolation always, watchdog when a limit

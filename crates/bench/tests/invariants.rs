@@ -6,7 +6,7 @@
 //! singletons, embedded handles, and outlined (disabled) instances with
 //! their synthesized jumps.
 
-use mg_bench::{BenchContext, Scheme};
+use mg_bench::{BenchContext, Scheme, SweepCell};
 use mg_sim::MachineConfig;
 use mg_workloads::{suite, BenchmarkSpec};
 
@@ -35,7 +35,7 @@ fn engine_stats_satisfy_invariants_across_schemes() {
         Scheme::SlackDynamic,
     ] {
         let (r, _) = ctx
-            .try_sim_with(scheme, &red, None, None)
+            .try_cell(&SweepCell::new(scheme, &red), false)
             .expect("simulation runs");
         assert!(r.stats.cycles > 0, "{}: ran no cycles", scheme.name());
         assert!(
@@ -58,7 +58,7 @@ fn engine_stats_satisfy_invariants_on_a_second_workload() {
         .expect("context builds");
     for scheme in [Scheme::StructAll, Scheme::StructBounded] {
         let (r, _) = ctx
-            .try_sim_with(scheme, &red, None, None)
+            .try_cell(&SweepCell::new(scheme, &red), false)
             .expect("simulation runs");
         if let Err(e) = r.stats.check_invariants() {
             panic!("{}: {e}", scheme.name());

@@ -4,9 +4,10 @@
 //! statistics with the observer attached.
 
 use mg_bench::{
-    machine_fingerprint, BenchContext, Envelope, ObsSection, Scheme, SweepCell, SweepSpec,
-    SCHEMA_VERSION,
+    machine_fingerprint, BenchContext, Envelope, ObsSection, Scheme, SchemeRun, SweepCell,
+    SweepSpec, SCHEMA_VERSION,
 };
+use mg_obs::ObsReport;
 use mg_sim::MachineConfig;
 use mg_workloads::{suite, BenchmarkSpec};
 use serde::Serialize;
@@ -28,12 +29,23 @@ fn ctx(name: &str) -> BenchContext {
         .expect("context builds")
 }
 
+/// mib_crc32's Struct-All cell on the reduced machine, run observed:
+/// its condensed row and the observer's report.
+fn observed_struct_all() -> (SchemeRun, ObsReport) {
+    let ctx = ctx("mib_crc32");
+    let cell = SweepCell::new(Scheme::StructAll, &MachineConfig::reduced());
+    let (mut r, est_coverage) = ctx
+        .try_cell(&cell, true)
+        .expect("instrumented run succeeds");
+    let report = r.obs.take().expect("an observed cell returns a report");
+    let run = SchemeRun::try_from_sim(&ctx.spec.name, cell.scheme, r, est_coverage)
+        .expect("instrumented run succeeds");
+    (run, report)
+}
+
 #[test]
 fn stall_attribution_conserves_engine_cycles() {
-    let red = MachineConfig::reduced();
-    let (run, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red)
-        .expect("instrumented run succeeds");
+    let (run, report) = observed_struct_all();
     assert_eq!(
         report.cycles, run.cycles,
         "the report covers exactly the run's cycles"
@@ -49,8 +61,9 @@ fn stall_attribution_conserves_engine_cycles() {
 #[test]
 fn observer_does_not_perturb_the_simulation() {
     let red = MachineConfig::reduced();
-    let p = ctx("mib_crc32")
-        .prepare_sim(Scheme::StructAll, &red, None, None)
+    let ctx = ctx("mib_crc32");
+    let p = ctx
+        .prepare_sim(&SweepCell::new(Scheme::StructAll, &red))
         .expect("cell prepares");
     let plain = p.simulate();
     let mut instrumented = p.clone();
@@ -66,10 +79,7 @@ fn observer_does_not_perturb_the_simulation() {
 
 #[test]
 fn trace_json_matches_checked_in_schema() {
-    let red = MachineConfig::reduced();
-    let (_, report) = ctx("mib_crc32")
-        .try_run_obs(Scheme::StructAll, &red)
-        .expect("instrumented run succeeds");
+    let (_, report) = observed_struct_all();
     let envelope = Envelope {
         schema_version: SCHEMA_VERSION,
         machine_fingerprint: machine_fingerprint(),

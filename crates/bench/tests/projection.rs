@@ -11,7 +11,7 @@
 //! so the test stays fast in a debug build.
 
 use mg_bench::figures::ablation_variants;
-use mg_bench::{BenchContext, Scheme};
+use mg_bench::{BenchContext, Scheme, SweepCell};
 use mg_core::SelectionConfig;
 use mg_sim::MachineConfig;
 use mg_workloads::{suite, BenchmarkSpec, Executor};
@@ -45,18 +45,20 @@ fn check_bench(spec: &BenchmarkSpec, ablation: &[SelectionConfig]) -> usize {
     for (scheme, sel) in cells {
         let what = format!("{} {} {sel:?}", spec.name, scheme.name());
         let prepared = ctx
-            .prepare_sim(scheme, &red, None, Some(&sel))
+            .prepare_sim(&SweepCell::new(scheme, &red).with_sel(sel))
             .unwrap_or_else(|e| panic!("{what}: {e}"));
-        let (executed, _) = Executor::new(&prepared.program)
+        let (executed, _) = Executor::new(prepared.program())
             .run_with_mem(&ctx.workload.init_mem)
             .unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert_eq!(prepared.trace.truncated, executed.truncated, "{what}");
-        assert_eq!(prepared.trace.len(), executed.len(), "{what}");
-        if let Some(k) = (0..executed.len()).find(|&k| prepared.trace.insts[k] != executed.insts[k])
+        assert_eq!(prepared.trace().truncated, executed.truncated, "{what}");
+        assert_eq!(prepared.trace().len(), executed.len(), "{what}");
+        if let Some(k) =
+            (0..executed.len()).find(|&k| prepared.trace().insts[k] != executed.insts[k])
         {
             panic!(
                 "{what}: dynamic instruction {k}: projected {:?}, executed {:?}",
-                prepared.trace.insts[k], executed.insts[k]
+                prepared.trace().insts[k],
+                executed.insts[k]
             );
         }
         checked += 1;

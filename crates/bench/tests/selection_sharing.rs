@@ -68,7 +68,8 @@ fn cells() -> Vec<SweepCell> {
 }
 
 fn run(ctx: &BenchContext, cell: &SweepCell) -> Result<SchemeRun, BenchError> {
-    ctx.try_run_with(cell.scheme, &cell.machine, cell.mg, cell.sel.as_ref())
+    let (r, est_coverage) = ctx.try_cell(cell, false)?;
+    SchemeRun::try_from_sim(&ctx.spec.name, cell.scheme, r, est_coverage)
 }
 
 fn assert_identical(

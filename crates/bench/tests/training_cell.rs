@@ -10,7 +10,7 @@
 //! every test here serializes on [`LOCK`].
 
 use mg_bench::golden::GOLDEN_TARGET_DYN;
-use mg_bench::{cache, BenchContext, CacheOutcome, Scheme, SchemeRun};
+use mg_bench::{cache, BenchContext, CacheOutcome, Scheme, SchemeRun, SweepCell};
 use mg_core::SelectionConfig;
 use mg_obs::telemetry;
 use mg_sim::{simulate, MachineConfig, MgConfig, SimOptions, SimResult};
@@ -41,19 +41,12 @@ fn sim_counters(before: &telemetry::TelemetrySnapshot) -> (u64, u64) {
 
 /// Runs one cell through the harness, returning the raw result, the
 /// condensed row and the counter deltas of the harness call alone.
-fn run_cell(
-    ctx: &BenchContext,
-    scheme: Scheme,
-    machine: &MachineConfig,
-    mg: Option<MgConfig>,
-    sel: Option<&SelectionConfig>,
-) -> (SimResult, SchemeRun, (u64, u64)) {
+fn run_cell(ctx: &BenchContext, cell: &SweepCell) -> (SimResult, SchemeRun, (u64, u64)) {
     let before = telemetry::snapshot();
-    let (sim, _) = ctx
-        .try_sim_with(scheme, machine, mg, sel)
-        .expect("cell runs");
+    let (sim, _) = ctx.try_cell(cell, false).expect("cell runs");
     let row = ctx
-        .try_run_with(scheme, machine, mg, sel)
+        .try_cell(cell, false)
+        .and_then(|(r, est)| SchemeRun::try_from_sim(&ctx.spec.name, cell.scheme, r, est))
         .expect("cell runs");
     let (runs, reused) = sim_counters(&before);
     // Two harness calls per cell: halve the deltas to one call's.
@@ -137,7 +130,7 @@ fn miss_context_serves_the_training_cell() {
         .build()
         .expect("context builds");
     assert_eq!(ctx.cache_outcome(), CacheOutcome::Miss);
-    let (sim, row, counters) = run_cell(&ctx, Scheme::NoMg, &red, None, None);
+    let (sim, row, counters) = run_cell(&ctx, &SweepCell::new(Scheme::NoMg, &red));
     assert_eq!(counters, (0, 1), "served, not simulated");
     assert_matches_direct(&ctx, &red, &sim, &row);
 
@@ -149,7 +142,8 @@ fn miss_context_serves_the_training_cell() {
         mgt_budget: 16,
         ..SelectionConfig::default()
     };
-    let (sim, row, counters) = run_cell(&ctx, Scheme::NoMg, &red, Some(mg), Some(&sel));
+    let cell = SweepCell::new(Scheme::NoMg, &red).with_mg(mg).with_sel(sel);
+    let (sim, row, counters) = run_cell(&ctx, &cell);
     assert_eq!(counters, (0, 1), "overrides do not apply to NoMg");
     assert_matches_direct(&ctx, &red, &sim, &row);
 }
@@ -167,7 +161,7 @@ fn disk_hit_context_serves_the_training_cell() {
     cache::clear_memory();
     let ctx = BenchContext::try_new(&spec, &red).expect("context builds");
     assert_eq!(ctx.cache_outcome(), CacheOutcome::DiskHit);
-    let (sim, row, counters) = run_cell(&ctx, Scheme::NoMg, &red, None, None);
+    let (sim, row, counters) = run_cell(&ctx, &SweepCell::new(Scheme::NoMg, &red));
     assert_eq!(counters, (0, 1), "served, not simulated");
     assert_matches_direct(&ctx, &red, &sim, &row);
 }
@@ -185,7 +179,7 @@ fn other_cells_still_simulate() {
         .disk_cache(false)
         .build()
         .expect("context builds");
-    let (sim, row, counters) = run_cell(&ctx, Scheme::NoMg, &base, None, None);
+    let (sim, row, counters) = run_cell(&ctx, &SweepCell::new(Scheme::NoMg, &base));
     assert_eq!(counters, (1, 0), "another machine simulates");
     assert_matches_direct(&ctx, &base, &sim, &row);
 
@@ -194,7 +188,7 @@ fn other_cells_still_simulate() {
         .disk_cache(false)
         .build()
         .expect("context builds");
-    let (sim, row, counters) = run_cell(&cross, Scheme::NoMg, &red, None, None);
+    let (sim, row, counters) = run_cell(&cross, &SweepCell::new(Scheme::NoMg, &red));
     assert_eq!(counters, (1, 0), "other run input simulates");
     assert_matches_direct(&cross, &red, &sim, &row);
 
@@ -202,4 +196,34 @@ fn other_cells_still_simulate() {
     let before = telemetry::snapshot();
     ctx.try_run(Scheme::StructAll, &red).expect("cell runs");
     assert_eq!(sim_counters(&before), (1, 0), "Struct-All simulates");
+}
+
+/// An observed training cell simulates: the profiling run recorded no
+/// observer report, so serving it would drop the report. The observed
+/// run's statistics still equal the served cell's.
+#[test]
+fn observed_training_cell_simulates() {
+    let _guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let red = MachineConfig::reduced();
+    let ctx = BenchContext::builder(&spec("mib_crc32", 5_000), &red)
+        .disk_cache(false)
+        .build()
+        .expect("context builds");
+    let cell = SweepCell::new(Scheme::NoMg, &red);
+    let before = telemetry::snapshot();
+    let (served, _) = ctx.try_cell(&cell, false).expect("cell runs");
+    assert_eq!(sim_counters(&before), (0, 1), "unobserved: served");
+
+    let before = telemetry::snapshot();
+    let (observed, _) = ctx.try_cell(&cell, true).expect("cell runs");
+    assert_eq!(sim_counters(&before), (1, 0), "observed: simulated");
+    assert_eq!(observed.stats, served.stats, "observing changes no stat");
+    let report = observed
+        .obs
+        .as_ref()
+        .expect("an observed cell has a report");
+    assert_eq!(
+        report.cycles, observed.stats.cycles,
+        "report covers the run"
+    );
 }

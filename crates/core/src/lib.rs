@@ -65,7 +65,7 @@ pub use classify::{classify, Serialization};
 pub use depgraph::BlockDepsCache;
 pub use pipeline::{
     prepare, profile_trace, profile_workload, try_prepare, try_prepare_indexed, try_profile,
-    try_profile_workload, Prepared, Profile,
+    Prepared, Profile,
 };
 pub use rewrite::{rewrite, rewrite_with, try_rewrite, ChosenInstance, RewriteError, Schedules};
 pub use select::{

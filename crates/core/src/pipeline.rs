@@ -75,16 +75,9 @@ pub fn profile_trace(program: &Program, trace: Trace, cfg: &MachineConfig) -> Pr
     }
 }
 
-/// [`try_profile`] without the run's statistics: returns the committed
-/// trace, per-static frequencies, and the local slack profile.
-pub fn try_profile_workload(
-    workload: &Workload,
-    cfg: &MachineConfig,
-) -> Result<(Trace, Vec<u64>, SlackProfile), ExecError> {
-    try_profile(workload, cfg).map(|p| (p.trace, p.freqs, p.slack))
-}
-
-/// Panicking wrapper around [`try_profile_workload`].
+/// [`try_profile`] without the run's statistics, panicking on failure:
+/// returns the committed trace, per-static frequencies, and the local
+/// slack profile.
 ///
 /// # Panics
 ///
@@ -94,7 +87,8 @@ pub fn profile_workload(
     workload: &Workload,
     cfg: &MachineConfig,
 ) -> (Trace, Vec<u64>, SlackProfile) {
-    try_profile_workload(workload, cfg).expect("workload executes")
+    let p = try_profile(workload, cfg).expect("workload executes");
+    (p.trace, p.freqs, p.slack)
 }
 
 /// Enumerates, filters, selects, and rewrites in one call. Fails when
@@ -204,7 +198,7 @@ mod tests {
         let plain = simulate(&w.program, &profile.trace, &cfg, SimOptions::default());
         assert_eq!(profile.stats, plain.stats);
         assert_eq!(profile.hit_cycle_cap, plain.hit_cycle_cap);
-        let (trace, freqs, slack) = try_profile_workload(&w, &cfg).unwrap();
+        let (trace, freqs, slack) = profile_workload(&w, &cfg);
         assert_eq!(trace.len(), profile.trace.len());
         assert_eq!(freqs, profile.freqs);
         assert_eq!(format!("{slack:?}"), format!("{:?}", profile.slack));
