@@ -223,24 +223,6 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker count from the environment: `MG_JOBS` if set (validated by
-/// [`parse_jobs`]), else available parallelism.
-pub fn try_default_jobs() -> Result<usize, BenchError> {
-    Ok(Config::from_env()?.effective_jobs())
-}
-
-/// Worker count from the environment: `MG_JOBS` if set, else available
-/// parallelism.
-///
-/// # Panics
-///
-/// Panics with the rendered [`BenchError`] if `MG_JOBS` is set to an
-/// invalid value; binaries get a clear diagnostic instead of a silent
-/// fallback. Use [`try_default_jobs`] to handle the error.
-pub fn default_jobs() -> usize {
-    try_default_jobs().unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the sweep supervisor.
 //!
-//! The resilience machinery — per-cell panic isolation, watchdogs,
-//! retry, cache quarantine, journaled resume — only matters on paths
+//! The resilience machinery — per-cell panic isolation, deadline
+//! watchdogs, cache quarantine, journaled resume — only matters on paths
 //! that healthy runs never take. This module makes those paths
 //! *reproducibly* reachable: a fault plan names exactly which (bench,
 //! cell) executions misbehave and how, so tests and CI can exercise
@@ -11,14 +11,9 @@
 //!
 //! * `panic[:bench=NAME][,cell=J]` — panic inside the matching cell.
 //! * `slow:ms=N[,bench=NAME][,cell=J]` — sleep `N` ms inside the
-//!   matching cell (trips a sweep watchdog).
-//! * `flaky:times=N[,bench=NAME][,cell=J]` — panic on the first `N`
-//!   *attempts* of the matching cell, then succeed (exercises retry).
+//!   matching cell (trips a deadline watchdog).
 //! * `cache-corrupt:all` / `cache-corrupt:key=HEX` — corrupt disk-cache
 //!   bytes on load (exercises checksum quarantine).
-//! * `rand-panic:seed=S,ppm=P` — panic any cell whose FNV-1a hash of
-//!   `(seed, bench, cell)` falls below `P` parts per million. Purely
-//!   hash-based, so the same seed always fails the same cells.
 //! * `write-delay:ms=N` — sleep `N` ms before mg-serve writes each reply
 //!   line to its socket (holds the final lines of a stream back past
 //!   the end of a drain).
@@ -30,13 +25,11 @@
 //!
 //! The hooks are compiled into every build and armed only by a plan.
 //! With none installed, a hook returns after one uncontended
-//! `RwLock::read`, and it runs once per cell attempt, disk-cache load or
+//! `RwLock::read`, and it runs once per cell, disk-cache load or
 //! reply line, so it costs nothing next to the work it guards.
 
-use crate::cache::stable_hash64;
 use crate::harness::BenchError;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::RwLock;
 
 /// Environment variable naming the fault plan (see the module docs for
 /// the grammar). Unset means no faults.
@@ -54,17 +47,8 @@ enum Directive {
         bench: Option<String>,
         cell: Option<usize>,
     },
-    Flaky {
-        times: u32,
-        bench: Option<String>,
-        cell: Option<usize>,
-    },
     CacheCorrupt {
         key: Option<u64>,
-    },
-    RandPanic {
-        seed: u64,
-        ppm: u64,
     },
     WriteDelay {
         ms: u64,
@@ -78,19 +62,8 @@ pub struct FaultPlan {
     directives: Vec<Directive>,
 }
 
-struct State {
-    plan: RwLock<Option<FaultPlan>>,
-    /// Per-(bench, cell) attempt counters for `flaky`.
-    attempts: Mutex<HashMap<(String, usize), u32>>,
-}
-
-fn state() -> &'static State {
-    static STATE: OnceLock<State> = OnceLock::new();
-    STATE.get_or_init(|| State {
-        plan: RwLock::new(None),
-        attempts: Mutex::new(HashMap::new()),
-    })
-}
+/// The installed plan; `None` arms no hook.
+static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
 
 fn bad(value: &str, detail: &str) -> BenchError {
     BenchError::Config {
@@ -112,10 +85,7 @@ pub fn parse_plan(spec: &str) -> Result<FaultPlan, BenchError> {
         let mut bench: Option<String> = None;
         let mut cell: Option<usize> = None;
         let mut ms: Option<u64> = None;
-        let mut times: Option<u32> = None;
         let mut key: Option<u64> = None;
-        let mut seed: Option<u64> = None;
-        let mut ppm: Option<u64> = None;
         let mut all = false;
         for arg in args.split(',').filter(|a| !a.trim().is_empty()) {
             let arg = arg.trim();
@@ -132,10 +102,7 @@ pub fn parse_plan(spec: &str) -> Result<FaultPlan, BenchError> {
                 "bench" => bench = Some(v.to_string()),
                 "cell" => cell = Some(v.parse().map_err(|_| parse_fail())?),
                 "ms" => ms = Some(v.parse().map_err(|_| parse_fail())?),
-                "times" => times = Some(v.parse().map_err(|_| parse_fail())?),
                 "key" => key = Some(u64::from_str_radix(v, 16).map_err(|_| parse_fail())?),
-                "seed" => seed = Some(v.parse().map_err(|_| parse_fail())?),
-                "ppm" => ppm = Some(v.parse().map_err(|_| parse_fail())?),
                 _ => return Err(bad(spec, "unknown directive argument")),
             }
         }
@@ -146,21 +113,12 @@ pub fn parse_plan(spec: &str) -> Result<FaultPlan, BenchError> {
                 bench,
                 cell,
             },
-            "flaky" => Directive::Flaky {
-                times: times.ok_or_else(|| bad(spec, "flaky requires times=N"))?,
-                bench,
-                cell,
-            },
             "cache-corrupt" => {
                 if !all && key.is_none() {
                     return Err(bad(spec, "cache-corrupt requires key=HEX or all"));
                 }
                 Directive::CacheCorrupt { key }
             }
-            "rand-panic" => Directive::RandPanic {
-                seed: seed.ok_or_else(|| bad(spec, "rand-panic requires seed=S"))?,
-                ppm: ppm.ok_or_else(|| bad(spec, "rand-panic requires ppm=P"))?,
-            },
             "write-delay" => Directive::WriteDelay {
                 ms: ms.ok_or_else(|| bad(spec, "write-delay requires ms=N"))?,
             },
@@ -170,29 +128,26 @@ pub fn parse_plan(spec: &str) -> Result<FaultPlan, BenchError> {
     Ok(FaultPlan { directives })
 }
 
-/// Installs (or clears, with `None`) the active fault plan. Also
-/// resets the `flaky` attempt counters so plans are independent
-/// across tests. [`crate::config::Config::apply`] calls this with
-/// the parsed `MG_FAULT` plan at binary entry.
+/// Installs (or clears, with `None`) the active fault plan.
+/// [`crate::config::Config::apply`] calls this with the parsed
+/// `MG_FAULT` plan at binary entry.
 pub fn set_plan(plan: Option<FaultPlan>) {
-    let s = state();
-    s.attempts.lock().expect("fault attempt counters").clear();
-    *s.plan.write().expect("fault plan lock") = plan;
+    *PLAN.write().expect("fault plan lock") = plan;
 }
 
 fn matches(bench: &str, cell: usize, b: &Option<String>, c: &Option<usize>) -> bool {
     b.as_deref().is_none_or(|want| want == bench) && c.is_none_or(|want| want == cell)
 }
 
-/// Fault point at the top of every cell attempt. May sleep (`slow`)
-/// or panic (`panic` / `flaky` / `rand-panic`); the supervisor's
-/// `catch_unwind` and watchdog turn those into error rows. Directives
-/// act in plan order, and the first panic ends the walk.
+/// Fault point at the top of every cell. May sleep (`slow`) or panic
+/// (`panic`); the supervisor's `catch_unwind` and watchdog turn those
+/// into error rows. Directives act in plan order, and the first panic
+/// ends the walk.
 pub(crate) fn before_cell(bench: &str, cell: usize) {
     let mut stall_ms = 0;
     let mut failure = None;
     {
-        let plan = state().plan.read().expect("fault plan lock");
+        let plan = PLAN.read().expect("fault plan lock");
         let Some(plan) = plan.as_ref() else {
             return;
         };
@@ -203,33 +158,9 @@ pub(crate) fn before_cell(bench: &str, cell: usize) {
                     bench: b,
                     cell: c,
                 } if matches(bench, cell, b, c) => stall_ms += ms,
-                Directive::Flaky {
-                    times,
-                    bench: b,
-                    cell: c,
-                } if matches(bench, cell, b, c) => {
-                    let mut attempts = state().attempts.lock().expect("fault attempt counters");
-                    let n = attempts.entry((bench.to_string(), cell)).or_insert(0);
-                    *n += 1;
-                    if *n <= *times {
-                        failure = Some(format!(
-                            "mg-fault: flaky failure {n}/{times} in {bench} cell {cell}"
-                        ));
-                        break;
-                    }
-                }
                 Directive::Panic { bench: b, cell: c } if matches(bench, cell, b, c) => {
                     failure = Some(format!("mg-fault: injected panic into {bench} cell {cell}"));
                     break;
-                }
-                Directive::RandPanic { seed, ppm } => {
-                    let h = stable_hash64(format!("{seed}|{bench}|{cell}").as_bytes());
-                    if h % 1_000_000 < *ppm {
-                        failure = Some(format!(
-                            "mg-fault: seeded random panic in {bench} cell {cell}"
-                        ));
-                        break;
-                    }
                 }
                 _ => {}
             }
@@ -249,7 +180,7 @@ pub(crate) fn before_cell(bench: &str, cell: usize) {
 /// bytes (truncation) when a `cache-corrupt` directive matches, so
 /// the checksum fails and the quarantine path runs.
 pub(crate) fn corrupt_cache_bytes(key: u64, bytes: &mut Vec<u8>) {
-    let plan = state().plan.read().expect("fault plan lock");
+    let plan = PLAN.read().expect("fault plan lock");
     let Some(plan) = plan.as_ref() else {
         return;
     };
@@ -266,7 +197,7 @@ pub(crate) fn corrupt_cache_bytes(key: u64, bytes: &mut Vec<u8>) {
 /// socket: sleeps for every `write-delay` directive.
 pub fn before_write() {
     let delay_ms: u64 = {
-        let plan = state().plan.read().expect("fault plan lock");
+        let plan = PLAN.read().expect("fault plan lock");
         let Some(plan) = plan.as_ref() else {
             return;
         };
@@ -291,12 +222,11 @@ mod tests {
     fn parse_accepts_every_directive_kind() {
         let plan = parse_plan(
             "panic:bench=gzip-like,cell=2; slow:ms=5000; \
-             flaky:times=2,bench=mib_sha; cache-corrupt:all; \
-             cache-corrupt:key=00ff; rand-panic:seed=7,ppm=1000; \
+             cache-corrupt:all; cache-corrupt:key=00ff; \
              write-delay:ms=300",
         )
         .unwrap();
-        assert_eq!(plan.directives.len(), 7);
+        assert_eq!(plan.directives.len(), 5);
         assert_eq!(
             plan.directives[0],
             Directive::Panic {
@@ -305,10 +235,10 @@ mod tests {
             }
         );
         assert_eq!(
-            plan.directives[4],
+            plan.directives[3],
             Directive::CacheCorrupt { key: Some(0xff) }
         );
-        assert_eq!(plan.directives[6], Directive::WriteDelay { ms: 300 });
+        assert_eq!(plan.directives[4], Directive::WriteDelay { ms: 300 });
         assert_eq!(parse_plan("").unwrap(), FaultPlan::default());
     }
 
@@ -317,9 +247,9 @@ mod tests {
         for bad in [
             "explode",
             "slow",
-            "flaky:bench=x",
+            "flaky:times=1",
             "cache-corrupt",
-            "rand-panic:seed=1",
+            "rand-panic:seed=1,ppm=1000",
             "write-delay",
             "panic:cell=abc",
             "panic:wat=1",
@@ -330,14 +260,5 @@ mod tests {
                 "diagnostic names the knob: {err}"
             );
         }
-    }
-
-    #[test]
-    fn rand_panic_is_deterministic_per_seed() {
-        let h = |seed: u64, bench: &str, cell: usize| {
-            stable_hash64(format!("{seed}|{bench}|{cell}").as_bytes()) % 1_000_000
-        };
-        assert_eq!(h(7, "mib_sha", 0), h(7, "mib_sha", 0));
-        assert_ne!(h(7, "mib_sha", 0), h(8, "mib_sha", 0));
     }
 }

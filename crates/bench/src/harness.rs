@@ -168,14 +168,15 @@ pub enum BenchError {
         /// preserved verbatim; anything else becomes a placeholder).
         payload: String,
     },
-    /// The cell exceeded the sweep's wall-clock watchdog and was
-    /// abandoned.
+    /// The cell ran past its deadline (the watchdog of
+    /// [`crate::supervisor::supervise_cell_until`]) and was abandoned.
     TimedOut {
         /// Benchmark name.
         bench: String,
         /// Index of the cell that timed out (in spec cell order).
         cell: usize,
-        /// The configured watchdog limit, in milliseconds.
+        /// The remaining deadline budget the cell was given, in
+        /// milliseconds (0 when it had expired before the cell ran).
         limit_ms: u64,
     },
     /// The sweep was asked to shut down before this cell ran; the cell

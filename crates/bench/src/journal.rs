@@ -17,11 +17,11 @@
 //! absent; a process killed mid-write never leaves torn state.
 //! Only cells that [`persists`] accepts are journaled: results and
 //! deterministic failures replay bit-identically, while a transient
-//! failure (a panic or watchdog timeout, which the supervisor retries)
-//! or a cell skipped by a shutdown would replay work that never
-//! completed. Batch sweeps journal a row only when every cell
-//! persists, and `mg-serve` journals each persisting cell, so a resume
-//! or a restarted daemon re-runs exactly those cells.
+//! failure (a panic or watchdog timeout) or a cell skipped by a
+//! shutdown would replay work that never completed. Batch sweeps
+//! journal a row only when every cell persists, and `mg-serve`
+//! journals each persisting cell, so a resume or a restarted daemon
+//! re-runs exactly those cells.
 //!
 //! Journal I/O is best-effort, like the context cache: an unwritable
 //! directory degrades to journaling nothing, but every write failure is

@@ -6,7 +6,7 @@
 //! groups the suite sweeps so shared cells run once. The shared
 //! machinery lives in [`harness`] (benchmark contexts and scheme runs),
 //! [`runner`] (the parallel [`SweepSpec`] executor), [`supervisor`]
-//! (panic isolation, watchdogs, retry, and graceful shutdown around it),
+//! (panic isolation, deadline watchdogs, and graceful shutdown around it),
 //! [`config`] (the single typed parse point for every `MG_*` environment
 //! knob), [`journal`] (crash-safe resume for interrupted sweeps),
 //! [`fault`] (deterministic fault injection armed by `MG_FAULT`),
@@ -33,7 +33,7 @@ pub mod stats;
 pub mod supervisor;
 
 pub use cache::CacheOutcome;
-pub use config::{default_jobs, parse_jobs, try_default_jobs, Config};
+pub use config::{parse_jobs, Config};
 pub use harness::{
     machine_fingerprint, save_bin, save_json, BenchContext, BenchContextBuilder, BenchError,
     Envelope, ObsSection, Scheme, SchemeRun, SCHEMA_VERSION,

@@ -115,8 +115,6 @@ pub struct SweepSpec {
     pub(crate) jobs: Option<usize>,
     disk_cache: bool,
     quiet: bool,
-    watchdog: Option<Duration>,
-    retries: u32,
     journal: bool,
     resume: bool,
     journal_root: PathBuf,
@@ -135,8 +133,6 @@ impl SweepSpec {
             jobs: None,
             disk_cache: true,
             quiet: false,
-            watchdog: None,
-            retries: 0,
             journal: false,
             resume: false,
             journal_root: PathBuf::from(journal::JOURNAL_DIR),
@@ -197,23 +193,6 @@ impl SweepSpec {
     /// Suppresses progress dots and the summary footer.
     pub fn quiet(mut self, on: bool) -> SweepSpec {
         self.quiet = on;
-        self
-    }
-
-    /// Sets a per-cell wall-clock watchdog: a cell exceeding `limit`
-    /// becomes a [`BenchError::TimedOut`] row instead of hanging the
-    /// sweep. Default: no watchdog (cells run inline on the worker with
-    /// zero supervision overhead beyond panic isolation).
-    pub fn watchdog(mut self, limit: Duration) -> SweepSpec {
-        self.watchdog = Some(limit);
-        self
-    }
-
-    /// Allows up to `n` retries (with short exponential backoff) for
-    /// *transient-class* cell failures — panics and watchdog timeouts.
-    /// Deterministic errors are never retried. Default: 0.
-    pub fn retries(mut self, n: u32) -> SweepSpec {
-        self.retries = n;
         self
     }
 
@@ -289,11 +268,10 @@ impl SweepSpec {
     /// Executes the sweep with configuration errors reported as values.
     ///
     /// This is the supervised path: every cell runs under panic
-    /// isolation (plus the watchdog and retry budget if configured),
-    /// finished rows are journaled when [`SweepSpec::journal`] is on,
-    /// and with [`SweepSpec::resume`] rows journaled by a previous
-    /// interrupted run of the same sweep are replayed bit-identically
-    /// instead of re-executed.
+    /// isolation, finished rows are journaled when
+    /// [`SweepSpec::journal`] is on, and with [`SweepSpec::resume`] rows
+    /// journaled by a previous interrupted run of the same sweep are
+    /// replayed bit-identically instead of re-executed.
     pub fn try_run(&self) -> Result<SweepResult, BenchError> {
         let jobs = self.jobs.unwrap_or_else(crate::config::available_jobs);
         // Journal identity: the sweep shape (training setup, inputs,
@@ -393,7 +371,6 @@ impl SweepSpec {
             failures,
             interrupted,
             replayed: rows.iter().filter(|r| r.replayed).count(),
-            retries: rows.iter().map(|r| u64::from(r.retries)).sum(),
             jobs,
             wall: t0.elapsed(),
             task_wall_total: rows.iter().map(|r| r.wall).sum(),
@@ -441,7 +418,6 @@ impl SweepSpec {
         let _bench_span = mg_obs::span("bench", spec.name.clone());
         let mut obs_agg = self.obs.then(mg_obs::ObsAggregate::new);
         let mut runs: Vec<Result<SchemeRun, BenchError>> = Vec::with_capacity(self.cells.len());
-        let mut retries_total = 0u32;
         // Context construction gets the same panic isolation as cells: a
         // panicking builder fails this row, not the process.
         let ctx = if supervisor::shutdown_requested() {
@@ -460,15 +436,7 @@ impl SweepSpec {
             Ok(ctx) => {
                 let ctx = Arc::new(ctx);
                 for (j, cell) in self.cells.iter().enumerate() {
-                    let (res, retries) = supervisor::run_cell_supervised(
-                        &ctx,
-                        cell,
-                        j,
-                        self.watchdog,
-                        self.retries,
-                        self.obs,
-                    );
-                    retries_total += retries;
+                    let res = supervisor::run_cell_supervised(&ctx, cell, j, None, self.obs);
                     runs.push(res.map(|(run, report)| {
                         if let (Some(agg), Some(report)) = (obs_agg.as_mut(), report) {
                             agg.absorb(&report);
@@ -491,7 +459,7 @@ impl SweepSpec {
             wall,
             cache: cache_outcome,
             replayed: false,
-            retries: retries_total,
+            retries: 0,
         };
         (rows, obs_agg)
     }
@@ -512,8 +480,8 @@ pub struct BenchRows {
     /// Whether this row was replayed from the sweep journal
     /// ([`SweepSpec::resume`]) instead of executed.
     pub replayed: bool,
-    /// Retries spent on this row's cells (transient-class failures
-    /// only; see [`SweepSpec::retries`]).
+    /// Always 0: a cell runs once. Kept only because the repository
+    /// benchmark builds `BenchRows` literals that name it.
     pub retries: u32,
 }
 
@@ -569,8 +537,6 @@ pub struct SweepSummary {
     pub interrupted: usize,
     /// Benchmark rows replayed from the journal instead of executed.
     pub replayed: usize,
-    /// Total retries spent on transient-class cell failures.
-    pub retries: u64,
     /// Worker threads used.
     pub jobs: usize,
     /// End-to-end wall time.
@@ -633,12 +599,10 @@ impl SweepSummary {
                 String::new()
             },
         );
-        if self.replayed > 0 || self.retries > 0 || self.interrupted > 0 {
+        if self.replayed > 0 || self.interrupted > 0 {
             mg_info!(
-                "resilience: {} rows replayed from the journal, {} retries, \
-                 {} interrupted cells",
+                "resilience: {} rows replayed from the journal, {} interrupted cells",
                 self.replayed,
-                self.retries,
                 self.interrupted,
             );
         }

@@ -1,5 +1,5 @@
-//! Cell supervision for the sweep runner: panic isolation, wall-clock
-//! watchdogs, bounded retry, and cooperative shutdown.
+//! Cell supervision for the sweep runner: panic isolation, a wall-clock
+//! watchdog for deadline-bound cells, and cooperative shutdown.
 //!
 //! [`SweepSpec::run`](crate::SweepSpec::run) delegates every cell
 //! execution to [`run_cell_supervised`], which layers, outermost first:
@@ -9,24 +9,23 @@
 //!    installs), cells that have not started yield
 //!    [`BenchError::Interrupted`] instead of running; in-flight cells
 //!    drain normally.
-//! 2. **Retry with backoff** — *transient-class* failures (a panic or a
-//!    watchdog timeout, the kinds injectable by [`crate::fault`] and
-//!    producible by environmental flakiness) are retried up to the
-//!    spec's retry budget with short exponential backoff. Deterministic
-//!    failures ([`BenchError::CycleCap`], execution and configuration
-//!    errors) are never retried: they would fail identically every time.
-//! 3. **Watchdog** — with a limit configured, the cell runs on a helper
-//!    thread and the worker waits with a deadline; a cell that overruns
+//! 2. **Watchdog** — only for cells run on behalf of a client deadline
+//!    ([`supervise_cell_until`]): the cell runs on a helper thread and
+//!    the worker waits with the remaining budget; a cell that overruns
 //!    is reported as [`BenchError::TimedOut`] and its thread is
-//!    *abandoned* (a stuck simulation cannot be cancelled from outside;
-//!    the leaked thread is bounded by the retry budget and the process
-//!    exits at sweep end anyway). Without a watchdog the cell runs
-//!    inline and costs nothing extra.
-//! 4. **Panic isolation** — the cell body (including fault hooks) runs
+//!    *abandoned* (a stuck simulation cannot be cancelled from outside).
+//!    Batch sweeps have no deadline, so their cells run inline and cost
+//!    nothing extra.
+//! 3. **Panic isolation** — the cell body (including fault hooks) runs
 //!    under [`std::panic::catch_unwind`]; a panicking cell becomes a
 //!    [`BenchError::Panicked`] row carrying the payload, and the other
 //!    77 benchmarks of a figure still complete. Context construction
 //!    gets the same isolation through [`supervise_context`].
+//!
+//! A cell runs once. The simulator is deterministic, so a failed cell
+//! would fail the same way again; a panic or timeout is instead kept
+//! out of the journal ([`crate::journal::persists`]), and a resume or
+//! resubmit runs it afresh.
 //!
 //! [`run_cli`] is the binary entry point that turns all of this on:
 //! journaling to `results/journal/`, resume via `MG_RESUME=1`, the
@@ -39,11 +38,11 @@
 use crate::harness::{BenchContext, BenchContextBuilder, BenchError, SchemeRun};
 use crate::runner::{SweepCell, SweepResult, SweepSpec};
 use crate::signals::SignalWatch;
-use mg_obs::{mg_debug, mg_error, mg_info, tele_counter, ObsReport};
+use mg_obs::{mg_error, mg_info, tele_counter, ObsReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Process-wide shutdown flag. One flag (not per-sweep) because it
 /// mirrors what a signal means: this *process* should wind down.
@@ -99,7 +98,24 @@ fn run_cell_once(
     Ok((run, report))
 }
 
-/// One supervised attempt: panic isolation always, watchdog when a limit
+/// The cell body under panic isolation: a panic becomes a
+/// [`BenchError::Panicked`] result carrying its payload.
+fn run_cell_isolated(
+    ctx: &BenchContext,
+    cell: &SweepCell,
+    cell_idx: usize,
+    obs: bool,
+) -> Result<(SchemeRun, ObsPayload), BenchError> {
+    catch_unwind(AssertUnwindSafe(|| run_cell_once(ctx, cell, cell_idx, obs))).unwrap_or_else(|e| {
+        Err(BenchError::Panicked {
+            bench: ctx.spec.name.clone(),
+            cell: cell_idx,
+            payload: panic_payload(e),
+        })
+    })
+}
+
+/// One supervised run: panic isolation always, watchdog when a limit
 /// is set.
 fn attempt_cell(
     ctx: &Arc<BenchContext>,
@@ -108,40 +124,21 @@ fn attempt_cell(
     watchdog: Option<Duration>,
     obs: bool,
 ) -> Result<(SchemeRun, ObsPayload), BenchError> {
-    let bench = ctx.spec.name.clone();
     let Some(limit) = watchdog else {
-        return match catch_unwind(AssertUnwindSafe(|| run_cell_once(ctx, cell, cell_idx, obs))) {
-            Ok(res) => res,
-            Err(e) => Err(BenchError::Panicked {
-                bench,
-                cell: cell_idx,
-                payload: panic_payload(e),
-            }),
-        };
+        return run_cell_isolated(ctx, cell, cell_idx, obs);
     };
     let (tx, rx) = mpsc::channel();
     let ctx2 = Arc::clone(ctx);
     let cell2 = cell.clone();
-    let bench2 = bench.clone();
     let spawned = std::thread::Builder::new()
-        .name(format!("mg-cell-{bench}-{cell_idx}"))
+        .name(format!("mg-cell-{}-{cell_idx}", ctx.spec.name))
         .spawn(move || {
-            let out = match catch_unwind(AssertUnwindSafe(|| {
-                run_cell_once(&ctx2, &cell2, cell_idx, obs)
-            })) {
-                Ok(res) => res,
-                Err(e) => Err(BenchError::Panicked {
-                    bench: bench2,
-                    cell: cell_idx,
-                    payload: panic_payload(e),
-                }),
-            };
-            let _ = tx.send(out);
+            let _ = tx.send(run_cell_isolated(&ctx2, &cell2, cell_idx, obs));
         });
     let Ok(handle) = spawned else {
         // Cannot spawn a helper (thread exhaustion): run inline without
         // a watchdog rather than fail the cell.
-        return attempt_cell(ctx, cell, cell_idx, None, obs);
+        return run_cell_isolated(ctx, cell, cell_idx, obs);
     };
     match rx.recv_timeout(limit) {
         Ok(res) => {
@@ -149,68 +146,49 @@ fn attempt_cell(
             res
         }
         Err(_) => Err(BenchError::TimedOut {
-            bench,
+            bench: ctx.spec.name.clone(),
             cell: cell_idx,
             limit_ms: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
         }),
     }
 }
 
-/// Whether an error is worth retrying: only the transient class. A
-/// deterministic failure retried N times is the same failure N times
-/// slower. Transient failures are not journaled either
-/// ([`crate::journal::persists`]).
+/// Whether an error is transient: a panic or a watchdog timeout, the
+/// kinds injectable by [`crate::fault`]. Transient failures are not
+/// journaled ([`crate::journal::persists`]), so a resume re-runs them;
+/// deterministic failures replay as recorded.
 pub(crate) fn transient(e: &BenchError) -> bool {
     matches!(e, BenchError::Panicked { .. } | BenchError::TimedOut { .. })
 }
 
-/// Runs one cell under the full supervision stack. Returns the result
-/// and how many retries were spent on it.
+/// Runs one cell under the supervision stack: shutdown check, cell
+/// span, then [`attempt_cell`].
 pub(crate) fn run_cell_supervised(
     ctx: &Arc<BenchContext>,
     cell: &SweepCell,
     cell_idx: usize,
     watchdog: Option<Duration>,
-    max_retries: u32,
     obs: bool,
-) -> (Result<(SchemeRun, ObsPayload), BenchError>, u32) {
-    let mut retries = 0u32;
-    loop {
-        if shutdown_requested() {
-            return (
-                Err(BenchError::Interrupted {
-                    bench: ctx.spec.name.clone(),
-                }),
-                retries,
-            );
-        }
-        let res = {
-            let _cell_span = mg_obs::span("cell", format!("{}/cell{cell_idx}", ctx.spec.name));
-            attempt_cell(ctx, cell, cell_idx, watchdog, obs)
-        };
-        match &res {
-            Err(BenchError::Panicked { .. }) => {
-                tele_counter!("mg_supervisor_panics_total").inc();
-            }
-            Err(BenchError::TimedOut { .. }) => {
-                tele_counter!("mg_supervisor_watchdog_fires_total").inc();
-            }
-            _ => {}
-        }
-        match &res {
-            Err(e) if transient(e) && retries < max_retries => {
-                retries += 1;
-                tele_counter!("mg_supervisor_retries_total").inc();
-                // Exponential backoff, 10ms doubling to a 500ms cap:
-                // enough to ride out environmental hiccups without
-                // stalling a sweep on a deterministic panic.
-                let backoff_ms = (10u64 << (retries - 1).min(6)).min(500);
-                mg_debug!("{e}; retry {retries}/{max_retries} after {backoff_ms}ms");
-                std::thread::sleep(Duration::from_millis(backoff_ms));
-            }
-            _ => return (res, retries),
-        }
+) -> Result<(SchemeRun, ObsPayload), BenchError> {
+    if shutdown_requested() {
+        return Err(BenchError::Interrupted {
+            bench: ctx.spec.name.clone(),
+        });
     }
+    let res = {
+        let _cell_span = mg_obs::span("cell", format!("{}/cell{cell_idx}", ctx.spec.name));
+        attempt_cell(ctx, cell, cell_idx, watchdog, obs)
+    };
+    match &res {
+        Err(BenchError::Panicked { .. }) => {
+            tele_counter!("mg_supervisor_panics_total").inc();
+        }
+        Err(BenchError::TimedOut { .. }) => {
+            tele_counter!("mg_supervisor_watchdog_fires_total").inc();
+        }
+        _ => {}
+    }
+    res
 }
 
 /// Builds a benchmark's context with the same panic isolation as a
@@ -230,46 +208,32 @@ pub fn supervise_context(builder: BenchContextBuilder) -> Result<BenchContext, B
     })
 }
 
-/// Runs one cell under the full supervision stack without the pipeline
+/// Runs one cell under the supervision stack without the pipeline
 /// observer attached — the entry point `mg-serve` workers use, sharing
-/// shutdown, retry, and watchdog semantics with batch sweeps. Returns
-/// the run (or its error) and how many retries were spent on it.
+/// shutdown and panic-isolation semantics with batch sweeps.
 ///
 /// `deadline` is an optional absolute deadline, for callers executing
 /// on behalf of a remote client that attached a `deadline_ms` budget.
-/// The effective watchdog is capped at the remaining budget so a cell
-/// never runs past the deadline by more than the watchdog poll, an
+/// The remaining budget is the cell's watchdog, so a cell never runs
+/// past the deadline by more than the watchdog poll, and an
 /// already-expired deadline short-circuits to [`BenchError::TimedOut`]
-/// without running anything, and the retry budget is zeroed (a retry
-/// could only finish even later).
+/// without running anything. Without a deadline the cell runs inline.
 pub fn supervise_cell_until(
     ctx: &Arc<BenchContext>,
     cell: &SweepCell,
     cell_idx: usize,
-    watchdog: Option<Duration>,
-    max_retries: u32,
-    deadline: Option<std::time::Instant>,
-) -> (Result<SchemeRun, BenchError>, u32) {
-    let (watchdog, max_retries) = match deadline {
-        None => (watchdog, max_retries),
-        Some(deadline) => {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                tele_counter!("mg_supervisor_deadline_expiries_total").inc();
-                return (
-                    Err(BenchError::TimedOut {
-                        bench: ctx.spec.name.clone(),
-                        cell: cell_idx,
-                        limit_ms: 0,
-                    }),
-                    0,
-                );
-            }
-            (Some(watchdog.map_or(remaining, |w| w.min(remaining))), 0)
-        }
-    };
-    let (res, retries) = run_cell_supervised(ctx, cell, cell_idx, watchdog, max_retries, false);
-    (res.map(|(run, _payload)| run), retries)
+    deadline: Option<Instant>,
+) -> Result<SchemeRun, BenchError> {
+    let watchdog = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+    if watchdog.is_some_and(|w| w.is_zero()) {
+        tele_counter!("mg_supervisor_deadline_expiries_total").inc();
+        return Err(BenchError::TimedOut {
+            bench: ctx.spec.name.clone(),
+            cell: cell_idx,
+            limit_ms: 0,
+        });
+    }
+    run_cell_supervised(ctx, cell, cell_idx, watchdog, false).map(|(run, _payload)| run)
 }
 
 /// The standard binary entry point for a sweep: journaled, resumable,

@@ -22,7 +22,9 @@ const GOLDEN_PATH: &str = concat!(
 
 #[test]
 fn engine_stats_match_golden_snapshot() {
-    let jobs = mg_bench::default_jobs();
+    let jobs = mg_bench::Config::from_env()
+        .expect("MG_JOBS parses")
+        .effective_jobs();
     let rows = golden_suite(jobs);
     assert_eq!(rows.len(), 78, "golden digest covers the full suite");
 

@@ -1,6 +1,6 @@
 //! Integration tests for resilient sweep execution: panic isolation,
-//! watchdog timeouts, retry, cache quarantine, cooperative shutdown,
-//! and journaled resume.
+//! deadline watchdogs, cache quarantine, cooperative shutdown, and
+//! journaled resume.
 //!
 //! The tests that *provoke* failures install a fault plan
 //! ([`mg_bench::fault`]) in process, or pass `MG_FAULT` to the
@@ -183,8 +183,10 @@ fn error_rows_count_as_failures_not_interruptions() {
 
 mod fault_injected {
     use super::*;
-    use mg_bench::fault;
-    use std::time::Duration;
+    use mg_bench::{fault, BenchContext};
+    use mg_obs::telemetry;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn plan(s: &str) -> fault::FaultPlan {
         fault::parse_plan(s).expect("test plan parses")
@@ -250,78 +252,83 @@ mod fault_injected {
         }
     }
 
-    /// A cell that stalls past the watchdog limit is reported as
-    /// `TimedOut` while the benchmark's other cells run normally.
+    /// The context a deadline-bound cell runs against, as `mg-serve`
+    /// builds it.
+    fn context(bench: &BenchmarkSpec) -> Arc<BenchContext> {
+        let red = MachineConfig::reduced();
+        let builder = BenchContext::builder(bench, &red).disk_cache(false);
+        Arc::new(mg_bench::supervise_context(builder).expect("context builds"))
+    }
+
+    /// A cell that stalls past its deadline is reported as `TimedOut`
+    /// once the remaining budget runs out, while the benchmark's other
+    /// cell runs normally under the same watchdog.
     #[test]
     fn watchdog_times_out_stuck_cells() {
         let _guard = lock();
         let _clear = ClearPlan;
-        let benches = benches(12, 2);
-        let victim = benches[0].name.clone();
-        // The limit must beat a debug-build cell (hundreds of ms) with
+        let bench = benches(12, 1).remove(0);
+        let ctx = context(&bench);
+        let red = MachineConfig::reduced();
+        // The budget must beat a debug-build cell (hundreds of ms) with
         // margin while staying far below the injected stall.
-        fault::set_plan(Some(plan(&format!("slow:ms=8000,bench={victim},cell=0"))));
-        let result = spec_for(&benches)
-            .watchdog(Duration::from_millis(2000))
-            .try_run()
-            .expect("sweep survives");
-        match &result.rows[0].runs[0] {
+        fault::set_plan(Some(plan(&format!(
+            "slow:ms=8000,bench={},cell=0",
+            bench.name
+        ))));
+        let stuck = mg_bench::supervise_cell_until(
+            &ctx,
+            &SweepCell::new(Scheme::NoMg, &red),
+            0,
+            Some(Instant::now() + Duration::from_secs(2)),
+        );
+        match stuck {
             Err(BenchError::TimedOut {
-                bench,
+                bench: name,
                 cell,
                 limit_ms,
             }) => {
-                assert_eq!(*bench, victim);
-                assert_eq!(*cell, 0);
-                assert_eq!(*limit_ms, 2000);
+                assert_eq!(name, bench.name);
+                assert_eq!(cell, 0);
+                assert!(0 < limit_ms && limit_ms <= 2000, "limit {limit_ms}ms");
             }
             other => panic!("expected TimedOut, got {other:?}"),
         }
-        assert!(result.rows[0].runs[1].is_ok(), "only cell 0 was slowed");
-        assert!(result.rows[1].all_ok().is_ok());
-        assert_eq!(result.summary.failures, 1);
+        let healthy = mg_bench::supervise_cell_until(
+            &ctx,
+            &SweepCell::new(Scheme::StructAll, &red),
+            1,
+            Some(Instant::now() + Duration::from_secs(60)),
+        );
+        assert!(healthy.is_ok(), "only cell 0 was slowed: {healthy:?}");
     }
 
-    /// Transient (flaky) failures are retried with backoff and the
-    /// sweep ends clean, with the retry spend reported in the summary.
+    /// A panicking cell is reported once, as `Panicked`: there is no
+    /// retry, so the supervisor sees exactly one panic.
     #[test]
-    fn flaky_cells_recover_within_the_retry_budget() {
+    fn panicking_cell_runs_once() {
         let _guard = lock();
         let _quiet = quiet_panics();
         let _clear = ClearPlan;
-        let benches = benches(14, 2);
-        let victim = benches[1].name.clone();
-        fault::set_plan(Some(plan(&format!("flaky:times=1,bench={victim}"))));
-        let result = spec_for(&benches)
-            .retries(2)
-            .try_run()
-            .expect("sweep survives");
-        assert_eq!(result.summary.failures, 0, "flaky cells recovered");
-        // Each of the victim's two cells failed once before succeeding.
-        assert_eq!(result.rows[1].retries, 2);
-        assert_eq!(result.summary.retries, 2);
-        assert_eq!(result.rows[0].retries, 0);
-    }
-
-    /// Without a retry budget the same flake is a hard `Panicked` row:
-    /// retry is opt-in.
-    #[test]
-    fn flaky_cells_fail_without_a_retry_budget() {
-        let _guard = lock();
-        let _quiet = quiet_panics();
-        let _clear = ClearPlan;
-        let benches = benches(16, 1);
-        fault::set_plan(Some(plan(&format!(
-            "flaky:times=1,bench={}",
-            benches[0].name
-        ))));
-        let result = spec_for(&benches).try_run().expect("sweep survives");
-        assert_eq!(result.summary.failures, 2);
-        assert_eq!(result.summary.retries, 0);
-        assert!(matches!(
-            result.rows[0].runs[0],
-            Err(BenchError::Panicked { .. })
-        ));
+        let bench = benches(14, 1).remove(0);
+        let ctx = context(&bench);
+        fault::set_plan(Some(plan(&format!("panic:bench={},cell=0", bench.name))));
+        let before = telemetry::snapshot();
+        let res = mg_bench::supervise_cell_until(
+            &ctx,
+            &SweepCell::new(Scheme::NoMg, &MachineConfig::reduced()),
+            0,
+            None,
+        );
+        let panics = telemetry::snapshot().counter("mg_supervisor_panics_total")
+            - before.counter("mg_supervisor_panics_total");
+        match res {
+            Err(BenchError::Panicked { payload, .. }) => {
+                assert!(payload.contains("mg-fault:"), "{payload}")
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        assert_eq!(panics, 1, "the cell ran once");
     }
 
     /// A corrupt disk-cache entry is detected by its checksum,

@@ -564,15 +564,15 @@ fn queue_saturation(chaos: &mut Chaos) -> Result<(), String> {
     Ok(())
 }
 
-/// Injected worker panics (`MG_FAULT`): with a retry budget, flaky
-/// cells must still produce rows bit-identical to a healthy batch run.
-/// A canary checks first that an injected panic surfaces at all;
-/// otherwise the flaky run below would pass without testing retry.
+/// Injected worker panics (`MG_FAULT`): a cell that panics comes back
+/// as a `Panicked` row after running once, and the job's other cells
+/// still stream rows bit-identical to a healthy batch run. A canary
+/// checks first that an injected panic surfaces at all; otherwise the
+/// run below could pass with the daemon ignoring `MG_FAULT`.
 fn worker_panics(chaos: &mut Chaos) -> Result<(), String> {
-    // Canary: a daemon told to panic every cell, with no retries. If
-    // the cell comes back Ok, the daemon ignored `MG_FAULT`.
-    let canary =
-        chaos.spawn_daemon("127.0.0.1:0", &["--retries", "0"], &[("MG_FAULT", "panic")])?;
+    // Canary: a daemon told to panic every cell. If the cell comes
+    // back Ok, the daemon ignored `MG_FAULT`.
+    let canary = chaos.spawn_daemon("127.0.0.1:0", &[], &[("MG_FAULT", "panic")])?;
     let creq = request("canary", &["no-minigraphs"], &["reduced"], 4_500);
     let canary_out = Client::connect(&canary.addr)
         .and_then(|mut c| c.run_job(&creq))
@@ -590,33 +590,37 @@ fn worker_panics(chaos: &mut Chaos) -> Result<(), String> {
         ));
     }
 
-    // The real run: every cell panics on its first attempt and the
-    // retry budget absorbs it.
-    let daemon = chaos.spawn_daemon(
-        "127.0.0.1:0",
-        &["--retries", "2"],
-        &[("MG_FAULT", "flaky:times=1")],
-    )?;
+    // The real run: cell 1 panics, cell 0 must be untouched by it.
+    let daemon = chaos.spawn_daemon("127.0.0.1:0", &[], &[("MG_FAULT", "panic:cell=1")])?;
     let req = request(
-        "flaky",
+        "panicky",
         &["no-minigraphs", "Struct-All"],
         &["reduced"],
         4_550,
     );
     let outcome = session(&daemon.addr, chaos.next_u64())
         .run_job(&req)
-        .map_err(|e| format!("flaky session: {e}"))?;
+        .map_err(|e| format!("panicky session: {e}"))?;
     if !outcome.completed() {
-        return Err(format!("flaky job rejected: {:?}", outcome.rejected));
+        return Err(format!("panicky job rejected: {:?}", outcome.rejected));
     }
-    if let Some((cell, err)) = outcome
-        .rows
-        .iter()
-        .find_map(|(c, r)| r.as_ref().err().map(|e| (c, e.clone())))
-    {
-        return Err(format!("cell {cell} not healed by retry: {err}"));
+    let (healthy, panicked): (Vec<Row>, Vec<Row>) =
+        outcome.rows.into_iter().partition(|(cell, _)| *cell == 0);
+    match panicked.as_slice() {
+        [(1, Err(BenchError::Panicked { payload, .. }))] if payload.contains("mg-fault:") => {}
+        other => return Err(format!("cell 1 should be one injected panic: {other:?}")),
     }
-    assert_bit_identical(&outcome.rows, &req, "retried flaky job")?;
+    let batch: Vec<Row> = batch_rows(&req)?
+        .into_iter()
+        .filter(|(cell, _)| *cell == 0)
+        .collect();
+    if healthy.len() != 1 || render(&healthy) != render(&batch) {
+        return Err(format!(
+            "cell 0 differs from the batch-mode run\n  served: {:?}\n  batch:  {:?}",
+            render(&healthy),
+            render(&batch)
+        ));
+    }
     daemon.stop_clean()?;
     Ok(())
 }

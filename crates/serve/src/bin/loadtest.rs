@@ -17,11 +17,9 @@
 //! independently observed — done replies, dedup replies, and typed
 //! rejects must agree exactly.
 //!
-//! Flags: `--sessions N` (default 240), `--addr HOST:PORT`,
-//! `--connect-timeout-ms MS` (overall per-session retry budget,
-//! default 10000), `--backoff-base-ms MS` / `--backoff-cap-ms MS`
-//! (reconnect backoff shape, defaults 50/2000). All numeric flags are
-//! strict-parsed: a bad value exits 2.
+//! Flags: `--sessions N` (default 240), `--addr HOST:PORT`. Sessions
+//! reconnect and back off with [`BackoffPolicy::default`]. A bad
+//! `--sessions` value exits 2.
 
 use mg_obs::TeleHist;
 use mg_serve::metrics::{self, MetricsServer};
@@ -102,19 +100,14 @@ struct SessionResult {
     transient_rejects: u64,
 }
 
-fn run_session(
-    addr: &str,
-    mut request: Request,
-    session: usize,
-    policy: &BackoffPolicy,
-) -> SessionResult {
+fn run_session(addr: &str, mut request: Request, session: usize) -> SessionResult {
     let start = Instant::now();
     // Each session uses its own request id: dedup must come from the
     // content key, never from the id.
     request.id = format!("{}-s{session}", request.id);
     // Per-session jitter seed so concurrent sessions desynchronize
     // their retry schedules instead of thundering back together.
-    let mut policy = policy.clone();
+    let mut policy = BackoffPolicy::default();
     policy.seed ^= session as u64;
     let outcome = Session::new(addr, policy).run_job(&request);
     match outcome {
@@ -190,21 +183,10 @@ fn prom_total_rejects(text: &str) -> u64 {
         .sum()
 }
 
-/// Strict-parses the next argument as a millisecond count; a missing
-/// or unparseable value exits 2.
-fn flag_ms(args: &mut impl Iterator<Item = String>, flag: &str) -> Duration {
-    let ms: u64 = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("loadtest: {flag} needs a millisecond count");
-        std::process::exit(2);
-    });
-    Duration::from_millis(ms)
-}
-
 fn main() {
     mg_bench::Config::init_cli();
     let mut sessions = 240usize;
     let mut external: Option<String> = None;
-    let mut policy = BackoffPolicy::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -215,9 +197,6 @@ fn main() {
                 });
             }
             "--addr" => external = args.next(),
-            "--connect-timeout-ms" => policy.deadline = flag_ms(&mut args, "--connect-timeout-ms"),
-            "--backoff-base-ms" => policy.base = flag_ms(&mut args, "--backoff-base-ms"),
-            "--backoff-cap-ms" => policy.cap = flag_ms(&mut args, "--backoff-cap-ms"),
             other => {
                 eprintln!("loadtest: unknown flag {other:?}");
                 std::process::exit(2);
@@ -264,8 +243,7 @@ fn main() {
         .map(|s| {
             let addr = addr.clone();
             let request = jobs[s % distinct_jobs].clone();
-            let policy = policy.clone();
-            std::thread::spawn(move || run_session(&addr, request, s, &policy))
+            std::thread::spawn(move || run_session(&addr, request, s))
         })
         .collect();
     let mut results = Vec::with_capacity(sessions);

@@ -6,8 +6,6 @@
 //! binary parses its command line into a [`ServeConfig`]; tests and the
 //! loadtest construct one directly.
 
-use crate::protocol::DEFAULT_MAX_LINE_BYTES;
-use crate::shed::ShedConfig;
 use mg_sim::MachineConfig;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -25,12 +23,6 @@ pub struct ServeConfig {
     /// ("admission-only", used by the queue-full tests): jobs queue but
     /// never run, and a drain aborts them with `ShuttingDown`.
     pub workers: usize,
-    /// Per-cell wall-clock watchdog handed to the supervisor.
-    pub watchdog: Option<Duration>,
-    /// Per-cell retry budget for transient failures.
-    pub retries: u32,
-    /// Request-line size cap; longer lines reject with `OverLong`.
-    pub max_line_bytes: usize,
     /// Whether benchmark contexts use the on-disk cache layer.
     pub disk_cache: bool,
     /// Training machine for every job's profiling run (uniform across
@@ -44,13 +36,11 @@ pub struct ServeConfig {
     /// replies (slow-loris reader) fails its writer thread instead of
     /// wedging it. `None` disables.
     pub write_timeout: Option<Duration>,
-    /// Shed new jobs when this many are already queued; `None`
-    /// disables depth-based shedding.
+    /// Shed new jobs with `Overloaded` when this many are already
+    /// queued; `None` disables shedding.
     pub shed_depth: Option<usize>,
-    /// Shed new jobs when the recent queue-wait p99 exceeds this;
-    /// `None` disables wait-based shedding.
-    pub shed_wait_p99: Option<Duration>,
-    /// Floor for the `retry_after_ms` hint on `Overloaded` rejects.
+    /// The `retry_after_ms` hint on `Overloaded` and `QueueFull`
+    /// rejects.
     pub shed_retry_after: Duration,
     /// Root directory for the crash-recovery journal: finished cells
     /// are persisted under it (one record per cell, keyed by
@@ -66,15 +56,11 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_cap: 64,
             workers: mg_bench::config::available_jobs(),
-            watchdog: None,
-            retries: 1,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             disk_cache: true,
             train_machine: MachineConfig::reduced(),
             metrics_addr: None,
             write_timeout: Some(Duration::from_secs(10)),
             shed_depth: None,
-            shed_wait_p99: None,
             shed_retry_after: Duration::from_millis(100),
             journal_dir: None,
         }
@@ -87,8 +73,6 @@ impl ServeConfig {
     /// * `--addr HOST:PORT` — listen address
     /// * `--queue-cap N` — queue capacity
     /// * `--workers N` — worker threads
-    /// * `--watchdog-ms MS` — per-cell watchdog (0 disables)
-    /// * `--retries N` — per-cell retry budget
     /// * `--train TAG` — training machine tag (see
     ///   [`MachineConfig::by_tag`])
     /// * `--no-disk-cache` — in-memory context cache only
@@ -98,10 +82,8 @@ impl ServeConfig {
     ///   (0 disables; default 10000)
     /// * `--shed-depth N` — shed new jobs at this queue depth
     ///   (0 disables; off by default)
-    /// * `--shed-p99-ms MS` — shed new jobs when the recent
-    ///   queue-wait p99 exceeds this (0 disables; off by default)
-    /// * `--shed-retry-ms MS` — floor for the `retry_after_ms` hint
-    ///   on `Overloaded` rejects (default 100)
+    /// * `--shed-retry-ms MS` — the `retry_after_ms` hint on
+    ///   `Overloaded` and `QueueFull` rejects (default 100)
     /// * `--journal-dir PATH` — journal finished cells under `PATH`
     ///   for crash recovery (off unless given)
     pub fn from_args<I, S>(args: I) -> Result<ServeConfig, String>
@@ -127,11 +109,6 @@ impl ServeConfig {
                     }
                 }
                 "--workers" => cfg.workers = parse_num(&value("--workers")?, "--workers")?,
-                "--watchdog-ms" => {
-                    let ms: u64 = parse_num(&value("--watchdog-ms")?, "--watchdog-ms")?;
-                    cfg.watchdog = (ms > 0).then(|| Duration::from_millis(ms));
-                }
-                "--retries" => cfg.retries = parse_num(&value("--retries")?, "--retries")?,
                 "--train" => {
                     let tag = value("--train")?;
                     cfg.train_machine = MachineConfig::by_tag(&tag)
@@ -147,10 +124,6 @@ impl ServeConfig {
                     let depth: usize = parse_num(&value("--shed-depth")?, "--shed-depth")?;
                     cfg.shed_depth = (depth > 0).then_some(depth);
                 }
-                "--shed-p99-ms" => {
-                    let ms: u64 = parse_num(&value("--shed-p99-ms")?, "--shed-p99-ms")?;
-                    cfg.shed_wait_p99 = (ms > 0).then(|| Duration::from_millis(ms));
-                }
                 "--shed-retry-ms" => {
                     let ms: u64 = parse_num(&value("--shed-retry-ms")?, "--shed-retry-ms")?;
                     cfg.shed_retry_after = Duration::from_millis(ms);
@@ -160,15 +133,6 @@ impl ServeConfig {
             }
         }
         Ok(cfg)
-    }
-
-    /// The admission-control thresholds as a [`ShedConfig`].
-    pub fn shed_config(&self) -> ShedConfig {
-        ShedConfig {
-            depth: self.shed_depth,
-            wait_p99: self.shed_wait_p99,
-            retry_after: self.shed_retry_after,
-        }
     }
 }
 
@@ -191,8 +155,6 @@ mod tests {
             "8",
             "--workers",
             "2",
-            "--watchdog-ms",
-            "1500",
             "--train",
             "8way",
             "--no-disk-cache",
@@ -202,8 +164,6 @@ mod tests {
             "2500",
             "--shed-depth",
             "5",
-            "--shed-p99-ms",
-            "750",
             "--shed-retry-ms",
             "40",
             "--journal-dir",
@@ -214,12 +174,10 @@ mod tests {
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:9100"));
         assert_eq!(cfg.write_timeout, Some(Duration::from_millis(2500)));
         assert_eq!(cfg.shed_depth, Some(5));
-        assert_eq!(cfg.shed_wait_p99, Some(Duration::from_millis(750)));
         assert_eq!(cfg.shed_retry_after, Duration::from_millis(40));
         assert_eq!(cfg.journal_dir, Some(PathBuf::from("results/journal")));
         assert_eq!(cfg.queue_cap, 8);
         assert_eq!(cfg.workers, 2);
-        assert_eq!(cfg.watchdog, Some(Duration::from_millis(1500)));
         assert!(!cfg.disk_cache);
         assert_eq!(
             cfg.train_machine.fetch_width,
@@ -236,22 +194,16 @@ mod tests {
         assert!(ServeConfig::from_args(["--train", "11way"]).is_err());
         assert!(ServeConfig::from_args(["--shed-depth", "many"]).is_err());
         assert!(ServeConfig::from_args(["--write-timeout-ms", "-1"]).is_err());
+        for gone in ["--retries", "--watchdog-ms", "--shed-p99-ms"] {
+            assert!(ServeConfig::from_args([gone, "1"]).is_err(), "{gone}");
+        }
     }
 
     #[test]
     fn zero_disables_the_optional_thresholds() {
-        let cfg = ServeConfig::from_args([
-            "--write-timeout-ms",
-            "0",
-            "--shed-depth",
-            "0",
-            "--shed-p99-ms",
-            "0",
-        ])
-        .unwrap();
+        let cfg = ServeConfig::from_args(["--write-timeout-ms", "0", "--shed-depth", "0"]).unwrap();
         assert_eq!(cfg.write_timeout, None);
         assert_eq!(cfg.shed_depth, None);
-        assert_eq!(cfg.shed_wait_p99, None);
         assert_eq!(cfg.journal_dir, None, "journaling is opt-in");
     }
 }

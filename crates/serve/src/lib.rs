@@ -15,10 +15,9 @@
 //!   fairness;
 //! * [`store`] — the streaming result store: owner / coalesced /
 //!   replayed subscriptions, disconnect pruning;
-//! * [`server`] — accept loop, connection threads, worker pool, and
+//! * [`server`] — accept loop, connection threads, worker pool,
+//!   depth-based load shedding (typed `Overloaded` rejects), and
 //!   graceful drain on shutdown;
-//! * [`shed`] — load shedding: depth- and queue-wait-p99-based
-//!   admission control with typed `Overloaded` rejects;
 //! * [`client`] — a blocking client used by the bundled binaries and
 //!   tests, plus the resilient [`client::Session`] wrapper (reconnect,
 //!   backoff, idempotent resume);
@@ -37,7 +36,6 @@ pub mod metrics;
 pub mod protocol;
 pub mod queue;
 pub mod server;
-pub mod shed;
 pub mod store;
 
 pub use client::{BackoffPolicy, Client, JobOutcome, ServerStats, Session};

@@ -57,8 +57,6 @@ pub const DEADLINE_DROPS: &str = "mg_serve_deadline_drops_total";
 /// Jobs refused by admission control (also counted under the
 /// `Overloaded` reject code; this name exists for cheap dashboards).
 pub const SHED_JOBS: &str = "mg_serve_shed_jobs_total";
-/// Recent queue-wait p99 as seen by the load shedder (microseconds).
-pub const SHED_WAIT_P99_US: &str = "mg_serve_shed_wait_p99_us";
 /// Client-side: reconnects performed by resilient sessions. Lives in
 /// whatever process runs the [`crate::client::Session`] (the loadtest's
 /// in-process runs land it in the same registry as the server's

@@ -46,7 +46,7 @@ use serde::{Deserialize, Serialize};
 /// [`ErrorCode::Overloaded`] reject codes.
 pub const PROTOCOL_VERSION: u32 = 3;
 
-/// Default cap on one request line, in bytes. Longer lines are rejected
+/// Cap on one request line, in bytes. Longer lines are rejected
 /// with [`ErrorCode::OverLong`] — a whole job description is a few
 /// hundred bytes, so anything larger is a confused or hostile client.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
@@ -184,9 +184,8 @@ pub enum Reply {
         detail: String,
         /// For retryable rejects ([`ErrorCode::Overloaded`],
         /// [`ErrorCode::QueueFull`]): how long a well-behaved client
-        /// should back off before resubmitting, derived from the
-        /// server's recent queue-wait p99. `null` when retrying is
-        /// pointless or the server has no estimate.
+        /// should back off before resubmitting (the server's
+        /// `--shed-retry-ms`). `null` when retrying is pointless.
         retry_after_ms: Option<u64>,
     },
     /// Answer to a [`RequestBody::Stats`] request: the server's live
@@ -231,9 +230,8 @@ pub enum ErrorCode {
     /// The job sat queued past its `deadline_ms`; it was dropped
     /// without burning a worker. Resubmitting starts a fresh budget.
     DeadlineExceeded,
-    /// Admission control shed the job: queue depth or recent queue-wait
-    /// p99 is over the configured threshold. Retry after the reply's
-    /// `retry_after_ms`.
+    /// Admission control shed the job: the queue depth is at the
+    /// configured threshold. Retry after the reply's `retry_after_ms`.
     Overloaded,
 }
 

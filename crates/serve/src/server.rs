@@ -28,10 +28,10 @@ use crate::config::ServeConfig;
 use crate::jobs::JobSpec;
 use crate::metrics;
 use crate::protocol::{
-    decode_request, reply_line, ErrorCode, Reply, RequestBody, PROTOCOL_VERSION,
+    decode_request, reply_line, ErrorCode, Reply, RequestBody, DEFAULT_MAX_LINE_BYTES,
+    PROTOCOL_VERSION,
 };
 use crate::queue::{FairQueue, Pop, PushError};
-use crate::shed::Shed;
 use crate::store::{Begin, CounterSnapshot, ResultStore, Sub};
 use mg_bench::journal::persists;
 use mg_bench::{machine_fingerprint, shutdown_requested, BenchContext, Journal};
@@ -76,7 +76,6 @@ pub struct Server {
     cfg: ServeConfig,
     store: Arc<ResultStore>,
     queue: Arc<FairQueue<QueuedJob>>,
-    shed: Arc<Shed>,
     local_addr: SocketAddr,
 }
 
@@ -90,7 +89,6 @@ impl Server {
             listener,
             queue: Arc::new(FairQueue::new(cfg.queue_cap)),
             store: Arc::new(ResultStore::new()),
-            shed: Arc::new(Shed::new(cfg.shed_config())),
             cfg,
             local_addr,
         })
@@ -118,11 +116,10 @@ impl Server {
             .map(|w| {
                 let queue = Arc::clone(&self.queue);
                 let store = Arc::clone(&self.store);
-                let shed = Arc::clone(&self.shed);
                 let cfg = self.cfg.clone();
                 std::thread::Builder::new()
                     .name(format!("mg-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&queue, &store, &shed, &cfg))
+                    .spawn(move || worker_loop(&queue, &store, &cfg))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -144,13 +141,12 @@ impl Server {
                     let client = client_ids.fetch_add(1, Ordering::Relaxed);
                     let store = Arc::clone(&self.store);
                     let queue = Arc::clone(&self.queue);
-                    let shed = Arc::clone(&self.shed);
                     let cfg = self.cfg.clone();
                     let closing = Arc::clone(&closing);
                     let conn = std::thread::Builder::new()
                         .name(format!("mg-serve-conn-{client}"))
                         .spawn(move || {
-                            serve_connection(stream, client, &store, &queue, &shed, &cfg, &closing)
+                            serve_connection(stream, client, &store, &queue, &cfg, &closing)
                         });
                     conns.extend(conn);
                 }
@@ -186,16 +182,13 @@ impl Server {
     }
 }
 
-fn worker_loop(queue: &FairQueue<QueuedJob>, store: &ResultStore, shed: &Shed, cfg: &ServeConfig) {
+fn worker_loop(queue: &FairQueue<QueuedJob>, store: &ResultStore, cfg: &ServeConfig) {
     loop {
         match queue.pop(POLL) {
             Pop::Item(job) => {
                 mg_obs::tele_gauge!(metrics::QUEUE_DEPTH).dec();
                 let waited = job.queued_at.elapsed();
                 mg_obs::tele_hist!(metrics::QUEUE_WAIT_US).record_duration(waited);
-                shed.record_wait(waited);
-                mg_obs::tele_gauge!(metrics::SHED_WAIT_P99_US)
-                    .set(i64::try_from(shed.recent_wait_p99().as_micros()).unwrap_or(i64::MAX));
                 if job.deadline.is_some_and(|d| Instant::now() >= d) {
                     // The job out-sat its budget in the queue; drop it
                     // without burning the worker. The client retries
@@ -269,14 +262,7 @@ fn run_job(job: QueuedJob, store: &ResultStore, cfg: &ServeConfig) {
             continue;
         }
         let started = Instant::now();
-        let (res, _retries) = mg_bench::supervise_cell_until(
-            &ctx,
-            cell,
-            idx,
-            cfg.watchdog,
-            cfg.retries,
-            job.deadline,
-        );
+        let res = mg_bench::supervise_cell_until(&ctx, cell, idx, job.deadline);
         if let Some(j) = journal.as_ref().filter(|_| persists(&res)) {
             j.store_cell(idx, &spec.bench.name, &res, started.elapsed());
         }
@@ -295,7 +281,6 @@ fn serve_connection(
     client: u64,
     store: &ResultStore,
     queue: &FairQueue<QueuedJob>,
-    shed: &Shed,
     cfg: &ServeConfig,
     closing: &AtomicBool,
 ) {
@@ -335,7 +320,7 @@ fn serve_connection(
         protocol: PROTOCOL_VERSION,
         fingerprint: machine_fingerprint(),
     }));
-    read_requests(stream, client, &tx, store, queue, shed, cfg, closing);
+    read_requests(stream, client, &tx, store, queue, cfg, closing);
     // The writer ends once the store has also dropped its subscription
     // clones, that is when this client's jobs have finished.
     drop(tx);
@@ -347,14 +332,12 @@ fn serve_connection(
 /// The reader loop: one request line at a time, with overlong lines
 /// rejected once and then discarded up to their terminating newline.
 /// Returns when the peer hangs up or `closing` is set.
-#[allow(clippy::too_many_arguments)]
 fn read_requests(
     stream: TcpStream,
     client: u64,
     tx: &Sender<String>,
     store: &ResultStore,
     queue: &FairQueue<QueuedJob>,
-    shed: &Shed,
     cfg: &ServeConfig,
     closing: &AtomicBool,
 ) {
@@ -367,8 +350,8 @@ fn read_requests(
             Ok(_) => {
                 let was_discarding = discarding;
                 discarding = false;
-                if !was_discarding && !overlong_reject(&buf, tx, cfg) {
-                    handle_line(buf.trim(), client, tx, store, queue, shed, cfg);
+                if !was_discarding && !overlong_reject(&buf, tx) {
+                    handle_line(buf.trim(), client, tx, store, queue, cfg);
                 }
                 buf.clear();
             }
@@ -381,8 +364,8 @@ fn read_requests(
                 // Timeout mid-line: `read_line` has appended whatever
                 // arrived so far, so an overlong line can be rejected
                 // (once) before its newline ever shows up.
-                if !discarding && buf.len() > cfg.max_line_bytes {
-                    overlong_reject(&buf, tx, cfg);
+                if !discarding && buf.len() > DEFAULT_MAX_LINE_BYTES {
+                    overlong_reject(&buf, tx);
                     discarding = true;
                 }
                 if discarding {
@@ -395,14 +378,14 @@ fn read_requests(
 }
 
 /// Rejects an overlong line. Returns whether it was overlong.
-fn overlong_reject(buf: &str, tx: &Sender<String>, cfg: &ServeConfig) -> bool {
-    if buf.len() <= cfg.max_line_bytes {
+fn overlong_reject(buf: &str, tx: &Sender<String>) -> bool {
+    if buf.len() <= DEFAULT_MAX_LINE_BYTES {
         return false;
     }
     let _ = tx.send(metrics::rejected_line(
         String::new(),
         ErrorCode::OverLong,
-        format!("request line exceeds the {}-byte cap", cfg.max_line_bytes),
+        format!("request line exceeds the {DEFAULT_MAX_LINE_BYTES}-byte cap"),
         None,
     ));
     true
@@ -414,7 +397,6 @@ fn handle_line(
     tx: &Sender<String>,
     store: &ResultStore,
     queue: &FairQueue<QueuedJob>,
-    shed: &Shed,
     cfg: &ServeConfig,
 ) {
     if line.is_empty() {
@@ -464,16 +446,20 @@ fn handle_line(
         resume_from: job.resume_from,
     };
     if store.subscribe(key, sub) == Begin::Owner {
+        let retry_after_ms = u64::try_from(cfg.shed_retry_after.as_millis())
+            .unwrap_or(u64::MAX)
+            .max(1);
         // Admission control applies to owners only: coalescing onto an
         // in-flight execution or replaying a finished one adds no queue
         // load, so those are never shed.
-        if let Err(over) = shed.admit(queue.len()) {
+        let depth = queue.len();
+        if let Some(limit) = cfg.shed_depth.filter(|&limit| depth >= limit) {
             mg_obs::tele_counter!(metrics::SHED_JOBS).inc();
             return store.abort(
                 key,
                 ErrorCode::Overloaded,
-                &over.detail,
-                Some(over.retry_after_ms),
+                &format!("queue depth {depth} at the {limit}-job shed threshold"),
+                Some(retry_after_ms),
             );
         }
         let deadline = job.deadline.map(|d| Instant::now() + d);
@@ -494,11 +480,7 @@ fn handle_line(
                 key,
                 ErrorCode::QueueFull,
                 &format!("job queue is at its {}-job capacity", queue.cap()),
-                Some(
-                    u64::try_from(cfg.shed_retry_after.as_millis())
-                        .unwrap_or(u64::MAX)
-                        .max(1),
-                ),
+                Some(retry_after_ms),
             ),
             Err(PushError::Closed) => {
                 store.abort(key, ErrorCode::ShuttingDown, "server is draining", None)
@@ -510,9 +492,67 @@ fn handle_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::decode_reply;
+    use crate::protocol::{decode_reply, request_line, Request};
     use mg_bench::{BenchError, Scheme, SweepCell, SweepSpec};
     use mg_sim::MachineConfig;
+
+    /// Submits `n` distinct jobs to `handle_line` on a queue no worker
+    /// drains, and returns every reply it sent.
+    fn submit_distinct(n: u64, cfg: &ServeConfig) -> (Vec<Reply>, usize) {
+        let queue = FairQueue::new(cfg.queue_cap);
+        let store = ResultStore::new();
+        let (tx, rx) = channel();
+        for i in 0..n {
+            let line = request_line(&Request {
+                id: format!("job{i}"),
+                bench: mg_workloads::suite()[0].name.clone(),
+                schemes: vec!["no-minigraphs".into()],
+                machines: vec!["reduced".into()],
+                target_dyn: Some(3_000 + i),
+                deadline_ms: None,
+                resume_from: None,
+            });
+            handle_line(line.trim(), 0, &tx, &store, &queue, cfg);
+        }
+        let replies = rx
+            .try_iter()
+            .map(|line| decode_reply(line.trim_end()).expect("reply decodes"))
+            .collect();
+        (replies, queue.len())
+    }
+
+    #[test]
+    fn unconfigured_shed_admits_everything() {
+        let (replies, depth) = submit_distinct(8, &ServeConfig::default());
+        assert_eq!(depth, 8);
+        assert!(
+            replies.iter().all(|r| matches!(r, Reply::Accepted { .. })),
+            "{replies:?}"
+        );
+    }
+
+    #[test]
+    fn depth_threshold_sheds_with_a_floored_hint() {
+        let cfg = ServeConfig {
+            shed_depth: Some(4),
+            ..ServeConfig::default()
+        };
+        let (replies, depth) = submit_distinct(5, &cfg);
+        assert_eq!(depth, 4, "the fifth job was shed, not queued");
+        match replies.last() {
+            Some(Reply::Rejected {
+                id,
+                code: ErrorCode::Overloaded,
+                detail,
+                retry_after_ms,
+            }) => {
+                assert_eq!(id, "job4");
+                assert!(detail.contains("queue depth 4"), "{detail}");
+                assert_eq!(*retry_after_ms, Some(100), "the configured hint");
+            }
+            other => panic!("expected an Overloaded reject, got {other:?}"),
+        }
+    }
 
     /// A context build that panics streams, cell for cell, the error
     /// rows the batch runner records for the same benchmark.

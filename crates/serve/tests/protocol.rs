@@ -5,7 +5,7 @@
 //! so every test serializes on one lock and cleans the flag up around
 //! itself.
 
-use mg_serve::protocol::{Request, PROTOCOL_VERSION};
+use mg_serve::protocol::{Request, DEFAULT_MAX_LINE_BYTES, PROTOCOL_VERSION};
 use mg_serve::{Client, ErrorCode, Reply, ServeConfig, ServeStats, Server};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -119,14 +119,13 @@ fn malformed_and_wrong_version_lines_get_typed_rejects() {
 #[test]
 fn overlong_lines_reject_without_killing_the_connection() {
     let cfg = ServeConfig {
-        max_line_bytes: 1024,
         workers: 0,
         ..tiny_cfg()
     };
     let server = TestServer::start(cfg);
     let mut client = connect(&server.addr);
 
-    let long = format!("{}\n", "x".repeat(5_000));
+    let long = format!("{}\n", "x".repeat(DEFAULT_MAX_LINE_BYTES + 1_000));
     client.send_raw(&long).unwrap();
     match client.read_reply().unwrap() {
         Reply::Rejected { code, .. } => assert_eq!(code, ErrorCode::OverLong),
