@@ -1,11 +1,12 @@
-//! Exports any `.mgb` binary record to its JSON debug view.
+//! Exports a `.mgb` binary record — a disk-cache entry or a journal
+//! row — to its JSON debug view.
 //!
 //! Usage: `export_json FILE.mgb [FILE.mgb ...]`
 //!
 //! Writes `FILE.json` (pretty-printed) next to each input and prints
 //! the pair. The record kind and schema version are taken from the
-//! record's own header, so any record — cache entry, journal row, obs
-//! dump, span trace — converts without telling the tool what it is.
+//! record's own header, so either kind converts without telling the
+//! tool what it is.
 //! Corrupt records (bad magic, failed checksum, truncation) are
 //! reported and exit non-zero; nothing is written for them.
 

@@ -12,22 +12,15 @@
 //! then re-reads every journal row and disk-cache entry it produced.
 //! Each record is also rendered as JSON of its decoded value (the view
 //! `export_json` writes, compact rather than pretty-printed), so both
-//! formats decode the same data. The obs-pipeline layer is the `obs`
-//! binary's default report record, produced the same way; the
-//! span-trace layer uses a deterministic synthetic document of
-//! realistic shape. Per-record
-//! columns divide the totals by the record count (sizes) and by `REPS`
-//! × records (load times).
+//! formats decode the same data. Per-record columns divide the totals
+//! by the record count (sizes) and by `REPS` × records (load times).
 //!
 //! Exits non-zero if the binary format fails its acceptance gates on
-//! the durability layers (journal + cache): records at least 3x
-//! smaller than JSON and replay at least as fast.
+//! the two layers (journal + cache): records at least 3x smaller than
+//! JSON and replay at least as fast.
 
 use mg_bench::binfmt::{self, RecordKind};
-use mg_bench::{
-    machine_fingerprint, save_json, BenchContext, Envelope, ObsSection, Scheme, SweepCell,
-    SweepSpec, SCHEMA_VERSION,
-};
+use mg_bench::{save_json, Scheme, SweepCell, SweepSpec};
 use mg_obs::mg_info;
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
@@ -64,10 +57,9 @@ struct Pair {
 }
 
 fn pair_from_record(bytes: Vec<u8>) -> Option<Pair> {
-    let header = binfmt::peek_header(&bytes).ok()?;
-    let kind = RecordKind::from_u16(header.kind)?;
-    let value = binfmt::open_value(&bytes, kind, header.schema).ok()?;
-    let json = serde_json::to_string(&value).ok()?.into_bytes();
+    let json = serde_json::to_string(&decode_bin(&bytes)?)
+        .ok()?
+        .into_bytes();
     Some(Pair { bin: bytes, json })
 }
 
@@ -140,69 +132,6 @@ fn pairs_from_dir(dir: &Path, prefix: &str) -> Vec<Pair> {
         .collect()
 }
 
-/// A deterministic Chrome-trace document of `n` span events, shaped
-/// like a real `MG_TRACE` drain.
-fn synthetic_trace(n: u64) -> Vec<Pair> {
-    let stages = ["train", "simulate", "select", "schedule"];
-    let events: Vec<Value> = (0..n)
-        .map(|i| {
-            Value::Map(vec![
-                ("name".into(), Value::Str(format!("bench-{}", i % 78))),
-                (
-                    "cat".into(),
-                    Value::Str(stages[(i % 4) as usize].to_string()),
-                ),
-                ("ph".into(), Value::Str("X".into())),
-                ("ts".into(), Value::U64(1_000 + 137 * i)),
-                ("dur".into(), Value::U64(90 + (i % 400))),
-                ("pid".into(), Value::U64(1)),
-                ("tid".into(), Value::U64(1 + i % 8)),
-                (
-                    "args".into(),
-                    Value::Map(vec![("depth".into(), Value::Str((1 + i % 3).to_string()))]),
-                ),
-            ])
-        })
-        .collect();
-    let doc = Value::Map(vec![
-        ("traceEvents".into(), Value::Seq(events)),
-        ("displayTimeUnit".into(), Value::Str("ms".into())),
-    ]);
-    let bin = binfmt::to_record(RecordKind::SpanTrace, binfmt::SPAN_TRACE_SCHEMA, &doc);
-    let json = serde_json::to_string(&doc)
-        .expect("trace renders")
-        .into_bytes();
-    vec![Pair { bin, json }]
-}
-
-/// The `obs` binary's default record, `OBS_mib_crc32`: the observed
-/// Struct-All cell of `mib_crc32` on the reduced machine at 30000
-/// dynamic instructions, sealed in the same envelope.
-fn obs_record() -> Vec<Pair> {
-    let red = MachineConfig::reduced();
-    let mut spec = suite()
-        .into_iter()
-        .find(|s| s.name == "mib_crc32")
-        .expect("mib_crc32 is in the suite");
-    spec.params.target_dyn = 30_000;
-    let (mut r, _) = BenchContext::builder(&spec, &red)
-        .cache(false)
-        .build()
-        .and_then(|ctx| ctx.try_cell(&SweepCell::new(Scheme::StructAll, &red), true))
-        .unwrap_or_else(|e| {
-            eprintln!("format bench obs cell failed: {e}");
-            std::process::exit(2);
-        });
-    let report = r.obs.take().expect("an observed cell returns a report");
-    let envelope = Envelope {
-        schema_version: SCHEMA_VERSION,
-        machine_fingerprint: machine_fingerprint(),
-        rows: ObsSection::new(&spec.name, Scheme::StructAll, report),
-    };
-    let bin = binfmt::to_record(RecordKind::ObsDump, SCHEMA_VERSION, &envelope);
-    vec![pair_from_record(bin).expect("the obs record reopens")]
-}
-
 fn main() {
     let cfg = mg_bench::Config::init_cli();
     let take: usize = std::env::args()
@@ -236,8 +165,6 @@ fn main() {
     let rows = vec![
         measure("journal", &pairs_from_dir(&journal_dir, "row-")),
         measure("cache", &pairs_from_dir(Path::new("results/cache"), "ctx-")),
-        measure("trace_spans", &synthetic_trace(5_000)),
-        measure("obs_pipeline", &obs_record()),
     ];
     let _ = std::fs::remove_dir_all(&journal_root);
 
@@ -262,12 +189,8 @@ fn main() {
     let path = save_json("BENCH_format", &rows);
     mg_info!("format benchmark written to {}", path.display());
 
-    // Acceptance gates on the durability layers that replay on resume.
-    let durable: Vec<&LayerRow> = rows
-        .iter()
-        .filter(|r| r.layer == "journal" || r.layer == "cache")
-        .collect();
-    let (bin_b, json_b, bin_us, json_us) = durable.iter().fold((0, 0, 0, 0), |acc, r| {
+    // Acceptance gates on the two layers, which replay on resume.
+    let (bin_b, json_b, bin_us, json_us) = rows.iter().fold((0, 0, 0, 0), |acc, r| {
         (
             acc.0 + r.bin_bytes,
             acc.1 + r.json_bytes,
@@ -275,7 +198,7 @@ fn main() {
             acc.3 + r.json_load_us,
         )
     });
-    if durable.iter().any(|r| r.records == 0) {
+    if rows.iter().any(|r| r.records == 0) {
         eprintln!("FORMAT GATE FAILED: a durability layer produced no records to measure");
         std::process::exit(1);
     }

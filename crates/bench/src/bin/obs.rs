@@ -1,7 +1,7 @@
 //! Observability driver: runs one benchmark with the pipeline observer
 //! attached and dumps everything it produced — the run summary, the
 //! per-slot stall-attribution table, the queue-occupancy summary, and
-//! the binary report record `results/OBS_<bench>.mgb`.
+//! the report dump `results/OBS_<bench>.json`.
 //!
 //! Usage: `obs [BENCH] [SCHEME] [TARGET_DYN]`
 //!
@@ -10,13 +10,11 @@
 //!   `Slack-Profile` (default `Struct-All`)
 //! * `TARGET_DYN` — dynamic-instruction target (default 30000)
 //!
-//! `export_json results/OBS_<bench>.mgb` writes the record's
-//! pretty-printed JSON debug view. The process exits non-zero if the
-//! stall attribution fails its conservation check (every issue-slot
-//! cycle charged exactly once) — CI's `release-smoke` job relies on this.
+//! The process exits non-zero if the stall attribution fails its
+//! conservation check (every issue-slot cycle charged exactly once) —
+//! CI's `release-smoke` job relies on this.
 
-use mg_bench::binfmt::{self, RecordKind};
-use mg_bench::{save_bin, BenchContext, ObsSection, Scheme, SchemeRun, SweepCell, SCHEMA_VERSION};
+use mg_bench::{save_json, BenchContext, ObsSection, Scheme, SchemeRun, SweepCell};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
 
@@ -24,10 +22,7 @@ fn main() {
     mg_bench::Config::init_cli();
     let positional: Vec<String> = std::env::args().skip(1).collect();
     if let Some(flag) = positional.iter().find(|a| a.starts_with("--")) {
-        eprintln!(
-            "unknown flag {flag:?}; usage: obs [BENCH] [SCHEME] [TARGET_DYN] \
-             (export_json FILE.mgb writes the JSON view)"
-        );
+        eprintln!("unknown flag {flag:?}; usage: obs [BENCH] [SCHEME] [TARGET_DYN]");
         std::process::exit(2);
     }
     let bench = positional
@@ -113,18 +108,16 @@ fn main() {
 
     let section = ObsSection::new(&spec.name, scheme, report);
     let name = format!("OBS_{}", spec.name);
-    let path = save_bin(&name, RecordKind::ObsDump, &section);
+    let path = save_json(&name, &section);
     println!("\nreport dump written to {}", path.display());
 
     // When run from the workspace root (as CI does), validate the dump
-    // just written against the checked-in schema — decoded straight
-    // from the binary record, so the canonical artifact is what gets
-    // checked.
-    let schema_path = std::path::Path::new("crates/bench/tests/obs/trace.schema.json");
+    // just written against the checked-in schema — read back from disk,
+    // so the artifact itself is what gets checked.
+    let schema_path = std::path::Path::new("crates/bench/tests/obs/report.schema.json");
     if schema_path.exists() {
-        let written = std::fs::read(&path).expect("read back report dump");
-        let value = binfmt::open_value(&written, RecordKind::ObsDump, SCHEMA_VERSION)
-            .expect("report dump reopens");
+        let written = std::fs::read_to_string(&path).expect("read back report dump");
+        let value = serde_json::parse_value_str(&written).expect("report dump parses");
         let schema_text = std::fs::read_to_string(schema_path).expect("read schema");
         let schema = serde_json::parse_value_str(&schema_text).expect("schema parses");
         match mg_obs::schema::validate(&value, &schema) {

@@ -1,13 +1,15 @@
-//! Checksummed binary record container for everything this workspace
-//! persists: disk cache entries, journal rows, and observability dumps.
+//! Checksummed binary record container for the two durable records
+//! this workspace replays on resume: disk cache entries and journal
+//! rows.
 //!
-//! Every durability layer used to round-trip through `serde_json`
-//! (`results/OBS_<bench>.json` was ~50k lines for one benchmark, and
-//! journal/cache replay paid a full JSON parse on every resume). This
-//! module replaces that with a fixed-layout binary container plus a
-//! compact binary encoding of the shimmed [`serde::Value`] data model,
-//! so every `#[derive(Serialize)]` type in the workspace gets the
-//! binary format with no per-type code.
+//! Both layers used to round-trip through `serde_json`, and cache and
+//! journal replay paid a full JSON parse on every resume. This module
+//! replaces that with a fixed-layout binary container plus a compact
+//! binary encoding of the shimmed [`serde::Value`] data model, so every
+//! `#[derive(Serialize)]` type in the workspace gets the binary format
+//! with no per-type code. Observability artifacts (the `obs` report,
+//! the span trace) are not durable records: they are written once as
+//! JSON, the format their readers (the report schema, Perfetto) take.
 //!
 //! # Container layout
 //!
@@ -41,8 +43,8 @@
 //!
 //! 1. **String table** — varint count, then each string as varint
 //!    length + UTF-8 bytes. Every string in the record (map keys *and*
-//!    string values) is interned here once; 50k trace records naming
-//!    the same eight fields pay for those names once, not 50k times.
+//!    string values) is interned here once; a cache entry's many
+//!    rows naming the same fields pay for those names once.
 //! 2. **Value tree** — one tag byte per node: null/bool tags,
 //!    zigzag-varint integers, `f64` as raw little-endian bits (replay
 //!    is bit-identical by construction, which JSON can only approximate
@@ -74,13 +76,8 @@ pub const HEADER_LEN: usize = 24;
 /// Byte length of the checksum trailer.
 pub const TRAILER_LEN: usize = 8;
 
-/// File extension for binary records (`ctx-*.mgb`, `row-*.mgb`,
-/// `OBS_*.mgb`, ...).
+/// File extension for binary records (`ctx-*.mgb`, `row-*.mgb`).
 pub const EXT: &str = "mgb";
-
-/// Schema version of [`RecordKind::SpanTrace`] payloads (a Chrome-trace
-/// document as written by `mg_obs::span::chrome_trace`).
-pub const SPAN_TRACE_SCHEMA: u32 = 1;
 
 /// What a record's payload is. Stored in the header so a reader can
 /// reject a cache entry handed to the journal (and vice versa) without
@@ -92,13 +89,6 @@ pub enum RecordKind {
     CacheEntry = 1,
     /// Sweep-journal row or serve cell (`results/journal/.../row-*.mgb`).
     JournalRow = 2,
-    /// Observability dump: an `ObsSection` envelope (`results/OBS_*.mgb`).
-    ObsDump = 3,
-    /// Wall-time span trace: a Chrome-trace document (`results/TRACE_*.mgb`).
-    SpanTrace = 4,
-    /// Versioned results envelope written by `save_bin` for anything
-    /// else (benchmark reports, telemetry snapshots).
-    Results = 5,
 }
 
 impl RecordKind {
@@ -107,9 +97,6 @@ impl RecordKind {
         match tag {
             1 => Some(RecordKind::CacheEntry),
             2 => Some(RecordKind::JournalRow),
-            3 => Some(RecordKind::ObsDump),
-            4 => Some(RecordKind::SpanTrace),
-            5 => Some(RecordKind::Results),
             _ => None,
         }
     }
@@ -940,8 +927,8 @@ mod tests {
             },
         ];
         for payload in evil_payloads {
-            let rec = seal_payload(RecordKind::Results, 1, &payload);
-            let err = open_value(&rec, RecordKind::Results, 1)
+            let rec = seal_payload(RecordKind::JournalRow, 1, &payload);
+            let err = open_value(&rec, RecordKind::JournalRow, 1)
                 .expect_err("adversarial payload must not decode");
             assert!(matches!(err, BinError::Malformed(_)), "{err}");
         }
@@ -962,8 +949,8 @@ mod tests {
             ipc: 1.8617,
             tag: None,
         };
-        let rec = to_record(RecordKind::Results, 9, &demo);
-        let back: Demo = from_record(&rec, RecordKind::Results, 9).unwrap();
+        let rec = to_record(RecordKind::JournalRow, 9, &demo);
+        let back: Demo = from_record(&rec, RecordKind::JournalRow, 9).unwrap();
         assert_eq!(back, demo);
         assert_eq!(back.ipc.to_bits(), demo.ipc.to_bits());
     }
@@ -993,7 +980,7 @@ mod tests {
         // Compare against the JSON as it was actually persisted by the
         // JSON-era artifact writers (`save_json` pretty-prints).
         let json = serde_json::to_string_pretty(&rows).unwrap();
-        let rec = to_record(RecordKind::ObsDump, 1, &rows);
+        let rec = to_record(RecordKind::JournalRow, 1, &rows);
         assert!(
             rec.len() * 3 <= json.len(),
             "binary {} bytes vs JSON {} bytes",

@@ -18,7 +18,7 @@
 //! | `MG_RESUME` | [`Config::resume`] | resume an interrupted sweep from its journal |
 //! | `MG_JOURNAL_KEEP` | [`Config::journal_keep`] | keep the journal of a completed sweep |
 //! | `MG_LOG` | [`Config::log_level`] | logger verbosity (`off`/`error`/`info`/`debug`) |
-//! | `MG_TRACE` | [`Config::trace`] | collect wall-time spans; `run_cli` writes `results/TRACE_<bin>.mgb` |
+//! | `MG_TRACE` | [`Config::trace`] | collect wall-time spans; `run_cli` writes `results/TRACE_<bin>.json` |
 //! | `MG_FAULT` | [`Config::fault`] | fault plan ([`crate::fault`]) |
 //!
 //! Every malformed value is a [`BenchError::Config`] naming the knob,
@@ -53,10 +53,8 @@ pub const LOG_ENV: &str = "MG_LOG";
 
 /// Environment variable (`1`/`true`/`yes`) enabling wall-time span
 /// collection (`mg_obs::span`). When on, [`crate::supervisor::run_cli`]
-/// drains the collected spans to `results/TRACE_<bin>.mgb` (a
-/// checksummed [`crate::binfmt`] record) at sweep exit; the
-/// `export_json` binary renders it as the Chrome trace-event JSON that
-/// Perfetto loads.
+/// drains the collected spans at sweep exit to `results/TRACE_<bin>.json`,
+/// a Chrome trace-event document that Perfetto loads.
 pub const TRACE_ENV: &str = "MG_TRACE";
 
 /// All `MG_*` knobs as one typed value.

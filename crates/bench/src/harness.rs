@@ -814,29 +814,6 @@ pub fn save_json<T: Serialize>(name: &str, rows: &T) -> std::path::PathBuf {
     save_result(&format!("{name}.json"), &envelope_json(rows))
 }
 
-/// Writes a binary result record under `results/` at the workspace
-/// root: the same versioned [`Envelope`] as [`save_json`], sealed as a
-/// checksummed [`crate::binfmt`] container of the given kind. The
-/// record's container schema is [`SCHEMA_VERSION`], matching the
-/// envelope inside. Returns the path written (`results/<name>.mgb`).
-pub fn save_bin<T: Serialize>(
-    name: &str,
-    kind: crate::binfmt::RecordKind,
-    rows: &T,
-) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(format!("{name}.{}", crate::binfmt::EXT));
-    let envelope = Envelope {
-        schema_version: SCHEMA_VERSION,
-        machine_fingerprint: machine_fingerprint(),
-        rows,
-    };
-    let bytes = crate::binfmt::to_record(kind, SCHEMA_VERSION, &envelope);
-    std::fs::write(&path, bytes).expect("write results file");
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,8 +35,8 @@ pub mod supervisor;
 pub use cache::CacheOutcome;
 pub use config::{parse_jobs, Config};
 pub use harness::{
-    machine_fingerprint, save_bin, save_json, BenchContext, BenchContextBuilder, BenchError,
-    Envelope, ObsSection, Scheme, SchemeRun, SCHEMA_VERSION,
+    machine_fingerprint, save_json, BenchContext, BenchContextBuilder, BenchError, Envelope,
+    ObsSection, Scheme, SchemeRun, SCHEMA_VERSION,
 };
 pub use journal::Journal;
 pub use runner::{

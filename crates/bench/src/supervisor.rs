@@ -261,8 +261,7 @@ pub fn supervise_cell_until(
 /// - At sweep exit (completed *or* interrupted) the global telemetry
 ///   registry is snapshotted to `results/TELEMETRY_<bin>.json`, and
 ///   with `MG_TRACE=1` the collected spans are drained to
-///   `results/TRACE_<bin>.mgb` (a checksummed binary record;
-///   `export_json` renders it as the Chrome trace JSON for Perfetto).
+///   `results/TRACE_<bin>.json`, a Chrome trace that Perfetto loads.
 pub fn run_cli(spec: SweepSpec) -> SweepResult {
     let cfg = crate::config::Config::init_cli();
     let mut spec = spec.journal(true).resume(cfg.resume);
@@ -329,12 +328,11 @@ fn bin_name() -> String {
 }
 
 /// Snapshots the telemetry registry to `results/TELEMETRY_<bin>.json`
-/// and, when span collection is on, drains the span buffer to
-/// `results/TRACE_<bin>.mgb` (a checksummed [`crate::binfmt`] record).
-/// Best-effort: a failed write logs an error but never fails the sweep
-/// that produced the rows.
+/// and, when span collection is on, drains the span buffer to the
+/// Chrome-trace document `results/TRACE_<bin>.json`. Best-effort: a
+/// failed trace write logs an error but never fails the sweep that
+/// produced the rows.
 pub fn write_telemetry_artifacts(bin: &str, trace: bool) {
-    use crate::binfmt::{self, RecordKind};
     let path =
         crate::harness::save_json(&format!("TELEMETRY_{bin}"), &mg_obs::telemetry::snapshot());
     mg_info!("telemetry snapshot written to {}", path.display());
@@ -343,13 +341,10 @@ pub fn write_telemetry_artifacts(bin: &str, trace: bool) {
         let _ = std::fs::create_dir_all(dir);
         let doc = mg_obs::span::chrome_trace(mg_obs::span::drain());
         let n = doc.traceEvents.len();
-        let path = dir.join(format!("TRACE_{bin}.{}", binfmt::EXT));
-        let bytes = binfmt::to_record(RecordKind::SpanTrace, binfmt::SPAN_TRACE_SCHEMA, &doc);
-        match std::fs::write(&path, bytes) {
-            Ok(()) => mg_info!(
-                "trace with {n} spans written to {} (export with `cargo run --bin export_json`)",
-                path.display()
-            ),
+        let path = dir.join(format!("TRACE_{bin}.json"));
+        let json = serde_json::to_string(&doc).expect("serialize trace");
+        match std::fs::write(&path, json) {
+            Ok(()) => mg_info!("trace with {n} spans written to {}", path.display()),
             Err(e) => mg_error!("failed to write trace {}: {e}", path.display()),
         }
     }
@@ -380,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_classification_matches_the_retry_policy() {
+    fn transient_errors_are_the_rows_the_journal_reruns() {
         use crate::harness::Scheme;
         assert!(transient(&BenchError::Panicked {
             bench: "b".into(),

@@ -222,12 +222,12 @@ fn header_short_truncation_is_quarantined_not_fatal() {
 #[test]
 fn every_bit_of_a_small_record_is_checksummed() {
     use mg_bench::binfmt::{self, RecordKind};
-    let record = binfmt::to_record(RecordKind::Results, 1, &vec![1u64, 2, 3]);
+    let record = binfmt::to_record(RecordKind::JournalRow, 1, &vec![1u64, 2, 3]);
     for i in 0..record.len() {
         for mask in [0x01u8, 0x80u8] {
             let mut damaged = record.clone();
             damaged[i] ^= mask;
-            let err = binfmt::open_value(&damaged, RecordKind::Results, 1)
+            let err = binfmt::open_value(&damaged, RecordKind::JournalRow, 1)
                 .expect_err("a flipped bit must never decode");
             assert!(!format!("{err}").is_empty(), "errors stay reportable");
         }

@@ -1,7 +1,8 @@
 //! End-to-end smoke of the observability stack: conservation of stall
 //! attribution against the engine's own cycle count, schema validity of
-//! the emitted report JSON, sweep-level aggregation, and bit-identical
-//! statistics with the observer attached.
+//! the emitted report JSON, the `obs` binary's committed report,
+//! sweep-level aggregation, and bit-identical statistics with the
+//! observer attached.
 
 use mg_bench::{
     machine_fingerprint, BenchContext, Envelope, ObsSection, Scheme, SchemeRun, SweepCell,
@@ -78,7 +79,7 @@ fn observer_does_not_perturb_the_simulation() {
 }
 
 #[test]
-fn trace_json_matches_checked_in_schema() {
+fn report_json_matches_checked_in_schema() {
     let (_, report) = observed_struct_all();
     let envelope = Envelope {
         schema_version: SCHEMA_VERSION,
@@ -86,12 +87,50 @@ fn trace_json_matches_checked_in_schema() {
         rows: ObsSection::new("mib_crc32", Scheme::StructAll, report),
     };
     let value = envelope.to_value();
-    let schema_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/obs/trace.schema.json");
+    let schema_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/obs/report.schema.json");
     let schema_text = std::fs::read_to_string(schema_path).expect("schema file readable");
     let schema = serde_json::parse_value_str(&schema_text).expect("schema file parses");
     if let Err(e) = mg_obs::schema::validate(&value, &schema) {
-        panic!("trace JSON violates tests/obs/trace.schema.json: {e}");
+        panic!("report JSON violates tests/obs/report.schema.json: {e}");
     }
+}
+
+/// `obs` with default arguments, run in an empty directory, writes
+/// `results/OBS_mib_crc32.json` byte-identical to the committed report,
+/// and no binary record beside it (only the disk cache under
+/// `results/cache/` is binary).
+#[test]
+fn obs_binary_reproduces_the_committed_report() {
+    let dir = std::env::temp_dir().join(format!("mg-obs-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_obs"))
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read(dir.join("results/OBS_mib_crc32.json")).expect("report written");
+    let committed = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/OBS_mib_crc32.json"
+    );
+    let committed = std::fs::read(committed).expect("committed report readable");
+    assert!(
+        written == committed,
+        "results/OBS_mib_crc32.json differs from the committed report"
+    );
+    let binary: Vec<_> = std::fs::read_dir(dir.join("results"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == mg_bench::binfmt::EXT))
+        .collect();
+    assert!(binary.is_empty(), "binary records written: {binary:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

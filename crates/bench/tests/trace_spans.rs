@@ -1,14 +1,12 @@
-//! The span hierarchy of a traced sweep, read the way `export_json`
-//! reads a `TRACE_<bin>.mgb` record: drained spans → Chrome trace
-//! document → binary span-trace record → decoded JSON value. Spans are
-//! process-global, so this binary holds the only test that toggles them
-//! in process; the others run the `figures` binary.
+//! The span hierarchy of a traced sweep: drained spans → Chrome trace
+//! document, and the `TRACE_<bin>.json` file a traced `figures` run
+//! writes. Spans are process-global, so this binary holds the only test
+//! that toggles them in process; the others run the `figures` binary.
 
-use mg_bench::binfmt::{self, RecordKind};
 use mg_bench::{Scheme, SweepCell, SweepSpec};
 use mg_sim::MachineConfig;
 use mg_workloads::suite;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::collections::BTreeSet;
 
 fn str_field<'a>(event: &'a Value, name: &str) -> &'a str {
@@ -43,10 +41,7 @@ fn traced_sweep_covers_the_span_hierarchy() {
     mg_obs::span::set_enabled(false);
     assert_eq!(result.summary.failures, 0);
 
-    let doc = mg_obs::span::chrome_trace(mg_obs::span::drain());
-    let bytes = binfmt::to_record(RecordKind::SpanTrace, binfmt::SPAN_TRACE_SCHEMA, &doc);
-    let value = binfmt::open_value(&bytes, RecordKind::SpanTrace, binfmt::SPAN_TRACE_SCHEMA)
-        .expect("span record decodes");
+    let value = mg_obs::span::chrome_trace(mg_obs::span::drain()).to_value();
     let events = value
         .field("traceEvents")
         .ok()
@@ -103,7 +98,7 @@ fn counter(counters: &Value, name: &str) -> u64 {
 }
 
 /// `MG_TRACE=1 figures fig1 2` from a cold cache leaves the telemetry
-/// dump and the span record behind, and the dump's counters add up: five
+/// dump and the span trace behind, and the dump's counters add up: five
 /// cells per benchmark, one of them (no-mg on the reduced training
 /// machine) served from the slack-profiling run, and one profiling run
 /// per cache miss.
@@ -144,21 +139,9 @@ fn traced_figures_run_counts_every_simulation() {
     );
     assert_eq!(counter(counters, "mg_sim_training_cell_reused_total"), 2);
 
-    let trace = std::fs::metadata(dir.join("results/TRACE_figures.mgb")).expect("span record");
-    assert!(trace.len() > 0, "span record is empty");
-    // `export_json` renders the record as the Chrome-trace JSON view.
-    let export = std::process::Command::new(env!("CARGO_BIN_EXE_export_json"))
-        .arg("results/TRACE_figures.mgb")
-        .current_dir(&dir)
-        .output()
-        .unwrap();
-    assert!(
-        export.status.success(),
-        "{}",
-        String::from_utf8_lossy(&export.stderr)
-    );
-    let text = std::fs::read_to_string(dir.join("results/TRACE_figures.json")).unwrap();
-    let doc = serde_json::parse_value_str(&text).expect("trace view parses");
+    let text = std::fs::read_to_string(dir.join("results/TRACE_figures.json"))
+        .expect("span trace written");
+    let doc = serde_json::parse_value_str(&text).expect("span trace parses");
     let events = doc.field("traceEvents").ok().and_then(Value::as_seq);
     let cats: BTreeSet<&str> = events
         .expect("traceEvents is a list")
@@ -166,7 +149,7 @@ fn traced_figures_run_counts_every_simulation() {
         .filter(|e| str_field(e, "ph") == "X")
         .map(|e| str_field(e, "cat"))
         .collect();
-    for want in ["sweep", "bench", "cell"] {
+    for want in ["sweep", "bench", "cell", "stage"] {
         assert!(
             cats.contains(want),
             "span hierarchy missing {want}: {cats:?}"

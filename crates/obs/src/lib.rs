@@ -24,9 +24,8 @@
 //!   as Prometheus text by mg-serve's `/metrics` listener and written
 //!   to `results/TELEMETRY_<bin>.json` by `run_cli`.
 //! - [`span`]: hierarchical wall-time spans (sweep → bench → cell →
-//!   stage) as a Chrome-trace-event document, which `run_cli` stores as
-//!   the binary record `results/TRACE_<bin>.mgb` and `export_json`
-//!   renders as JSON for Perfetto.
+//!   stage) as a Chrome-trace-event document, which `run_cli` writes
+//!   to `results/TRACE_<bin>.json` for Perfetto.
 //!
 //! The *pipeline* instrumentation above keeps counters, not a per-op
 //! record: the stall table, occupancy histograms, windowed IPC and the

@@ -11,9 +11,8 @@
 //! Collection is **off by default** (a disabled span is one relaxed
 //! atomic load and two `Instant` reads); the `MG_TRACE` knob — parsed
 //! by `mg_bench::config` like every other `MG_*` knob — turns it on,
-//! and `run_cli` drains the buffer at sweep exit to the binary record
-//! `results/TRACE_<bin>.mgb`; mg-bench's `export_json` binary renders
-//! that record as the Chrome-JSON document. The hierarchy convention is
+//! and `run_cli` drains the buffer at sweep exit to the Chrome-JSON
+//! document `results/TRACE_<bin>.json`. The hierarchy convention is
 //! category `sweep` → `bench` → `cell` → `stage`.
 
 use std::cell::Cell;

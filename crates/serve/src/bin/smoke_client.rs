@@ -11,9 +11,8 @@
 //! + resume instead of failing the job.
 //!
 //! Flags: `--addr HOST:PORT` (required), `--connect-timeout-secs N`
-//! (default 30, to ride out a daemon that is still starting),
-//! `--backoff-base-ms MS` / `--backoff-cap-ms MS` (reconnect backoff
-//! shape). Numeric flags are strict-parsed: a bad value exits 2.
+//! (default 30, to ride out a daemon that is still starting; strictly
+//! parsed: a bad value exits 2).
 
 use mg_bench::SweepSpec;
 use mg_serve::protocol::Request;
@@ -49,13 +48,6 @@ fn main() {
         ..BackoffPolicy::default()
     };
     let mut args = std::env::args().skip(1);
-    let flag_ms = |args: &mut std::iter::Skip<std::env::Args>, flag: &str| {
-        let ms: u64 = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("smoke-client: {flag} needs a millisecond count");
-            std::process::exit(2);
-        });
-        Duration::from_millis(ms)
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = args.next(),
@@ -66,8 +58,6 @@ fn main() {
                 });
                 policy.deadline = Duration::from_secs(secs);
             }
-            "--backoff-base-ms" => policy.base = flag_ms(&mut args, "--backoff-base-ms"),
-            "--backoff-cap-ms" => policy.cap = flag_ms(&mut args, "--backoff-cap-ms"),
             other => {
                 eprintln!("smoke-client: unknown flag {other:?}");
                 std::process::exit(2);
