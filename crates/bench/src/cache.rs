@@ -70,8 +70,8 @@ pub const QUARANTINE_DIR: &str = "results/cache/quarantine";
 /// so a recurring corruption source cannot grow the directory unbounded.
 const QUARANTINE_KEEP: usize = 32;
 
-/// Default on-disk cache size cap in megabytes. Generous for the full
-/// suite (an entry is a few hundred KB) while keeping long-lived working
+/// On-disk cache size cap in megabytes. Generous for the full suite
+/// (an entry is a few hundred KB) while keeping long-lived working
 /// trees from accumulating stale keys without bound.
 pub const DEFAULT_CACHE_MAX_MB: u64 = 256;
 
@@ -382,29 +382,6 @@ pub fn disk_load_from(dir: &std::path::Path, key: u64, spec: &BenchmarkSpec) -> 
     }
 }
 
-/// Configured size cap in megabytes. `u64::MAX` is the "unset"
-/// sentinel resolving to [`DEFAULT_CACHE_MAX_MB`]; the environment knob
-/// (`MG_CACHE_MAX_MB`) reaches here only through
-/// [`crate::config::Config::apply`].
-static CACHE_CAP_MB: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Sets the on-disk cache size cap, in megabytes, for the rest of the
-/// process (`0` disables the disk layer's growth entirely: every entry
-/// is evicted on the next store). Unset, the cap is
-/// [`DEFAULT_CACHE_MAX_MB`].
-pub fn set_cache_cap_mb(mb: u64) {
-    CACHE_CAP_MB.store(mb, Ordering::Relaxed);
-}
-
-/// The configured size cap in bytes.
-fn cache_cap_bytes() -> u64 {
-    let mb = match CACHE_CAP_MB.load(Ordering::Relaxed) {
-        u64::MAX => DEFAULT_CACHE_MAX_MB,
-        mb => mb,
-    };
-    mb.saturating_mul(1024 * 1024)
-}
-
 /// Evicts least-recently-used cache entries from `dir` until the
 /// remaining `ctx-*.mgb` files total at most `cap_bytes`. "Least
 /// recently used" is by mtime: loads freshen entries on every hit, and
@@ -479,9 +456,9 @@ pub fn disk_store_to(
         return;
     }
     // Keep the disk layer bounded: evict least-recently-used entries
-    // beyond the configured cap. Stores happen only on cache misses, so
-    // the directory walk is off every sweep's hot path.
-    evict_lru(dir, cache_cap_bytes());
+    // beyond [`DEFAULT_CACHE_MAX_MB`]. Stores happen only on cache
+    // misses, so the directory walk is off every sweep's hot path.
+    evict_lru(dir, DEFAULT_CACHE_MAX_MB * 1024 * 1024);
 }
 
 fn exec_err(

@@ -6,15 +6,14 @@
 //! plain typed value that can also be constructed directly (tests,
 //! `mg-serve`, embedders) without touching process state. Applying a
 //! config ([`Config::apply`]) pushes the knobs into the subsystems that
-//! honour them — the logger level, the disk-cache size cap, and the
-//! fault plan.
+//! honour them — the logger level, span collection, and the fault
+//! plan.
 //!
 //! Knobs and their environment spellings:
 //!
 //! | variable | field | meaning |
 //! |---|---|---|
 //! | `MG_JOBS` | [`Config::jobs`] | sweep worker count (positive integer) |
-//! | `MG_CACHE_MAX_MB` | [`Config::cache_max_mb`] | disk context-cache size cap |
 //! | `MG_RESUME` | [`Config::resume`] | resume an interrupted sweep from its journal |
 //! | `MG_JOURNAL_KEEP` | [`Config::journal_keep`] | keep the journal of a completed sweep |
 //! | `MG_LOG` | [`Config::log_level`] | logger verbosity (`off`/`error`/`info`/`debug`) |
@@ -31,11 +30,6 @@ use mg_obs::mg_error;
 
 /// Environment variable forcing the sweep worker count.
 pub const JOBS_ENV: &str = "MG_JOBS";
-
-/// Environment variable capping the on-disk context cache, in megabytes.
-/// `0` disables the disk layer's retention entirely (everything is
-/// evicted on the next store).
-pub const CACHE_MAX_MB_ENV: &str = "MG_CACHE_MAX_MB";
 
 /// Environment variable (`1`/`true`/`yes`) requesting that a sweep
 /// resume from the journal of a previous interrupted run.
@@ -60,16 +54,13 @@ pub const TRACE_ENV: &str = "MG_TRACE";
 /// All `MG_*` knobs as one typed value.
 ///
 /// `Default` is the no-environment configuration: automatic worker
-/// count, default cache cap, no resume, journal cleared on success,
-/// logger untouched, no faults.
+/// count, no resume, journal cleared on success, logger untouched, no
+/// faults.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
     /// Sweep worker count (`MG_JOBS`); `None` means available
     /// parallelism.
     pub jobs: Option<usize>,
-    /// Disk context-cache size cap in megabytes (`MG_CACHE_MAX_MB`);
-    /// `None` means [`crate::cache::DEFAULT_CACHE_MAX_MB`].
-    pub cache_max_mb: Option<u64>,
     /// Resume an interrupted sweep from its journal (`MG_RESUME`).
     pub resume: bool,
     /// Keep the journal of a completed sweep (`MG_JOURNAL_KEEP`).
@@ -116,15 +107,6 @@ pub fn parse_flag(knob: &str, value: &str) -> Result<bool, BenchError> {
     }
 }
 
-/// Parses an `MG_CACHE_MAX_MB`-style megabyte count (non-negative
-/// integer; `0` keeps nothing on disk).
-pub fn parse_cache_mb(value: &str) -> Result<u64, BenchError> {
-    value
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| bad(CACHE_MAX_MB_ENV, value, "expected megabytes as an integer"))
-}
-
 fn env_var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
@@ -136,9 +118,6 @@ impl Config {
     /// point and pass the result down.
     pub fn from_env() -> Result<Config, BenchError> {
         let jobs = env_var(JOBS_ENV).map(|v| parse_jobs(&v)).transpose()?;
-        let cache_max_mb = env_var(CACHE_MAX_MB_ENV)
-            .map(|v| parse_cache_mb(&v))
-            .transpose()?;
         let resume = env_var(RESUME_ENV)
             .map(|v| parse_flag(RESUME_ENV, &v))
             .transpose()?
@@ -159,7 +138,6 @@ impl Config {
             .transpose()?;
         Ok(Config {
             jobs,
-            cache_max_mb,
             resume,
             journal_keep,
             log_level,
@@ -169,15 +147,12 @@ impl Config {
     }
 
     /// Pushes the knobs into the subsystems that honour them: the
-    /// logger level, the disk-cache cap, and the fault plan. `None`
+    /// logger level, span collection, and the fault plan. `None`
     /// fields leave the subsystem untouched, so applying a default
     /// config is a no-op.
     pub fn apply(&self) {
         if let Some(level) = self.log_level {
             mg_obs::log::set_level(level);
-        }
-        if let Some(mb) = self.cache_max_mb {
-            crate::cache::set_cache_cap_mb(mb);
         }
         // Only ever *enables* span collection, so applying a default
         // config still leaves a test-enabled tracer alone.
@@ -265,16 +240,6 @@ mod tests {
         }
         let err = parse_flag(RESUME_ENV, "maybe").expect_err("garbage flag");
         assert!(err.to_string().contains(RESUME_ENV), "{err}");
-    }
-
-    #[test]
-    fn parse_cache_mb_accepts_integers_and_rejects_garbage() {
-        assert_eq!(parse_cache_mb("256").unwrap(), 256);
-        assert_eq!(parse_cache_mb("0").unwrap(), 0, "zero keeps nothing");
-        for bad in ["", "-1", "10MB", "1.5"] {
-            let err = parse_cache_mb(bad).expect_err(bad);
-            assert!(err.to_string().contains(CACHE_MAX_MB_ENV), "{err}");
-        }
     }
 
     #[test]

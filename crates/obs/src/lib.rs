@@ -20,9 +20,9 @@
 //!   dump against a checked-in schema.
 //! - [`telemetry`]: the always-on `mg-telemetry` runtime-metrics layer
 //!   — lock-free counters, gauges, and log-bucketed latency histograms
-//!   in a process-global registry with mergeable snapshots, rendered
-//!   as Prometheus text by mg-serve's `/metrics` listener and written
-//!   to `results/TELEMETRY_<bin>.json` by `run_cli`.
+//!   in a process-global registry whose snapshots mg-serve's `Stats`
+//!   verb carries and `run_cli` writes to
+//!   `results/TELEMETRY_<bin>.json`.
 //! - [`span`]: hierarchical wall-time spans (sweep → bench → cell →
 //!   stage) as a Chrome-trace-event document, which `run_cli` writes
 //!   to `results/TRACE_<bin>.json` for Perfetto.

@@ -17,20 +17,19 @@
 //!   buckets with ≤ 1/8 relative bucket width, lock-free on the record
 //!   path, plus exact `count`, `sum`, and `max` side-channels so `p100`
 //!   and the mean are exact. Every histogram and snapshot shares the
-//!   layout, so snapshots merge by bucket-wise addition.
+//!   layout.
 //!
 //! Metrics live in a process-global [`Registry`]: registration takes a
 //! mutex (cold path, once per call site via the [`tele_counter!`],
 //! [`tele_gauge!`] and [`tele_hist!`] macros), updates touch only the
 //! returned `Arc`'d atomics (hot path, no lock). [`Registry::snapshot`]
-//! produces a serializable, mergeable [`TelemetrySnapshot`] that
-//! renders to Prometheus text exposition format for the mg-serve
-//! `/metrics` listener and to JSON for `results/TELEMETRY_<bin>.json`.
+//! produces a serializable [`TelemetrySnapshot`]: the mg-serve `Stats`
+//! verb carries one over the wire and `run_cli` writes one to
+//! `results/TELEMETRY_<bin>.json`.
 //!
 //! # Naming taxonomy
 //!
-//! `mg_<subsystem>_<what>[_<unit>][_total]`, Prometheus-style:
-//! counters end in `_total`, histograms of durations end in `_us`
+//! `mg_<subsystem>_<what>[_<unit>][_total]`: counters end in `_total`, histograms of durations end in `_us`
 //! (microseconds), gauges are bare levels. Fixed label sets are folded
 //! into the name verbatim (e.g. `mg_serve_rejects_total{code="QueueFull"}`)
 //! so the registry stays a flat string map.
@@ -212,7 +211,7 @@ impl TeleHist {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Copies the live buckets into a mergeable, serializable snapshot.
+    /// Copies the live buckets into a serializable snapshot.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
             sub_bits: SUB_BITS,
@@ -230,8 +229,7 @@ impl TeleHist {
 
 /// A point-in-time copy of a [`TeleHist`]: plain `u64` buckets plus the
 /// exact `count` / `sum` / `max` side-channels. Every snapshot shares
-/// one bucket layout, so snapshots merge exactly by bucket-wise addition.
-/// The default is the empty snapshot.
+/// one bucket layout. The default is the empty snapshot.
 #[derive(Serialize, Deserialize, Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Sub-bucket resolution of the layout: always [`SUB_BITS`], kept so
@@ -260,19 +258,6 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Merges `other` into `self` by bucket-wise addition.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, &b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_add(b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Quantile `q` in `[0, 1]`. Returns the upper bound of the bucket
     /// holding the `ceil(q * count)`-th observation, clamped to the
     /// exact recorded `max` (so `quantile(1.0)` is exact). Zero when
@@ -389,9 +374,8 @@ impl Registry {
 }
 
 /// A serializable point-in-time copy of a [`Registry`]. This is the
-/// wire/disk form: the mg-serve `Stats` verb carries one, `run_cli`
-/// writes one to `results/TELEMETRY_<bin>.json`, and `/metrics`
-/// renders one to Prometheus text.
+/// wire/disk form: the mg-serve `Stats` verb carries one and `run_cli`
+/// writes one to `results/TELEMETRY_<bin>.json`.
 #[derive(Serialize, Deserialize, Clone, Debug, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Counter values by metric name.
@@ -403,82 +387,9 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Merges `other` into `self`: counters and gauges add (shard
-    /// semantics — queue depths across shards sum), histograms merge
-    /// bucket-wise per [`HistSnapshot::merge`].
-    pub fn merge(&mut self, other: &TelemetrySnapshot) {
-        for (name, &v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, &v) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, h) in &other.hists {
-            self.hists.entry(name.clone()).or_default().merge(h);
-        }
-    }
-
     /// Counter value by name, zero if absent.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value by name, zero if absent.
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// Renders the snapshot in Prometheus text exposition format
-    /// (version 0.0.4). Histogram buckets are collapsed to cumulative
-    /// counts at power-of-two `le` bounds so a 496-bucket histogram
-    /// renders as at most ~64 lines.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let mut typed: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        let base = |name: &str| -> String {
-            match name.find('{') {
-                Some(i) => name[..i].to_string(),
-                None => name.to_string(),
-            }
-        };
-        let mut type_line = |out: &mut String, name: &str, kind: &'static str| {
-            let b = base(name);
-            if typed.insert(b.clone()) {
-                let _ = writeln!(out, "# TYPE {b} {kind}");
-            }
-        };
-        for (name, v) in &self.counters {
-            type_line(&mut out, name, "counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            type_line(&mut out, name, "gauge");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, h) in &self.hists {
-            type_line(&mut out, name, "histogram");
-            let mut cum = 0u64;
-            let mut next_bound = 1u64 << (SUB_BITS + 1);
-            let mut i = 0usize;
-            while i < h.buckets.len() {
-                let (_, upper) = bucket_bounds(i);
-                if upper >= next_bound {
-                    let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cum}", next_bound - 1);
-                    if cum >= h.count {
-                        break;
-                    }
-                    next_bound = next_bound.saturating_mul(2);
-                    continue;
-                }
-                cum += h.buckets[i];
-                i += 1;
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{name}_sum {}", h.sum);
-            let _ = writeln!(out, "{name}_count {}", h.count);
-        }
-        out
     }
 }
 
@@ -574,6 +485,26 @@ mod tests {
         let b = r.counter("x_total");
         a.add(3);
         assert_eq!(b.get(), 3);
+
+        // A snapshot copies every kind, labeled names included.
+        r.counter("mg_a_total").add(5);
+        r.counter("mg_rej_total{code=\"A\"}").add(1);
+        r.gauge("mg_b").set(-2);
+        r.hist("mg_c_us").record(100);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("mg_a_total"), 5);
+        assert_eq!(
+            snap.counter("mg_rej_total{code=\"A\"}"),
+            1,
+            "labels fold into the name"
+        );
+        assert_eq!(
+            snap.counter("mg_absent_total"),
+            0,
+            "absent counters read zero"
+        );
+        assert_eq!(snap.gauges["mg_b"], -2);
+        assert_eq!(snap.hists["mg_c_us"].count, 1);
     }
 
     #[test]
@@ -582,31 +513,5 @@ mod tests {
         let r = Registry::new();
         r.counter("clash");
         r.gauge("clash");
-    }
-
-    #[test]
-    fn prometheus_text_has_type_lines() {
-        let r = Registry::new();
-        r.counter("mg_a_total").add(5);
-        r.gauge("mg_b").set(-2);
-        r.hist("mg_c_us").record(100);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE mg_a_total counter"));
-        assert!(text.contains("mg_a_total 5"));
-        assert!(text.contains("mg_b -2"));
-        assert!(text.contains("# TYPE mg_c_us histogram"));
-        assert!(text.contains("mg_c_us_count 1"));
-        assert!(text.contains("le=\"+Inf\"} 1"));
-    }
-
-    #[test]
-    fn labeled_counters_share_one_type_line() {
-        let r = Registry::new();
-        r.counter("mg_rej_total{code=\"A\"}").add(1);
-        r.counter("mg_rej_total{code=\"B\"}").add(2);
-        let text = r.snapshot().to_prometheus();
-        assert_eq!(text.matches("# TYPE mg_rej_total counter").count(), 1);
-        assert!(text.contains("mg_rej_total{code=\"A\"} 1"));
-        assert!(text.contains("mg_rej_total{code=\"B\"} 2"));
     }
 }

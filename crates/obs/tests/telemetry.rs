@@ -3,12 +3,12 @@
 //! The histogram's contract is precise: `count`, `sum` (saturating),
 //! and `max` are exact side-channels; quantiles are bucket upper
 //! bounds, so they over-estimate by at most the bucket's relative
-//! width (`1 / 2^SUB_BITS`); and merges add bucket-wise, from any
-//! snapshot including the default empty one. Each of those claims gets
-//! a test here, the statistical ones generative and driven by a seeded
-//! generator so runs are reproducible.
+//! width (`1 / 2^SUB_BITS`); and the default snapshot is the empty
+//! histogram's. Each of those claims gets a test here, the statistical
+//! ones generative and driven by a seeded generator so runs are
+//! reproducible.
 
-use mg_obs::telemetry::{bucket_index, HistSnapshot, TeleHist, TelemetrySnapshot, BUCKETS};
+use mg_obs::telemetry::{bucket_index, HistSnapshot, TeleHist, BUCKETS};
 use mg_obs::{span, ChromeTrace, TraceEvent};
 use proptest::prelude::*;
 
@@ -92,31 +92,16 @@ proptest! {
             prev = cur;
         }
     }
-
-    /// Merge is bucket-wise addition (commutative).
-    #[test]
-    fn same_width_merge_commutes(seed in 0u64..128) {
-        let a_vals = values_from_seed(seed, 30);
-        let b_vals = values_from_seed(seed ^ 0xDEAD_BEEF, 30);
-        let record = |vals: &[u64]| {
-            let h = TeleHist::new();
-            for &v in vals {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let (a, b) = (record(&a_vals), record(&b_vals));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab, ba);
-    }
 }
 
 #[test]
 fn saturation_at_u64_max_does_not_wrap() {
     let hist = TeleHist::new();
+    assert_eq!(
+        hist.snapshot(),
+        HistSnapshot::default(),
+        "the default is the empty snapshot"
+    );
     hist.record(u64::MAX);
     hist.record(u64::MAX);
     hist.record(5);
@@ -128,54 +113,6 @@ fn saturation_at_u64_max_does_not_wrap() {
     assert_eq!(snap.quantile(0.1), 5, "small values stay exact");
     // The top bucket exists: no overflow bucket, no panic.
     assert!(bucket_index(u64::MAX) < BUCKETS);
-}
-
-#[test]
-fn merging_an_empty_snapshot_is_identity() {
-    let hist = TeleHist::new();
-    for v in [1u64, 100, 10_000] {
-        hist.record(v);
-    }
-    let before = hist.snapshot();
-    let mut after = before.clone();
-    after.merge(&HistSnapshot::default());
-    assert_eq!(after, before);
-}
-
-#[test]
-fn merging_into_a_default_snapshot_copies_the_other() {
-    let hist = TeleHist::new();
-    for v in [0u64, 7, 100, 10_000, u64::MAX] {
-        hist.record(v);
-    }
-    let recorded = hist.snapshot();
-    let mut merged = HistSnapshot::default();
-    merged.merge(&recorded);
-    assert_eq!(merged, recorded);
-    assert_eq!(merged.quantile(1.0), u64::MAX);
-}
-
-#[test]
-fn telemetry_merge_takes_a_histogram_present_on_one_side() {
-    let hist = TeleHist::new();
-    hist.record(42);
-    let mut with_hist = TelemetrySnapshot::default();
-    with_hist
-        .hists
-        .insert("mg_x_us".to_string(), hist.snapshot());
-    with_hist.counters.insert("mg_y_total".to_string(), 2);
-
-    // Missing on the receiving side: the histogram is copied in.
-    let mut merged = TelemetrySnapshot::default();
-    merged.merge(&with_hist);
-    assert_eq!(merged, with_hist);
-
-    // Missing on the merged-in side: the histogram is unchanged.
-    let mut without_hist = TelemetrySnapshot::default();
-    without_hist.counters.insert("mg_y_total".to_string(), 3);
-    merged.merge(&without_hist);
-    assert_eq!(merged.hists["mg_x_us"], hist.snapshot());
-    assert_eq!(merged.counter("mg_y_total"), 5);
 }
 
 /// Span nesting and the Chrome-trace round trip share one test: the

@@ -2,34 +2,33 @@
 //! server, reporting throughput, dedup hit rate, and tail latency to
 //! `results/BENCH_serve.json`.
 //!
-//! By default the server runs in-process on an ephemeral port (so the
-//! binary is self-contained for CI); `--addr HOST:PORT` points it at an
-//! external daemon instead. Sessions deliberately outnumber distinct
-//! jobs by an order of magnitude: most sessions should be served by
-//! coalescing onto an in-flight execution or replaying a finished one,
-//! and the test fails if none are.
+//! The server runs in-process on an ephemeral port, so the binary is
+//! self-contained for CI. Its [`SESSIONS`] sessions deliberately
+//! outnumber distinct jobs by an order of magnitude: most sessions
+//! should be served by coalescing onto an in-flight execution or
+//! replaying a finished one, and the test fails if none are.
 //!
 //! Latency aggregation uses the shared telemetry histogram
 //! ([`mg_obs::TeleHist`]) rather than a sorted sample vector, which is
-//! what lets the report quote p99.9 without holding every sample. For
-//! in-process runs the loadtest also stands up the `/metrics` listener
-//! and cross-checks the server's own counters against what the clients
-//! independently observed — done replies, dedup replies, and typed
-//! rejects must agree exactly.
+//! what lets the report quote p99.9 without holding every sample. The
+//! loadtest also reads the server's own counters through the `Stats`
+//! verb and cross-checks them against what the clients independently
+//! observed — done replies, dedup replies, and typed rejects must
+//! agree exactly.
 //!
-//! Flags: `--sessions N` (default 240), `--addr HOST:PORT`. Sessions
-//! reconnect and back off with [`BackoffPolicy::default`]. A bad
-//! `--sessions` value exits 2.
+//! The binary takes no flags; any argument exits 2. Sessions reconnect
+//! and back off with [`BackoffPolicy::default`].
 
 use mg_obs::TeleHist;
-use mg_serve::metrics::{self, MetricsServer};
+use mg_serve::metrics;
 use mg_serve::protocol::Request;
 use mg_serve::{BackoffPolicy, Client, ServeConfig, Server, Session};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// Concurrent client sessions per run.
+const SESSIONS: usize = 240;
 
 /// `results/BENCH_serve.json` row format version. Bumped to 3 when the
 /// sessions moved to the resilient client (adding the reconnect and
@@ -147,91 +146,23 @@ fn run_session(addr: &str, mut request: Request, session: usize) -> SessionResul
     }
 }
 
-/// One `GET /metrics` scrape, returned as the raw exposition text.
-fn scrape(addr: &str) -> Result<String, String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("connect metrics {addr}: {e}"))?;
-    stream
-        .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
-        .map_err(|e| format!("send scrape: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read scrape: {e}"))?;
-    match response.split_once("\r\n\r\n") {
-        Some((head, body)) if head.contains("200") => Ok(body.to_string()),
-        _ => Err(format!("scrape failed: {response:.100}")),
-    }
-}
-
-/// The value of one counter series in Prometheus text (0 if absent).
-fn prom_value(text: &str, series: &str) -> u64 {
-    text.lines()
-        .filter_map(|line| line.strip_prefix(series))
-        .filter_map(|rest| rest.trim().parse::<f64>().ok())
-        .map(|v| v as u64)
-        .next()
-        .unwrap_or(0)
-}
-
-/// Sum of every `mg_serve_rejects_total{code=...}` series in a scrape.
-fn prom_total_rejects(text: &str) -> u64 {
-    text.lines()
-        .filter(|line| line.starts_with("mg_serve_rejects_total{"))
-        .filter_map(|line| line.rsplit(' ').next()?.parse::<f64>().ok())
-        .map(|v| v as u64)
-        .sum()
-}
-
 fn main() {
     mg_bench::Config::init_cli();
-    let mut sessions = 240usize;
-    let mut external: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--sessions" => {
-                sessions = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("loadtest: --sessions needs a positive integer");
-                    std::process::exit(2);
-                });
-            }
-            "--addr" => external = args.next(),
-            other => {
-                eprintln!("loadtest: unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("loadtest: unknown flag {arg:?}");
+        std::process::exit(2);
     }
 
-    // In-process server unless an external daemon was named. The
-    // in-process path also gets a `/metrics` listener so the scrape
-    // cross-check below runs against a real HTTP socket.
-    let (addr, metrics_addr, server_thread) = match &external {
-        Some(addr) => (addr.clone(), None, None),
-        None => {
-            let server = Server::bind(ServeConfig::default()).unwrap_or_else(|e| {
-                eprintln!("loadtest: bind: {e}");
-                std::process::exit(2);
-            });
-            let metrics = MetricsServer::bind("127.0.0.1:0").unwrap_or_else(|e| {
-                eprintln!("loadtest: metrics bind: {e}");
-                std::process::exit(2);
-            });
-            let metrics_addr = metrics.local_addr().to_string();
-            metrics.spawn();
-            let addr = server.local_addr().to_string();
-            (
-                addr,
-                Some(metrics_addr),
-                Some(std::thread::spawn(move || server.run())),
-            )
-        }
-    };
+    let server = Server::bind(ServeConfig::default()).unwrap_or_else(|e| {
+        eprintln!("loadtest: bind: {e}");
+        std::process::exit(2);
+    });
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
 
     let jobs = job_mix();
     let distinct_jobs = jobs.len();
-    println!("loadtest: {sessions} sessions over {distinct_jobs} distinct jobs at {addr}");
+    println!("loadtest: {SESSIONS} sessions over {distinct_jobs} distinct jobs at {addr}");
 
     // Deltas, not absolutes: the in-process server shares this
     // process's global registry, which may already hold counts (e.g.
@@ -239,14 +170,14 @@ fn main() {
     let before = mg_obs::telemetry::snapshot();
 
     let start = Instant::now();
-    let handles: Vec<_> = (0..sessions)
+    let handles: Vec<_> = (0..SESSIONS)
         .map(|s| {
             let addr = addr.clone();
             let request = jobs[s % distinct_jobs].clone();
             std::thread::spawn(move || run_session(&addr, request, s))
         })
         .collect();
-    let mut results = Vec::with_capacity(sessions);
+    let mut results = Vec::with_capacity(SESSIONS);
     let mut panics = 0u64;
     for h in handles {
         match h.join() {
@@ -279,81 +210,57 @@ fn main() {
     let lat = hist.snapshot();
     let q_ms = |q: f64| lat.quantile(q) / 1_000;
 
-    // Cross-check the server's own view against what the clients
-    // counted, over both exposure paths: the Prometheus scrape and the
-    // in-protocol `Stats` verb. Only meaningful for the in-process
-    // server (an external daemon has history we didn't observe).
+    // Cross-check the server's own view, read through the `Stats`
+    // verb, against what the clients counted.
     let mut check_failures = 0u32;
-    if let Some(metrics_addr) = &metrics_addr {
-        fn check(failures: &mut u32, what: &str, server_count: u64, client_count: u64) {
-            if server_count != client_count {
-                eprintln!(
-                    "loadtest: MISMATCH {what}: server says {server_count}, \
-                     clients counted {client_count}"
-                );
-                *failures += 1;
-            }
+    let mut check = |what: &str, server_count: u64, client_count: u64| {
+        if server_count != client_count {
+            eprintln!(
+                "loadtest: MISMATCH {what}: server says {server_count}, \
+                 clients counted {client_count}"
+            );
+            check_failures += 1;
         }
-        match scrape(metrics_addr) {
-            Ok(text) => {
-                let done = prom_value(&text, &format!("{} ", metrics::DONE_REPLIES));
-                let dedup = prom_value(&text, &format!("{} ", metrics::DEDUP_REPLIES));
-                let rejects = prom_total_rejects(&text);
-                let base_done = before.counter(metrics::DONE_REPLIES);
-                let base_dedup = before.counter(metrics::DEDUP_REPLIES);
-                let base_rejects = metrics::total_rejects(&before);
-                check(
-                    &mut check_failures,
-                    "/metrics done replies",
-                    done - base_done,
-                    completed,
-                );
-                check(
-                    &mut check_failures,
-                    "/metrics dedup replies",
-                    dedup - base_dedup,
-                    dedup_hits,
-                );
-                // Sessions absorb transient rejects by retrying; the
-                // server still counted each one it sent.
-                check(
-                    &mut check_failures,
-                    "/metrics rejects",
-                    rejects - base_rejects,
-                    rejected + transient_rejects,
-                );
-            }
-            Err(e) => {
-                eprintln!("loadtest: scrape failed: {e}");
-                check_failures += 1;
-            }
+    };
+    match Client::connect(&addr).and_then(|mut c| c.stats("loadtest-stats")) {
+        Ok(stats) => {
+            let after = &stats.telemetry;
+            let delta = |name: &str| after.counter(name) - before.counter(name);
+            check(
+                "Stats done replies",
+                delta(metrics::DONE_REPLIES),
+                completed,
+            );
+            check(
+                "Stats dedup replies",
+                delta(metrics::DEDUP_REPLIES),
+                dedup_hits,
+            );
+            // Sessions absorb transient rejects by retrying; the
+            // server still counted each one it sent.
+            check(
+                "Stats rejects",
+                metrics::total_rejects(after) - metrics::total_rejects(&before),
+                rejected + transient_rejects,
+            );
         }
-        match Client::connect(&addr).and_then(|mut c| c.stats("loadtest-stats")) {
-            Ok(stats) => {
-                let done = stats.telemetry.counter(metrics::DONE_REPLIES)
-                    - before.counter(metrics::DONE_REPLIES);
-                check(&mut check_failures, "Stats done replies", done, completed);
-            }
-            Err(e) => {
-                eprintln!("loadtest: Stats verb failed: {e}");
-                check_failures += 1;
-            }
+        Err(e) => {
+            eprintln!("loadtest: Stats verb failed: {e}");
+            check_failures += 1;
         }
     }
 
-    if let Some(thread) = server_thread {
-        mg_bench::request_shutdown();
-        let stats = thread.join().expect("server thread");
-        mg_bench::clear_shutdown();
-        println!(
-            "server: {} connections, store counters {:?}",
-            stats.connections, stats.store
-        );
-    }
+    mg_bench::request_shutdown();
+    let stats = server_thread.join().expect("server thread");
+    mg_bench::clear_shutdown();
+    println!(
+        "server: {} connections, store counters {:?}",
+        stats.connections, stats.store
+    );
 
     let report = LoadReport {
         load_schema: LOAD_SCHEMA,
-        sessions: sessions as u64,
+        sessions: SESSIONS as u64,
         distinct_jobs: distinct_jobs as u64,
         completed,
         rejected,
@@ -389,11 +296,11 @@ fn main() {
         path.display()
     );
 
-    if panics > 0 || completed != sessions as u64 {
+    if panics > 0 || completed != SESSIONS as u64 {
         eprintln!("loadtest: FAILED — {panics} panics, {client_errors} incomplete sessions");
         std::process::exit(1);
     }
-    if sessions > distinct_jobs && dedup_hits == 0 {
+    if dedup_hits == 0 {
         eprintln!("loadtest: FAILED — no session was served by coalescing/replay");
         std::process::exit(1);
     }

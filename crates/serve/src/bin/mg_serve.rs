@@ -8,7 +8,7 @@
 //! requests a graceful drain; a second one exits immediately with the
 //! conventional `128 + signo`).
 
-use mg_serve::{MetricsServer, ServeConfig, Server};
+use mg_serve::{ServeConfig, Server};
 
 fn main() {
     mg_bench::Config::init_cli();
@@ -19,7 +19,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let metrics_addr = cfg.metrics_addr.clone();
     let server = match Server::bind(cfg) {
         Ok(server) => server,
         Err(e) => {
@@ -28,27 +27,6 @@ fn main() {
         }
     };
     println!("mg-serve listening on {}", server.local_addr());
-    // Bind the metrics listener now (so a bad --metrics-addr fails
-    // fast), but only spawn its thread after SignalWatch below has
-    // blocked SIGINT/SIGTERM on this thread: spawned threads inherit
-    // the mask, and an unmasked thread would let a process-directed
-    // signal bypass the graceful drain via the default disposition.
-    let metrics = match metrics_addr {
-        Some(addr) => match MetricsServer::bind(&addr) {
-            Ok(metrics) => {
-                println!(
-                    "mg-serve metrics on http://{}/metrics",
-                    metrics.local_addr()
-                );
-                Some(metrics)
-            }
-            Err(e) => {
-                eprintln!("mg-serve: metrics bind {addr}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
     let _watch = mg_bench::signals::SignalWatch::install(|signo, count| {
         if count == 1 {
             eprintln!("mg-serve: signal {signo}: draining");
@@ -58,9 +36,6 @@ fn main() {
             std::process::exit(128 + signo);
         }
     });
-    if let Some(metrics) = metrics {
-        metrics.spawn();
-    }
     let stats = server.run();
     println!(
         "mg-serve drained: {} connections, {} jobs completed, {} coalesced, {} replayed",

@@ -28,10 +28,6 @@ pub struct ServeConfig {
     /// Training machine for every job's profiling run (uniform across
     /// the server so identical requests share context-cache entries).
     pub train_machine: MachineConfig,
-    /// Listen address for the Prometheus `/metrics` HTTP endpoint;
-    /// `None` (the default) serves no metrics socket. The line protocol
-    /// `Stats` verb works either way.
-    pub metrics_addr: Option<String>,
     /// Per-connection write timeout: a peer that stops reading its
     /// replies (slow-loris reader) fails its writer thread instead of
     /// wedging it. `None` disables.
@@ -58,7 +54,6 @@ impl Default for ServeConfig {
             workers: mg_bench::config::available_jobs(),
             disk_cache: true,
             train_machine: MachineConfig::reduced(),
-            metrics_addr: None,
             write_timeout: Some(Duration::from_secs(10)),
             shed_depth: None,
             shed_retry_after: Duration::from_millis(100),
@@ -76,8 +71,6 @@ impl ServeConfig {
     /// * `--train TAG` — training machine tag (see
     ///   [`MachineConfig::by_tag`])
     /// * `--no-disk-cache` — in-memory context cache only
-    /// * `--metrics-addr HOST:PORT` — serve Prometheus text on
-    ///   `GET /metrics` at this address (off unless given)
     /// * `--write-timeout-ms MS` — per-connection write timeout
     ///   (0 disables; default 10000)
     /// * `--shed-depth N` — shed new jobs at this queue depth
@@ -115,7 +108,6 @@ impl ServeConfig {
                         .ok_or_else(|| format!("unknown machine tag {tag:?}"))?;
                 }
                 "--no-disk-cache" => cfg.disk_cache = false,
-                "--metrics-addr" => cfg.metrics_addr = Some(value("--metrics-addr")?),
                 "--write-timeout-ms" => {
                     let ms: u64 = parse_num(&value("--write-timeout-ms")?, "--write-timeout-ms")?;
                     cfg.write_timeout = (ms > 0).then(|| Duration::from_millis(ms));
@@ -158,8 +150,6 @@ mod tests {
             "--train",
             "8way",
             "--no-disk-cache",
-            "--metrics-addr",
-            "127.0.0.1:9100",
             "--write-timeout-ms",
             "2500",
             "--shed-depth",
@@ -171,7 +161,6 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(cfg.addr, "0.0.0.0:7700");
-        assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:9100"));
         assert_eq!(cfg.write_timeout, Some(Duration::from_millis(2500)));
         assert_eq!(cfg.shed_depth, Some(5));
         assert_eq!(cfg.shed_retry_after, Duration::from_millis(40));
@@ -194,7 +183,12 @@ mod tests {
         assert!(ServeConfig::from_args(["--train", "11way"]).is_err());
         assert!(ServeConfig::from_args(["--shed-depth", "many"]).is_err());
         assert!(ServeConfig::from_args(["--write-timeout-ms", "-1"]).is_err());
-        for gone in ["--retries", "--watchdog-ms", "--shed-p99-ms"] {
+        for gone in [
+            "--retries",
+            "--watchdog-ms",
+            "--shed-p99-ms",
+            "--metrics-addr",
+        ] {
             assert!(ServeConfig::from_args([gone, "1"]).is_err(), "{gone}");
         }
     }

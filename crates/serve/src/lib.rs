@@ -21,8 +21,8 @@
 //! * [`client`] — a blocking client used by the bundled binaries and
 //!   tests, plus the resilient [`client::Session`] wrapper (reconnect,
 //!   backoff, idempotent resume);
-//! * [`metrics`] — serve-side metric names, counted reply rendering,
-//!   and the Prometheus `/metrics` HTTP listener;
+//! * [`metrics`] — serve-side metric names and counted reply
+//!   rendering (the registry is read through the `Stats` verb);
 //! * [`config`] — the daemon's typed configuration (no `std::env`
 //!   reads anywhere in this crate).
 
@@ -41,7 +41,6 @@ pub mod store;
 pub use client::{BackoffPolicy, Client, JobOutcome, ServerStats, Session};
 pub use config::ServeConfig;
 pub use jobs::JobSpec;
-pub use metrics::MetricsServer;
 pub use protocol::{ErrorCode, Reply, Request, RequestBody, PROTOCOL_VERSION};
 pub use server::{ServeStats, Server};
 pub use store::ResultStore;

@@ -1,21 +1,13 @@
-//! The Prometheus `/metrics` listener and the serve-side metric names.
+//! The serve-side metric names and the counted reply renderers.
 //!
-//! `mg-serve` exposes the process-global telemetry registry
-//! ([`mg_obs::telemetry`]) over a deliberately tiny HTTP/1.0 responder:
-//! `GET /metrics` returns the registry rendered in Prometheus text
-//! exposition format (version 0.0.4). The same numbers are available
-//! in-protocol through the `Stats` verb — both views read the same
-//! registry, so they agree up to scrape timing.
-//!
-//! This module also owns the serve-side metric *names*, so the server,
-//! the loadtest, and the integration tests can never drift apart on
-//! spelling.
+//! `mg-serve` counts into the process-global telemetry registry
+//! ([`mg_obs::telemetry`]); clients read it in-protocol through the
+//! `Stats` verb. This module owns the serve-side metric *names*, so the
+//! server, the loadtest, and the integration tests can never drift
+//! apart on spelling.
 
 use crate::protocol::{reply_line, ErrorCode, Reply};
 use mg_obs::telemetry;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
 
 /// Connections accepted over the server's lifetime.
 pub const CONNECTIONS: &str = "mg_serve_connections_total";
@@ -111,97 +103,6 @@ pub fn done_line(id: String, cells: u64, dedup: bool) -> String {
         mg_obs::tele_counter!(DEDUP_REPLIES).inc();
     }
     reply_line(Reply::Done { id, cells, dedup })
-}
-
-/// How often the accept loop re-checks the shutdown flag.
-const POLL: Duration = Duration::from_millis(50);
-
-/// A bound, not-yet-serving `/metrics` listener.
-pub struct MetricsServer {
-    listener: TcpListener,
-    local_addr: SocketAddr,
-}
-
-impl MetricsServer {
-    /// Binds the metrics socket; nothing is served until
-    /// [`MetricsServer::run`].
-    pub fn bind(addr: &str) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        Ok(MetricsServer {
-            listener,
-            local_addr,
-        })
-    }
-
-    /// The bound address (resolves an ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Serves scrapes until [`mg_bench::request_shutdown`]. Each
-    /// connection gets one response and is closed (HTTP/1.0 style) —
-    /// scrapers reconnect per scrape, which keeps the listener a
-    /// single thread with no connection bookkeeping.
-    pub fn run(self) {
-        while !mg_bench::shutdown_requested() {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    // Scrape failures close the connection (the stream
-                    // drops here) and are logged rather than swallowed:
-                    // a socket that refuses its timeouts must not be
-                    // served, or a stalled scraper wedges this thread.
-                    if let Err(e) = serve_scrape(stream) {
-                        mg_obs::mg_debug!("metrics scrape from {peer} failed: {e}");
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                Err(_) => std::thread::sleep(POLL),
-            }
-        }
-    }
-
-    /// Spawns the listener on a named background thread.
-    pub fn spawn(self) -> std::thread::JoinHandle<()> {
-        std::thread::Builder::new()
-            .name("mg-serve-metrics".to_string())
-            .spawn(move || self.run())
-            .expect("spawn metrics thread")
-    }
-}
-
-/// Answers one scrape: `GET /metrics` with the rendered registry, 404
-/// for any other path, 400 for lines that are not HTTP requests.
-fn serve_scrape(stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers until the blank line so the peer's send completes.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 2 {
-        header.clear();
-    }
-    let mut out = stream;
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, content_type, body) = match (method, path) {
-        ("GET", "/metrics") => (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            telemetry::snapshot().to_prometheus(),
-        ),
-        ("GET", _) => ("404 Not Found", "text/plain", "try /metrics\n".to_string()),
-        _ => ("400 Bad Request", "text/plain", "not HTTP\n".to_string()),
-    };
-    write!(
-        out,
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    out.flush()
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@
 //!    [`Reply::Done`] — or a single [`Reply::Rejected`] with a typed
 //!    [`ErrorCode`] if the request never became a job. A `Stats`
 //!    request gets a single [`Reply::Stats`] carrying a
-//!    [`mg_obs::TelemetrySnapshot`] — the same numbers the
-//!    `/metrics` Prometheus listener renders.
+//!    [`mg_obs::TelemetrySnapshot`] of the server's telemetry
+//!    registry.
 //!
 //! Replies for different in-flight requests may interleave; every reply
 //! carries the client-chosen request `id` so streams can be
@@ -198,9 +198,9 @@ pub enum Reply {
         queue_depth: u64,
         /// Size of the worker pool.
         workers: u64,
-        /// Snapshot of the server's global telemetry registry — the
-        /// same registry the `/metrics` Prometheus listener renders,
-        /// so the two views always agree up to scrape timing.
+        /// Snapshot of the server's global telemetry registry, the
+        /// same registry `run_cli` writes to
+        /// `results/TELEMETRY_<bin>.json`.
         telemetry: TelemetrySnapshot,
     },
 }

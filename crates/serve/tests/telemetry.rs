@@ -1,16 +1,14 @@
 //! End-to-end telemetry agreement: after a smoke sweep through a real
-//! in-process server, the Prometheus `/metrics` scrape and the
-//! in-protocol `Stats` verb must both match what the clients counted —
-//! `Done` replies, dedup flags, executions, and committed rows.
+//! in-process server, the counters read through the `Stats` verb must
+//! match what the clients counted — `Done` replies, dedup flags,
+//! executions, and committed rows.
 //!
 //! The registry is process-global, so everything is asserted on deltas
 //! against a snapshot taken before the sweep.
 
-use mg_serve::metrics::{self, MetricsServer};
+use mg_serve::metrics;
 use mg_serve::protocol::Request;
 use mg_serve::{Client, ServeConfig, Server};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 fn request(id: &str, target_dyn: u64) -> Request {
@@ -25,29 +23,8 @@ fn request(id: &str, target_dyn: u64) -> Request {
     }
 }
 
-fn scrape(addr: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect metrics");
-    stream
-        .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
-        .expect("send scrape");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read scrape");
-    let (head, body) = response.split_once("\r\n\r\n").expect("http response");
-    assert!(head.contains("200"), "scrape failed: {head}");
-    body.to_string()
-}
-
-fn prom_value(text: &str, series: &str) -> u64 {
-    text.lines()
-        .filter_map(|line| line.strip_prefix(series))
-        .filter_map(|rest| rest.trim().parse::<f64>().ok())
-        .map(|v| v as u64)
-        .next()
-        .unwrap_or(0)
-}
-
 #[test]
-fn metrics_and_stats_agree_with_done_counts() {
+fn stats_agree_with_client_counts() {
     mg_bench::clear_shutdown();
     let server = Server::bind(ServeConfig {
         disk_cache: false,
@@ -55,9 +32,6 @@ fn metrics_and_stats_agree_with_done_counts() {
     })
     .expect("bind server");
     let addr = server.local_addr().to_string();
-    let metrics_srv = MetricsServer::bind("127.0.0.1:0").expect("bind metrics");
-    let metrics_addr = metrics_srv.local_addr().to_string();
-    metrics_srv.spawn();
     let server_thread = std::thread::spawn(move || server.run());
 
     let before = mg_obs::telemetry::snapshot();
@@ -81,9 +55,11 @@ fn metrics_and_stats_agree_with_done_counts() {
     let rows_per_job = outcomes[0].rows.len() as u64;
     assert!(dedup_seen >= 1, "the duplicate request was served by dedup");
 
-    // View 1: the Prometheus scrape.
-    let text = scrape(&metrics_addr);
-    let delta = |name: &str| prom_value(&text, &format!("{name} ")) - before.counter(name);
+    // The server's own view through the in-protocol Stats verb.
+    let mut stats_client =
+        Client::connect_with_retry(&addr, Duration::from_secs(10)).expect("connect for stats");
+    let stats = stats_client.stats("telemetry-check").expect("stats verb");
+    let delta = |name: &str| stats.telemetry.counter(name) - before.counter(name);
     assert_eq!(delta(metrics::DONE_REPLIES), done_seen);
     assert_eq!(delta(metrics::DEDUP_REPLIES), dedup_seen);
     assert_eq!(delta(metrics::JOBS_COMPLETED), executions);
@@ -93,19 +69,6 @@ fn metrics_and_stats_agree_with_done_counts() {
         executions * rows_per_job,
         "rows are committed once per execution, not per subscriber"
     );
-    assert!(
-        text.contains(&format!("# TYPE {} counter", metrics::DONE_REPLIES)),
-        "exposition declares metric types"
-    );
-
-    // View 2: the in-protocol Stats verb — same registry, same counts.
-    let mut stats_client =
-        Client::connect_with_retry(&addr, Duration::from_secs(10)).expect("connect for stats");
-    let stats = stats_client.stats("telemetry-check").expect("stats verb");
-    let sdelta = |name: &str| stats.telemetry.counter(name) - before.counter(name);
-    assert_eq!(sdelta(metrics::DONE_REPLIES), done_seen);
-    assert_eq!(sdelta(metrics::DEDUP_REPLIES), dedup_seen);
-    assert_eq!(sdelta(metrics::JOBS_COMPLETED), executions);
     assert_eq!(stats.queue_depth, 0, "nothing left queued after the sweep");
     assert!(stats.workers >= 1);
 
