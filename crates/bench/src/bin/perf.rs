@@ -23,13 +23,18 @@
 //! simulates, timed with `profile_slack` on against the same prepared
 //! cell run plain. It runs each benchmark at its full `target_dyn`, the
 //! length a context's profiling run simulates, not at `TARGET_DYN`.
+//! Both sections time each benchmark's plain and treated runs as
+//! `REPEATS` back-to-back pairs, alternating which runs first, and
+//! report the median of the per-pair ratios next to the ratio of the
+//! summed fastest walls: a pair shares the host's state of the moment,
+//! so its ratio is steadier than two sums taken apart.
 //!
 //! That the engine does not allocate per cycle is gated by
 //! `crates/sim/tests/alloc_free.rs`, not measured here.
 
 use mg_bench::harness::PreparedSim;
 use mg_bench::{machine_fingerprint, BenchContext, Scheme, SweepCell, SCHEMA_VERSION};
-use mg_sim::MachineConfig;
+use mg_sim::{MachineConfig, SimResult};
 use mg_workloads::suite;
 use serde::Serialize;
 use std::time::Instant;
@@ -57,6 +62,9 @@ struct ObsPerf {
     /// Observed wall over plain wall: the run-time price of attaching
     /// the observer.
     overhead_ratio: f64,
+    /// Median over every (benchmark, repeat) pair of observed over plain.
+    median_pair_ratio: f64,
+    pairs: usize,
     /// Whether every observed run's stall table conserved cycles.
     conservation_ok: bool,
 }
@@ -75,6 +83,9 @@ struct ProfilePerf {
     /// Profiled wall over plain wall: the run-time price of collecting
     /// a slack profile.
     overhead_ratio: f64,
+    /// Median over every (benchmark, repeat) pair of profiled over plain.
+    median_pair_ratio: f64,
+    pairs: usize,
 }
 
 #[derive(Serialize)]
@@ -147,67 +158,122 @@ fn prepare_all(contexts: &[BenchContext]) -> Vec<Vec<PreparedSim<'_>>> {
         .collect()
 }
 
-/// Times `REPEATS` passes over `sims`, returning (total simulated cycles
-/// of a pass, wall seconds of the fastest pass).
-fn time_passes<'a, 'c: 'a>(sims: impl Iterator<Item = &'a PreparedSim<'c>> + Clone) -> (u64, f64) {
+/// Times `REPEATS` passes of every benchmark under one cell index,
+/// returning (total simulated cycles of a pass, wall seconds of the
+/// fastest pass).
+fn time_cell(prepared: &[Vec<PreparedSim<'_>>], cell: usize) -> (u64, f64) {
     let mut best_wall = f64::INFINITY;
     let mut cycles = 0u64;
     for _ in 0..REPEATS {
         let t0 = Instant::now();
-        cycles = sims.clone().map(|p| p.simulate().stats.cycles).sum();
+        cycles = prepared
+            .iter()
+            .map(|sims| sims[cell].simulate().stats.cycles)
+            .sum();
         best_wall = best_wall.min(t0.elapsed().as_secs_f64());
     }
     (cycles, best_wall)
 }
 
-/// Times one full pass of every benchmark under one cell index.
-fn time_cell(prepared: &[Vec<PreparedSim<'_>>], cell: usize) -> (u64, f64) {
-    time_passes(prepared.iter().map(|sims| &sims[cell]))
+/// Paired timings of plain and treated runs, summed over benchmarks.
+#[derive(Default)]
+struct Pairs {
+    /// Simulated cycles of one plain run of each benchmark.
+    cycles: u64,
+    /// Each benchmark's fastest plain and treated wall, summed.
+    plain_wall: f64,
+    treated_wall: f64,
+    /// Treated over plain wall of every pair.
+    ratios: Vec<f64>,
+}
+
+impl Pairs {
+    /// Runs `plain` and `treated` back to back `REPEATS` times, swapping
+    /// which goes first each time (`first_treated` picks the first
+    /// pair's order), and passes every treated result to `check`.
+    fn time(
+        &mut self,
+        plain: &PreparedSim<'_>,
+        treated: &PreparedSim<'_>,
+        first_treated: bool,
+        mut check: impl FnMut(&SimResult),
+    ) {
+        let (mut best_plain, mut best_treated) = (f64::INFINITY, f64::INFINITY);
+        for i in 0..REPEATS {
+            let treated_first = first_treated ^ (i % 2 == 1);
+            let mut walls = [0.0; 2];
+            for treat in [treated_first, !treated_first] {
+                let t0 = Instant::now();
+                let r = if treat { treated } else { plain }.simulate();
+                walls[treat as usize] = t0.elapsed().as_secs_f64();
+                if treat {
+                    check(&r);
+                } else if i == 0 {
+                    self.cycles += r.stats.cycles;
+                }
+            }
+            best_plain = best_plain.min(walls[0]);
+            best_treated = best_treated.min(walls[1]);
+            self.ratios.push(walls[1] / walls[0].max(1e-12));
+        }
+        self.plain_wall += best_plain;
+        self.treated_wall += best_treated;
+    }
+
+    /// Summed treated over summed plain wall.
+    fn sum_ratio(&self) -> f64 {
+        self.treated_wall / self.plain_wall.max(1e-12)
+    }
+
+    fn median_ratio(&self) -> f64 {
+        let mut r = self.ratios.clone();
+        r.sort_by(f64::total_cmp);
+        match r.len() {
+            0 => f64::NAN,
+            n if n % 2 == 1 => r[n / 2],
+            n => (r[n / 2 - 1] + r[n / 2]) / 2.0,
+        }
+    }
 }
 
 /// Times the no-mg/red cell of the first `take` benchmarks with slack
 /// profiling on and off, each at its full `target_dyn`. Benchmarks are
 /// prepared one at a time and dropped once timed, so one full-length
-/// trace is live at a time; each side sums the per-benchmark fastest of
-/// `REPEATS` passes.
+/// trace is live at a time.
 fn profile_overhead(take: usize) -> ProfilePerf {
     let red = MachineConfig::reduced();
-    // (instrs, cycles, plain wall, profiled wall) per benchmark.
-    let runs: Vec<(u64, u64, f64, f64)> = suite()
-        .into_iter()
-        .take(take)
-        .filter_map(|spec| {
-            BenchContext::builder(&spec, &red)
-                .cache(false)
-                .build()
-                .and_then(|ctx| {
-                    let plain = ctx.prepare_sim(&SweepCell::new(Scheme::NoMg, &red))?;
-                    let mut profiled = plain.clone();
-                    profiled.opts.profile_slack = true;
-                    let (cycles, plain_wall) = time_passes(std::iter::once(&plain));
-                    let (_, profiled_wall) = time_passes(std::iter::once(&profiled));
-                    Ok((
-                        plain.trace().len() as u64,
-                        cycles,
-                        plain_wall,
-                        profiled_wall,
-                    ))
-                })
-                .inspect_err(|e| eprintln!("skipped {} in the profile section: {e}", spec.name))
-                .ok()
-        })
-        .collect();
-    let plain_wall_sec: f64 = runs.iter().map(|r| r.2).sum();
-    let profiled_wall_sec: f64 = runs.iter().map(|r| r.3).sum();
+    let mut pairs = Pairs::default();
+    let (mut benches, mut instrs) = (0, 0u64);
+    for (i, spec) in suite().into_iter().take(take).enumerate() {
+        let timed = BenchContext::builder(&spec, &red)
+            .cache(false)
+            .build()
+            .and_then(|ctx| {
+                let plain = ctx.prepare_sim(&SweepCell::new(Scheme::NoMg, &red))?;
+                let mut profiled = plain.clone();
+                profiled.opts.profile_slack = true;
+                pairs.time(&plain, &profiled, i % 2 == 1, |_| {});
+                Ok(plain.trace().len() as u64)
+            });
+        match timed {
+            Ok(n) => {
+                benches += 1;
+                instrs += n;
+            }
+            Err(e) => eprintln!("skipped {} in the profile section: {e}", spec.name),
+        }
+    }
     ProfilePerf {
         scheme: Scheme::NoMg.name().to_string(),
         machine: "red".to_string(),
-        benches: runs.len(),
-        instrs: runs.iter().map(|r| r.0).sum(),
-        sim_cycles: runs.iter().map(|r| r.1).sum(),
-        plain_wall_sec,
-        profiled_wall_sec,
-        overhead_ratio: profiled_wall_sec / plain_wall_sec.max(1e-12),
+        benches,
+        instrs,
+        sim_cycles: pairs.cycles,
+        plain_wall_sec: pairs.plain_wall,
+        profiled_wall_sec: pairs.treated_wall,
+        overhead_ratio: pairs.sum_ratio(),
+        median_pair_ratio: pairs.median_ratio(),
+        pairs: pairs.ratios.len(),
     }
 }
 
@@ -216,31 +282,31 @@ const OBS_CELL: (Scheme, &str) = (Scheme::StructAll, "red");
 
 /// Times the [`OBS_CELL`] of every prepared benchmark with and without
 /// the pipeline observer attached: the ratio is the run-time cost of
-/// observing. Leaves those cells of `prepared` switched to observed.
-fn obs_overhead(prepared: &mut [Vec<PreparedSim<'_>>]) -> ObsPerf {
+/// observing.
+fn obs_overhead(prepared: &[Vec<PreparedSim<'_>>]) -> ObsPerf {
     let cell = cell_tags()
         .iter()
         .position(|&c| c == OBS_CELL)
         .expect("the obs cell is a timed cell");
-    let (sim_cycles, plain_wall_sec) = time_cell(prepared, cell);
-    for sims in prepared.iter_mut() {
-        sims[cell].opts.obs = true;
+    let mut pairs = Pairs::default();
+    let mut conservation_ok = true;
+    for (i, sims) in prepared.iter().enumerate() {
+        let mut observed = sims[cell].clone();
+        observed.opts.obs = true;
+        pairs.time(&sims[cell], &observed, i % 2 == 1, |r| {
+            conservation_ok &= r.obs.as_ref().is_some_and(|o| o.conservation_ok());
+        });
     }
-    let (_, observed_wall_sec) = time_cell(prepared, cell);
-    let conservation_ok = prepared.iter().all(|sims| {
-        sims[cell]
-            .simulate()
-            .obs
-            .is_some_and(|r| r.conservation_ok())
-    });
     ObsPerf {
         scheme: OBS_CELL.0.name().to_string(),
         machine: OBS_CELL.1.to_string(),
         benches: prepared.len(),
-        sim_cycles,
-        plain_wall_sec,
-        observed_wall_sec,
-        overhead_ratio: observed_wall_sec / plain_wall_sec.max(1e-12),
+        sim_cycles: pairs.cycles,
+        plain_wall_sec: pairs.plain_wall,
+        observed_wall_sec: pairs.treated_wall,
+        overhead_ratio: pairs.sum_ratio(),
+        median_pair_ratio: pairs.median_ratio(),
+        pairs: pairs.ratios.len(),
         conservation_ok,
     }
 }
@@ -258,7 +324,7 @@ fn main() {
 
     eprintln!("preparing sweep inputs…");
     let contexts = build_all(take, target_dyn);
-    let mut prepared = prepare_all(&contexts);
+    let prepared = prepare_all(&contexts);
     assert!(!prepared.is_empty(), "no benchmarks prepared");
 
     let mut cells = Vec::new();
@@ -286,13 +352,15 @@ fn main() {
         });
     }
 
-    let obs = obs_overhead(&mut prepared);
+    let obs = obs_overhead(&prepared);
     eprintln!(
-        "observer overhead on {}/{} ({} benches): {:.2}x ({:.3}s observed vs {:.3}s plain, conservation {})",
+        "observer overhead on {}/{} ({} benches): {:.2}x, median pair {:.2}x over {} pairs ({:.3}s observed vs {:.3}s plain, conservation {})",
         obs.scheme,
         obs.machine,
         obs.benches,
         obs.overhead_ratio,
+        obs.median_pair_ratio,
+        obs.pairs,
         obs.observed_wall_sec,
         obs.plain_wall_sec,
         if obs.conservation_ok { "ok" } else { "VIOLATED" },
@@ -301,11 +369,13 @@ fn main() {
     eprintln!("timing full-length slack profiling…");
     let profile = profile_overhead(take);
     eprintln!(
-        "slack-profiling overhead on {}/{} ({} instrs): {:.2}x ({:.3}s profiled vs {:.3}s plain)",
+        "slack-profiling overhead on {}/{} ({} instrs): {:.2}x, median pair {:.2}x over {} pairs ({:.3}s profiled vs {:.3}s plain)",
         profile.scheme,
         profile.machine,
         profile.instrs,
         profile.overhead_ratio,
+        profile.median_pair_ratio,
+        profile.pairs,
         profile.profiled_wall_sec,
         profile.plain_wall_sec,
     );

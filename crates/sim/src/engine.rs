@@ -43,7 +43,7 @@ pub struct SimOptions {
     pub profile_slack: bool,
     /// Enable the Slack-Dynamic run-time controller.
     pub dyn_mg: Option<DynMgConfig>,
-    /// Collect pipeline trace, stall attribution, and occupancy metrics.
+    /// Collect stall attribution and occupancy metrics.
     pub obs: bool,
 }
 
@@ -308,9 +308,6 @@ struct SlackLog {
     /// Per-seq minimum consumer margin (local slack sample). Consumers
     /// keep landing margins on producers after those commit.
     min_margin: Vec<u64>,
-    /// Per-seq source value-ready times captured at issue (`NEVER`: no
-    /// such operand).
-    src_ready: Vec<[u64; 2]>,
     /// Committed singletons, in commit order.
     committed: Vec<CommittedSingleton>,
 }
@@ -326,12 +323,135 @@ impl SlackLog {
 }
 
 /// What the profile needs of a committed singleton besides its margin.
+/// Its output- and source-ready times are read from `Engine::ready_at`
+/// when the profile is built: each seq's entry is written once.
 struct CommittedSingleton {
     seq: u32,
     id: StaticId,
     issued: u64,
-    out_ready: u64,
+    /// Source producers of the operands the op read at issue (see
+    /// [`Engine::src_ready_time`]); the first `n_srcs` are operands.
+    srcs: [u32; 2],
+    /// Zero for an op that bypassed the IQ: it never read its operands.
+    n_srcs: u8,
     mispredicted: bool,
+}
+
+/// Wake times less than this many cycles ahead go into the wheel; later
+/// ones into the overflow heap. It exceeds the paper machines' 200-cycle
+/// memory latency plus both cache levels, so only unusual machines
+/// overflow.
+const WHEEL_SLOTS: usize = 512;
+
+/// Pending wakeups of IQ ops whose operand-arrival cycle is known: a
+/// wheel of per-cycle buckets, drained one bucket per cycle, plus a
+/// min-heap for wake times past the wheel's horizon. A bucket is an
+/// intrusive list through `nodes`, so a run's steady state allocates
+/// nothing. Entries of squashed ops are dropped when their cycle comes.
+struct WakeQueue {
+    /// First node of each cycle's bucket, or `NO_OP`; cycle `t` uses
+    /// bucket `t % WHEEL_SLOTS`.
+    heads: Vec<u32>,
+    /// Bucket entries; free nodes chain from `free`.
+    nodes: Vec<WakeNode>,
+    free: u32,
+    /// `(cycle, op)` entries at least `WHEEL_SLOTS` cycles ahead.
+    overflow: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+#[derive(Clone, Copy)]
+struct WakeNode {
+    op: u32,
+    next: u32,
+}
+
+impl WakeQueue {
+    fn with_capacity(cap: usize) -> WakeQueue {
+        WakeQueue {
+            heads: vec![NO_OP; WHEEL_SLOTS],
+            nodes: Vec::with_capacity(cap),
+            free: NO_OP,
+            overflow: BinaryHeap::new(),
+        }
+    }
+
+    /// Wakes op `oi` at cycle `at`, which lies after `now`.
+    fn push(&mut self, now: u64, at: u64, oi: u32) {
+        debug_assert!(at > now, "wakeup at {at} is not after cycle {now}");
+        if at - now >= WHEEL_SLOTS as u64 {
+            self.overflow.push(Reverse((at, oi)));
+            return;
+        }
+        let bucket = &mut self.heads[at as usize % WHEEL_SLOTS];
+        let node = WakeNode {
+            op: oi,
+            next: *bucket,
+        };
+        *bucket = if self.free == NO_OP {
+            self.nodes.push(node);
+            self.nodes.len() as u32 - 1
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
+    }
+
+    /// Moves every live op waking at cycle `now` into `ready`, in no
+    /// particular order. Must run every cycle: a bucket holds only its
+    /// own cycle's entries because the previous lap's were drained.
+    fn drain(&mut self, now: u64, ops: &OpRing, ready: &mut Vec<u32>) {
+        let mut n = std::mem::replace(&mut self.heads[now as usize % WHEEL_SLOTS], NO_OP);
+        while n != NO_OP {
+            let node = self.nodes[n as usize];
+            // A squashed op's entry may outlive its slot: check the seq.
+            if ops.live(node.op) {
+                ready.push(node.op);
+            }
+            self.nodes[n as usize].next = self.free;
+            self.free = n;
+            n = node.next;
+        }
+        while let Some(&Reverse((t, oi))) = self.overflow.peek() {
+            if t > now {
+                break;
+            }
+            self.overflow.pop();
+            if ops.live(oi) {
+                ready.push(oi);
+            }
+        }
+    }
+}
+
+/// The per-seq logs of a run. A run takes them from its thread's
+/// [`SEQ_LOGS`] slot and hands them back when it ends, so consecutive
+/// runs on a thread reuse one set of pages instead of each faulting in
+/// a fresh allocation.
+struct SeqLogs {
+    ready_at: Vec<u64>,
+    min_margin: Vec<u64>,
+    committed: Vec<CommittedSingleton>,
+}
+
+thread_local! {
+    static SEQ_LOGS: std::cell::RefCell<SeqLogs> = const {
+        std::cell::RefCell::new(SeqLogs {
+            ready_at: Vec::new(),
+            min_margin: Vec::new(),
+            committed: Vec::new(),
+        })
+    };
+}
+
+/// Takes a log from the thread's slot, emptied, with room for `cap`
+/// entries.
+fn reuse<T>(log: &mut Vec<T>, cap: usize) -> Vec<T> {
+    let mut v = std::mem::take(log);
+    v.clear();
+    v.reserve(cap);
+    v
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -378,9 +498,9 @@ struct Engine<'a> {
     /// Sequence number of the next fetched op. Sequence numbers are never
     /// reused, so a squash's replay gets fresh ones.
     next_seq: u32,
-    /// Per-seq output-ready time (`NEVER` until the op executes).
-    /// Consumers, the rename table and pipeline traces read producers of
-    /// any age, long after their slots are reused.
+    /// Per-seq output-ready time (`NEVER` until the op executes), written
+    /// once. Consumers, the rename table and the slack profile read
+    /// producers of any age, long after their slots are reused.
     ready_at: Vec<u64>,
     /// Profiling-only logs, present when `opts.profile_slack` is set.
     slack_log: Option<SlackLog>,
@@ -389,10 +509,12 @@ struct Engine<'a> {
     /// persist across cycles while port- or disambiguation-blocked;
     /// squashed entries are filtered lazily.
     ready: Vec<u32>,
-    /// Pending wakeups: `(cycle, op)` min-heap of IQ ops whose operand
-    /// arrival time is known. Ops with an unissued producer instead sit in
-    /// that producer's waiter list until its completion time is known.
-    wakeups: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Pending wakeups of IQ ops whose operand arrival time is known.
+    /// Ops with an unissued producer instead sit in that producer's
+    /// waiter list until its completion time is known.
+    wakeups: WakeQueue,
+    /// `log2` of the I$ line size (a power of two: `Cache::new` checks).
+    fetch_line_shift: u32,
     lq: VecDeque<u32>,
     sq: VecDeque<u32>,
     fetchq: VecDeque<u32>,
@@ -438,10 +560,14 @@ impl<'a> Engine<'a> {
         // Twice the ROB plus fetch queue: the live window never wraps the
         // ring on the paper's machines, so `grow` stays a cold path.
         let ring_cap = (2 * (cfg.rob_entries as usize + fetchq_cap)).next_power_of_two();
-        let slack_log = opts.profile_slack.then(|| SlackLog {
-            min_margin: Vec::with_capacity(trace.len() + 64),
-            src_ready: Vec::with_capacity(trace.len() + 64),
-            committed: Vec::with_capacity(trace.len()),
+        // Seqs outnumber trace entries only by replays and outline jumps.
+        let seqs = trace.len() + 64;
+        let (ready_at, slack_log) = SEQ_LOGS.with_borrow_mut(|logs| {
+            let slack_log = opts.profile_slack.then(|| SlackLog {
+                min_margin: reuse(&mut logs.min_margin, seqs),
+                committed: reuse(&mut logs.committed, trace.len()),
+            });
+            (reuse(&mut logs.ready_at, seqs), slack_log)
         });
         Engine {
             program,
@@ -458,11 +584,12 @@ impl<'a> Engine<'a> {
             decoded,
             ops: OpRing::with_capacity(ring_cap),
             next_seq: 0,
-            ready_at: Vec::with_capacity(trace.len() + 64),
+            ready_at,
             slack_log,
             rob: VecDeque::with_capacity(cfg.rob_entries as usize),
             ready: Vec::with_capacity(cfg.iq_entries as usize),
-            wakeups: BinaryHeap::with_capacity(2 * cfg.iq_entries as usize),
+            wakeups: WakeQueue::with_capacity(2 * cfg.iq_entries as usize),
+            fetch_line_shift: cfg.il1.line_bytes.trailing_zeros(),
             lq: VecDeque::with_capacity(cfg.lq_entries as usize),
             sq: VecDeque::with_capacity(cfg.sq_entries as usize),
             fetchq: VecDeque::with_capacity(fetchq_cap),
@@ -624,7 +751,8 @@ impl<'a> Engine<'a> {
                             seq: head,
                             id,
                             issued: op.issued_at,
-                            out_ready: self.ready_at[head as usize],
+                            srcs: [op.srcs[0], op.srcs[1]],
+                            n_srcs: if op.needs_iq { op.n_srcs } else { 0 },
                             mispredicted: op.mispredicted,
                         });
                     }
@@ -676,7 +804,7 @@ impl<'a> Engine<'a> {
             }
             // An op is first considered the cycle after dispatch, exactly
             // as when it sat in a queue scanned by the next issue pass.
-            None => self.wakeups.push(Reverse((wake.max(self.cycle + 1), oi))),
+            None => self.wakeups.push(self.cycle, wake.max(self.cycle + 1), oi),
         }
     }
 
@@ -702,16 +830,7 @@ impl<'a> Engine<'a> {
         // Wakeup: pull every op whose operand-arrival cycle has come into
         // the ready list. Arrival times never change once scheduled, so no
         // per-op readiness rescan is needed.
-        while let Some(&Reverse((t, oi))) = self.wakeups.peek() {
-            if t > self.cycle {
-                break;
-            }
-            self.wakeups.pop();
-            // A squashed op's entry may outlive its slot: check the seq.
-            if self.ops.live(oi) {
-                self.ready.push(oi);
-            }
-        }
+        self.wakeups.drain(self.cycle, &self.ops, &mut self.ready);
         if self.ready.is_empty() {
             return;
         }
@@ -866,33 +985,31 @@ impl<'a> Engine<'a> {
         // `max_src_ready`, and we are issuing exactly then, the delay
         // propagated. The flag is read only when the handle commits, so a
         // producer that has committed (or lost its slot) is skipped.
-        let (srcs, n_srcs) = (self.ops[oi].srcs, self.ops[oi].n_srcs as usize);
-        for &p in &srcs[..n_srcs] {
-            if p == NO_OP {
-                continue;
-            }
-            let p_ready = self.ready_at[p as usize];
-            // Local-slack sample: how long after the value arrived did
-            // this consumer issue?
-            SlackLog::note_margin(&mut self.slack_log, p, now.saturating_sub(p_ready));
-            let prod = &mut self.ops[p];
-            if prod.seq == p
-                && !prod.committed
-                && prod.ser_delayed
-                && p_ready == max_src_ready
-                && now == p_ready
-            {
-                prod.consumer_delayed = true;
-            }
-        }
-        // Record per-slot value ready times for profiling.
-        if self.slack_log.is_some() {
-            let mut src_ready = [NEVER; 2];
-            for s in 0..n_srcs.min(2) {
-                src_ready[s] = self.src_ready_time(srcs[s]);
-            }
-            if let Some(log) = self.slack_log.as_mut() {
-                log.src_ready[oi as usize] = src_ready;
+        // Only a handle sets `ser_delayed`, so a program without
+        // instances skips the producer-slot check.
+        let check_delay = !self.imap.instances.is_empty();
+        if check_delay || self.slack_log.is_some() {
+            let (srcs, n_srcs) = (self.ops[oi].srcs, self.ops[oi].n_srcs as usize);
+            for &p in &srcs[..n_srcs] {
+                if p == NO_OP {
+                    continue;
+                }
+                let p_ready = self.ready_at[p as usize];
+                // Local-slack sample: how long after the value arrived did
+                // this consumer issue?
+                SlackLog::note_margin(&mut self.slack_log, p, now.saturating_sub(p_ready));
+                if !check_delay {
+                    continue;
+                }
+                let prod = &mut self.ops[p];
+                if prod.seq == p
+                    && !prod.committed
+                    && prod.ser_delayed
+                    && p_ready == max_src_ready
+                    && now == p_ready
+                {
+                    prod.consumer_delayed = true;
+                }
             }
         }
 
@@ -1309,14 +1426,13 @@ impl<'a> Engine<'a> {
             return;
         }
         let mut slots = self.cfg.fetch_width;
-        let line_bytes = self.cfg.il1.line_bytes as u64;
         let mut cycle_line: Option<u64> = None;
 
         while slots > 0 && self.fetchq.len() < self.fetchq_cap {
             let Some((unit, pc)) = self.peek_unit() else {
                 break;
             };
-            let line = pc / line_bytes;
+            let line = pc >> self.fetch_line_shift;
             match cycle_line {
                 Some(l) if l != line => break, // one line per cycle
                 Some(_) => {}
@@ -1483,7 +1599,6 @@ impl<'a> Engine<'a> {
         self.ready_at.push(NEVER);
         if let Some(log) = self.slack_log.as_mut() {
             log.min_margin.push(NEVER);
-            log.src_ready.push([NEVER; 2]);
         }
     }
 
@@ -1563,16 +1678,19 @@ impl<'a> Engine<'a> {
             if loc.idx == 0 {
                 base = issued;
             }
-            let out_ready = op.out_ready as i64;
+            let out_ready = self.ready_at[op.seq as usize] as i64;
             let margin = match log.min_margin[op.seq as usize] {
                 NEVER => slack::SLACK_CAP,
                 m => m,
             };
-            let src_ready = log.src_ready[op.seq as usize];
-            let rel = |r: u64| (r != NEVER).then(|| r as i64 - base);
+            // A producer's ready time is final before its consumer
+            // issues, so reading it now gives what the op saw at issue.
+            let src = |s: usize| {
+                (s < op.n_srcs as usize).then(|| self.src_ready_time(op.srcs[s]) as i64 - base)
+            };
             accums[op.id.index()].add(
                 issued - base,
-                [rel(src_ready[0]), rel(src_ready[1])],
+                [src(0), src(1)],
                 out_ready - base,
                 margin,
                 op.mispredicted,
@@ -1580,6 +1698,23 @@ impl<'a> Engine<'a> {
             );
         }
         slack::finish_profile(self.program, &accums)
+    }
+}
+
+impl Drop for Engine<'_> {
+    /// Hands the per-seq logs back to the thread's slot for its next run.
+    fn drop(&mut self) {
+        let ready_at = std::mem::take(&mut self.ready_at);
+        let slack_log = self.slack_log.take();
+        // A thread tearing down its locals has no next run.
+        let _ = SEQ_LOGS.try_with(|slot| {
+            let mut logs = slot.borrow_mut();
+            logs.ready_at = ready_at;
+            if let Some(log) = slack_log {
+                logs.min_margin = log.min_margin;
+                logs.committed = log.committed;
+            }
+        });
     }
 }
 
@@ -2155,6 +2290,39 @@ mod tests {
         assert!(!r.hit_cycle_cap);
         assert!(r.stats.disabled_templates > 0 && r.stats.outline_jumps > 0);
         assert!(r.stats.violation_flushes > 0, "{:?}", r.stats);
+    }
+
+    #[test]
+    fn wake_queue_fires_each_entry_at_its_cycle() {
+        let mut ops = OpRing::with_capacity(8);
+        for seq in 0..5 {
+            ops[seq].seq = seq;
+        }
+        let horizon = WHEEL_SLOTS as u64;
+        let now = 100;
+        // (op, wake cycle): the wheel's nearest and farthest slots, the
+        // first cycle past its horizon, and a far overflow entry.
+        let due = [
+            (0, now + 1),
+            (1, now + horizon - 1),
+            (2, now + horizon),
+            (3, now + 5000),
+        ];
+        let mut q = WakeQueue::with_capacity(4);
+        for &(oi, at) in &due {
+            q.push(now, at, oi);
+        }
+        // Op 4 is squashed before it wakes.
+        q.push(now, now + 2, 4);
+        ops[4].squashed = true;
+        let (mut fired, mut ready) = (Vec::new(), Vec::new());
+        for cycle in now + 1..=now + 6000 {
+            q.drain(cycle, &ops, &mut ready);
+            fired.extend(ready.drain(..).map(|oi| (oi, cycle)));
+        }
+        assert_eq!(fired, due);
+        assert!(q.overflow.is_empty());
+        assert!(q.heads.iter().all(|&h| h == NO_OP));
     }
 
     /// Every kind of row the decode pass fills in: two instances (one
