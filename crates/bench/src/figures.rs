@@ -13,7 +13,7 @@ use crate::runner::{par_map, InputSel, SweepCell, SweepResult, SweepSpec};
 use crate::{mean, Config};
 use mg_core::candidate::{enumerate, Candidate, SelectionConfig};
 use mg_core::classify::{classify, Serialization};
-use mg_core::depgraph::{schedule_with_groups, BlockDepsCache};
+use mg_core::depgraph::{closes_cycle, BlockDepsCache, CycleScratch};
 use mg_core::pipeline::profile_workload;
 use mg_core::rewrite::{rewrite_with, ChosenInstance};
 use mg_core::select::{slack_profile_admits, SlackProfileModel};
@@ -920,6 +920,7 @@ fn fig8(_: usize) -> String {
     let mut chosen: Vec<Candidate> = Vec::new();
     let mut used: Vec<bool> = vec![false; w.program.static_count()];
     let deps = BlockDepsCache::new(&w.program);
+    let mut scratch = CycleScratch::default();
     for c in pool {
         if chosen.len() == 10 {
             break;
@@ -930,13 +931,16 @@ fn fig8(_: usize) -> String {
         {
             continue;
         }
-        let mut groups: Vec<&[usize]> = chosen
+        let same_block = chosen
             .iter()
             .filter(|x| x.block == c.block)
-            .map(|x| x.positions.as_slice())
-            .collect();
-        groups.push(c.positions.as_slice());
-        if schedule_with_groups(deps.get(&w.program, c.block), &groups).is_none() {
+            .map(|x| x.positions.as_slice());
+        if closes_cycle(
+            deps.get(&w.program, c.block),
+            same_block,
+            &c.positions,
+            &mut scratch,
+        ) {
             continue;
         }
         for &p in &c.positions {

@@ -489,6 +489,7 @@ impl BenchContext {
     fn pool(&self, cfg: &SelectionConfig) -> Arc<Pool> {
         let hit = self.memo().pools.get(cfg).cloned();
         hit.unwrap_or_else(|| {
+            let _span = mg_obs::span("stage", format!("{}/enumerate", self.spec.name));
             let (candidates, index) = PoolIndex::enumerate(&self.workload.program, cfg);
             let pool = Arc::new(Pool { candidates, index });
             tele_counter!("mg_select_pools_total").inc();
@@ -509,9 +510,9 @@ impl BenchContext {
             tele_counter!("mg_select_shared_total").inc();
             return Ok(hit);
         }
+        let pool = self.pool(cfg);
         let prepared = {
             let _span = mg_obs::span("stage", format!("{}/select", self.spec.name));
-            let pool = self.pool(cfg);
             let selector = key.selector(&self.slack);
             try_prepare_indexed(
                 &self.workload.program,

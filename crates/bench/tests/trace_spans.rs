@@ -19,8 +19,9 @@ fn str_field<'a>(event: &'a Value, name: &str) -> &'a str {
 /// A reduced traced sweep (2 benchmarks, 2 cells) leaves complete
 /// (`"X"`) spans in every category of the sweep → bench → cell → stage
 /// hierarchy. Its stage spans split context building into generation,
-/// functional execution and slack profiling, and a selection is
-/// projected (`project`), never re-executed (`reexec`).
+/// functional execution and slack profiling, selection into the
+/// candidate pool (`enumerate`) and the selection proper (`select`), and
+/// a selection is projected (`project`), never re-executed (`reexec`).
 #[test]
 fn traced_sweep_covers_the_span_hierarchy() {
     let red = MachineConfig::reduced();
@@ -67,7 +68,13 @@ fn traced_sweep_covers_the_span_hierarchy() {
         })
         .collect();
     for want in [
-        "generate", "execute", "profile", "select", "project", "simulate",
+        "generate",
+        "execute",
+        "profile",
+        "enumerate",
+        "select",
+        "project",
+        "simulate",
     ] {
         assert!(stages.contains(want), "no {want} stage span: {stages:?}");
     }

@@ -166,10 +166,12 @@ pub(crate) fn enumerate_with(
 ) -> Vec<Candidate> {
     let live = mg_isa::dataflow::liveness(program);
     let mut out = Vec::new();
+    let mut scratch = Scratch::default();
     for (bi, block) in program.blocks().iter().enumerate() {
         let bid = BlockId(bi as u32);
         let df = BlockDataflow::analyze(block, live.live_out(bid));
-        enumerate_block(block, bid, &df, deps.get(program, bid), cfg, &mut out);
+        let deps = deps.get(program, bid);
+        enumerate_block_with(block, bid, &df, deps, cfg, &mut out, &mut scratch);
     }
     out
 }
@@ -183,6 +185,28 @@ pub fn enumerate_block(
     cfg: &SelectionConfig,
     out: &mut Vec<Candidate>,
 ) {
+    enumerate_block_with(block, bid, df, deps, cfg, out, &mut Scratch::default());
+}
+
+/// Buffers that validating a subset writes into, reused for every
+/// subset one enumeration looks at: only an accepted subset's shape is
+/// copied out into its own allocation.
+#[derive(Default)]
+struct Scratch {
+    shape: CandidateShape,
+    after: Vec<bool>,
+    before: Vec<bool>,
+}
+
+fn enumerate_block_with(
+    block: &BasicBlock,
+    bid: BlockId,
+    df: &BlockDataflow,
+    deps: &BlockDeps,
+    cfg: &SelectionConfig,
+    out: &mut Vec<Candidate>,
+    scratch: &mut Scratch,
+) {
     let n = block.insts.len();
     let eligible: Vec<bool> = block.insts.iter().map(|i| i.op.mg_eligible()).collect();
     let mut stack: Vec<usize> = Vec::with_capacity(cfg.max_size);
@@ -191,7 +215,9 @@ pub fn enumerate_block(
             continue;
         }
         stack.push(first);
-        extend(block, bid, df, deps, cfg, &eligible, &mut stack, out);
+        extend(
+            block, bid, df, deps, cfg, &eligible, &mut stack, out, scratch,
+        );
         stack.pop();
     }
 }
@@ -206,6 +232,7 @@ fn extend(
     eligible: &[bool],
     stack: &mut Vec<usize>,
     out: &mut Vec<Candidate>,
+    scratch: &mut Scratch,
 ) {
     // `extend` is only called with a seeded stack, but tolerate an empty
     // one rather than panicking (the fuzzer drives this path directly).
@@ -223,15 +250,15 @@ fn extend(
             continue;
         }
         stack.push(next);
-        if let Some(shape) = analyze(block, df, stack, cfg) {
-            if groupable(deps, stack) {
+        if analyze(block, df, stack, cfg, &mut scratch.shape) {
+            if groupable_with(deps, stack, &mut scratch.after, &mut scratch.before) {
                 out.push(Candidate {
                     block: bid,
                     positions: stack.clone(),
-                    shape,
+                    shape: scratch.shape.clone(),
                 });
                 if stack.len() < cfg.max_size.min(MAX_CANDIDATE_LEN) {
-                    extend(block, bid, df, deps, cfg, eligible, stack, out);
+                    extend(block, bid, df, deps, cfg, eligible, stack, out, scratch);
                 }
             }
         } else if stack.len() < cfg.max_size.min(MAX_CANDIDATE_LEN)
@@ -242,7 +269,7 @@ fn extend(
             // that a later constituent consumes... it cannot), so in
             // general we stop; but latency/size limits are monotone, so
             // only extend when the partial set is still viable.
-            extend(block, bid, df, deps, cfg, eligible, stack, out);
+            extend(block, bid, df, deps, cfg, eligible, stack, out, scratch);
         }
         stack.pop();
     }
@@ -271,26 +298,36 @@ fn partial_viable(
     lat < cfg.max_latency && mem <= 1 && ctrl == 0
 }
 
-/// Analyzes a subset's interface; `None` if it violates mini-graph
-/// constraints.
+/// Analyzes a subset's interface into `shape` (overwriting it); `false`
+/// if the subset violates mini-graph constraints, leaving `shape`
+/// partly written.
 fn analyze(
     block: &BasicBlock,
     df: &BlockDataflow,
     positions: &[usize],
     cfg: &SelectionConfig,
-) -> Option<CandidateShape> {
+    shape: &mut CandidateShape,
+) -> bool {
     // All candidate-relative positions and external-input indices below
     // are stored in `u8` fields; reject outright any subset that could
     // overflow them instead of truncating silently.
     if positions.len() > MAX_CANDIDATE_LEN {
-        return None;
+        return false;
     }
-    let mut ext_inputs: Vec<(Reg, u8)> = Vec::new();
-    let mut srcs: Vec<[CandSrc; 2]> = Vec::with_capacity(positions.len());
-    let mut output_pos: Option<u8> = None;
-    let mut mem: Option<(u8, bool)> = None;
-    let mut control: Option<u8> = None;
-    let mut lat_prefix = Vec::with_capacity(positions.len() + 1);
+    let CandidateShape {
+        ext_inputs,
+        output_pos,
+        mem,
+        control,
+        srcs,
+        lat_prefix,
+    } = shape;
+    ext_inputs.clear();
+    srcs.clear();
+    lat_prefix.clear();
+    *output_pos = None;
+    *mem = None;
+    *control = None;
     let mut lat = 0u32;
 
     for (ci, &pos) in positions.iter().enumerate() {
@@ -298,7 +335,7 @@ fn analyze(
         lat_prefix.push(lat);
         lat += inst.op.optimistic_latency(cfg.l1_hit);
         if lat > cfg.max_latency {
-            return None;
+            return false;
         }
         let ci8 = ci as u8; // in range: positions.len() <= MAX_CANDIDATE_LEN
         let mut links = [CandSrc::None, CandSrc::None];
@@ -323,9 +360,12 @@ fn analyze(
                     // than only at the end) keeps `idx` in `u8` range no
                     // matter how large `max_ext_inputs` is configured.
                     if ext_inputs.len() > cfg.max_ext_inputs {
-                        return None;
+                        return false;
                     }
-                    CandSrc::External(u8::try_from(idx).ok()?)
+                    let Ok(idx) = u8::try_from(idx) else {
+                        return false;
+                    };
+                    CandSrc::External(idx)
                 }
             };
         }
@@ -333,44 +373,44 @@ fn analyze(
 
         if inst.op.is_mem() {
             if mem.is_some() {
-                return None;
+                return false;
             }
-            mem = Some((ci8, inst.op.is_load()));
+            *mem = Some((ci8, inst.op.is_load()));
         }
         if inst.op.is_control() {
             // Control must be the block terminator and last constituent.
             if control.is_some() || pos + 1 != block.insts.len() || ci + 1 != positions.len() {
-                return None;
+                return false;
             }
-            control = Some(ci8);
+            *control = Some(ci8);
         }
         if let Some(_d) = inst.def() {
             if df.value_visible_outside(pos, positions) {
                 if output_pos.is_some() {
-                    return None;
+                    return false;
                 }
-                output_pos = Some(ci8);
+                *output_pos = Some(ci8);
             }
         }
     }
     lat_prefix.push(lat);
-    if ext_inputs.len() > cfg.max_ext_inputs {
-        return None;
-    }
-    Some(CandidateShape {
-        ext_inputs,
-        output_pos,
-        mem,
-        control,
-        srcs,
-        lat_prefix,
-    })
+    ext_inputs.len() <= cfg.max_ext_inputs
 }
 
 /// Whether the subset can be made contiguous by a dependence-preserving
 /// reordering of the block: no intervening instruction may be *both*
 /// (transitively) dependent on a member and depended on by a member.
 pub fn groupable(deps: &BlockDeps, positions: &[usize]) -> bool {
+    groupable_with(deps, positions, &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`groupable`], computing into the caller's buffers.
+fn groupable_with(
+    deps: &BlockDeps,
+    positions: &[usize],
+    after: &mut Vec<bool>,
+    before: &mut Vec<bool>,
+) -> bool {
     // An empty subset is vacuously groupable (and enumeration never asks).
     let (Some(&first), Some(&last)) = (positions.first(), positions.last()) else {
         return true;
@@ -386,7 +426,8 @@ pub fn groupable(deps: &BlockDeps, positions: &[usize]) -> bool {
     let is_member = |p: usize| positions.contains(&p);
     // reach_from_member[i]: window-relative instruction i is (transitively)
     // a dependent of some member.
-    let mut after = vec![false; len];
+    after.clear();
+    after.resize(len, false);
     for p in window.clone() {
         let rel = p - first;
         if is_member(p) {
@@ -401,7 +442,8 @@ pub fn groupable(deps: &BlockDeps, positions: &[usize]) -> bool {
         }
     }
     // reaches_member[i]: some member (transitively) depends on i.
-    let mut before = vec![false; len];
+    before.clear();
+    before.resize(len, false);
     for p in window.clone().rev() {
         let rel = p - first;
         if is_member(p) {

@@ -141,6 +141,98 @@ impl BlockDepsCache {
     }
 }
 
+/// Reusable buffers for [`closes_cycle`]: one walk's per-position state,
+/// grown to the largest block seen and kept across calls.
+#[derive(Debug, Default)]
+pub struct CycleScratch {
+    /// Per position: the next member of its claim (a ring through the
+    /// claim), [`FREE`] for an unclaimed instruction, or [`CAND`].
+    link: Vec<u32>,
+    seen: Vec<bool>,
+    stack: Vec<u32>,
+}
+
+const FREE: u32 = u32::MAX;
+const CAND: u32 = u32::MAX - 1;
+
+/// Whether making `cand` contiguous next to the block's existing `claims`
+/// is infeasible: the same answer as
+/// `schedule_with_groups(deps, claims ++ [cand]).is_none()`, provided
+/// the claims are jointly schedulable on their own (as a greedy pass
+/// that admits each claim through this check keeps them) and `cand` is
+/// disjoint from them.
+///
+/// Under that precondition every cycle of the merged graph runs through
+/// the candidate's node. The walk therefore starts at the candidate's
+/// successors outside it, treats a claim as one node (reaching any
+/// member reaches them all) and reports a cycle exactly when it comes
+/// back to a candidate member. An unclaimed position past every claim
+/// and candidate member only leads further forward, so the walk stops
+/// there.
+pub fn closes_cycle<'a>(
+    deps: &BlockDeps,
+    claims: impl IntoIterator<Item = &'a [usize]>,
+    cand: &[usize],
+    scratch: &mut CycleScratch,
+) -> bool {
+    let Some(&last) = cand.last() else {
+        return false;
+    };
+    let CycleScratch { link, seen, stack } = scratch;
+    link.clear();
+    link.resize(deps.len(), FREE);
+    seen.clear();
+    seen.resize(deps.len(), false);
+    stack.clear();
+    let mut hi = last;
+    for claim in claims {
+        for (i, &p) in claim.iter().enumerate() {
+            link[p] = claim[(i + 1) % claim.len()] as u32;
+            hi = hi.max(p);
+        }
+    }
+    for &p in cand {
+        debug_assert_eq!(link[p], FREE, "the candidate overlaps a claim");
+        link[p] = CAND;
+    }
+
+    // Marks `s` reached, with the rest of its claim; `true` when `s` is
+    // a candidate member.
+    let reach = |s: usize, link: &[u32], seen: &mut [bool], stack: &mut Vec<u32>| -> bool {
+        if link[s] == CAND {
+            return true;
+        }
+        if s > hi || seen[s] {
+            return false;
+        }
+        seen[s] = true;
+        stack.push(s as u32);
+        let mut q = link[s];
+        while q != FREE && q as usize != s {
+            seen[q as usize] = true;
+            stack.push(q);
+            q = link[q as usize];
+        }
+        false
+    };
+    for &p in cand {
+        for &s in deps.succs(p) {
+            // Edges inside the candidate vanish when it is merged.
+            if link[s] != CAND {
+                reach(s, link, seen, stack);
+            }
+        }
+    }
+    while let Some(p) = stack.pop() {
+        for &s in deps.succs(p as usize) {
+            if reach(s, link, seen, stack) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 /// Computes a dependence-preserving order of the block in which each
 /// *group* (disjoint, ascending position sets) is contiguous; non-group
 /// instructions keep their relative order as much as possible.
@@ -335,5 +427,105 @@ mod tests {
         let b = block_of(vec![Instruction::li(Reg::R1, 1)]);
         let d = BlockDeps::build(&b);
         assert_eq!(schedule_with_groups(&d, &[]).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn cycle_through_a_claim_outside_the_window() {
+        // Claim {1,4} and candidate {0,3} are each schedulable alone.
+        // Together, 0 -> 4 (claim) ~ 1 -> 3 closes a cycle through
+        // position 4, past the candidate's window [0,3].
+        let b = block_of(vec![
+            Instruction::addi(Reg::R1, Reg::R10, 1), // 0
+            Instruction::addi(Reg::R2, Reg::R11, 1), // 1
+            Instruction::addi(Reg::R9, Reg::R12, 1), // 2
+            Instruction::addi(Reg::R3, Reg::R2, 1),  // 3: needs 1
+            Instruction::addi(Reg::R4, Reg::R1, 1),  // 4: needs 0
+        ]);
+        let d = BlockDeps::build(&b);
+        let claim: &[usize] = &[1, 4];
+        let cand: &[usize] = &[0, 3];
+        assert!(schedule_with_groups(&d, &[claim]).is_some());
+        assert!(schedule_with_groups(&d, &[cand]).is_some());
+        assert!(schedule_with_groups(&d, &[claim, cand]).is_none());
+        let mut scratch = CycleScratch::default();
+        assert!(!closes_cycle(&d, [], cand, &mut scratch));
+        assert!(closes_cycle(&d, [claim], cand, &mut scratch));
+    }
+
+    #[test]
+    fn candidate_split_by_a_dependent_is_a_cycle() {
+        // 0 -> 1 -> 2: the candidate {0,2} alone cannot be contiguous.
+        let b = block_of(vec![
+            Instruction::addi(Reg::R1, Reg::R10, 1),
+            Instruction::addi(Reg::R2, Reg::R1, 1),
+            Instruction::addi(Reg::R3, Reg::R2, 1),
+        ]);
+        let d = BlockDeps::build(&b);
+        let mut scratch = CycleScratch::default();
+        assert!(closes_cycle(&d, [], &[0, 2], &mut scratch));
+        assert!(!closes_cycle(&d, [], &[0, 1], &mut scratch));
+    }
+
+    /// A random straight-line block over few registers (so dependences
+    /// are dense), with loads, stores and sometimes a branch terminator.
+    fn random_block(rng: &mut rand::rngs::StdRng) -> BasicBlock {
+        use rand::Rng;
+        let n = rng.gen_range(2..28usize);
+        let reg = |rng: &mut rand::rngs::StdRng| Reg::new(rng.gen_range(1..7u8));
+        let mut insts = Vec::with_capacity(n);
+        for _ in 0..n {
+            insts.push(match rng.gen_range(0..6u32) {
+                0 => Instruction::load(reg(rng), reg(rng), 0),
+                1 => Instruction::store(reg(rng), reg(rng), 0),
+                2 => Instruction::add(reg(rng), reg(rng), reg(rng)),
+                _ => Instruction::addi(reg(rng), reg(rng), 1),
+            });
+        }
+        if rng.gen_bool(0.5) {
+            insts.push(Instruction::br(BrCond::Ne, reg(rng), Reg::ZERO, BlockId(0)));
+        }
+        block_of(insts)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Growing a claim set greedily from random disjoint position
+        /// sets, the incremental check agrees with a full grouped
+        /// schedule at every attempt.
+        #[test]
+        fn closes_cycle_matches_a_full_schedule(seed in proptest::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let b = random_block(&mut rng);
+            let d = BlockDeps::build(&b);
+            let n = d.len();
+            let mut claimed = vec![false; n];
+            let mut claims: Vec<Vec<usize>> = Vec::new();
+            let mut scratch = CycleScratch::default();
+            for _ in 0..3 * n {
+                let first = rng.gen_range(0..n);
+                let span = rng.gen_range(1..8usize);
+                let mut cand: Vec<usize> = (first..n.min(first + span + 1))
+                    .filter(|&p| !claimed[p] && (p == first || rng.gen_bool(0.5)))
+                    .collect();
+                cand.truncate(rng.gen_range(2..5usize));
+                if cand.len() < 2 || claimed[first] {
+                    continue;
+                }
+                let mut groups: Vec<&[usize]> = claims.iter().map(Vec::as_slice).collect();
+                groups.push(&cand);
+                let full = schedule_with_groups(&d, &groups).is_none();
+                let incremental =
+                    closes_cycle(&d, claims.iter().map(Vec::as_slice), &cand, &mut scratch);
+                proptest::prop_assert_eq!(incremental, full, "claims {:?} cand {:?}", claims, cand);
+                if !full {
+                    for &p in &cand {
+                        claimed[p] = true;
+                    }
+                    claims.push(cand);
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::candidate::{enumerate_with, Candidate, SelectionConfig};
 use crate::classify::{classify, Serialization};
-use crate::depgraph::{schedule_with_groups, BlockDepsCache};
+use crate::depgraph::{closes_cycle, BlockDepsCache, CycleScratch};
 use crate::rewrite::ChosenInstance;
 use crate::template::TemplateIndex;
 use mg_isa::{Program, StaticId};
@@ -379,6 +379,7 @@ pub fn select_admitted(
     // used[static index] = claimed by an instance.
     let mut used = vec![false; program.static_count()];
     let mut claims_per_block: HashMap<u32, Vec<usize>> = HashMap::new(); // pool indices
+    let mut scratch = CycleScratch::default();
     let alive = |m: usize, used: &[bool]| -> bool {
         !pool[m]
             .positions
@@ -434,12 +435,14 @@ pub fn select_admitted(
             }
             let cand = &pool[m];
             let block_claims = claims_per_block.entry(cand.block.0).or_default();
-            let mut groups: Vec<&[usize]> = block_claims
-                .iter()
-                .map(|&ci| pool[ci].positions.as_slice())
-                .collect();
-            groups.push(cand.positions.as_slice());
-            if schedule_with_groups(index.deps.get(program, cand.block), &groups).is_none() {
+            // The block's claims are jointly schedulable (each passed
+            // this check), so only a cycle through `cand` can break that.
+            if closes_cycle(
+                index.deps.get(program, cand.block),
+                block_claims.iter().map(|&ci| pool[ci].positions.as_slice()),
+                &cand.positions,
+                &mut scratch,
+            ) {
                 continue;
             }
             // Claim.

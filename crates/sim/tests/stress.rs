@@ -1,6 +1,7 @@
 //! Stress tests: the engine must stay deadlock-free and account
 //! resources correctly under extreme (non-paper) configurations.
 
+use mg_isa::Opcode;
 use mg_sim::{simulate, MachineConfig, SimOptions};
 use mg_workloads::{benchmark, Executor, Workload};
 
@@ -66,12 +67,19 @@ fn single_wide_machine() {
     assert!(one.ipc() <= 1.0 + 1e-9);
 }
 
-#[test]
-fn glacial_memory() {
-    let w = workload();
+/// The reduced machine with misses slower than the engine's 512-cycle
+/// wakeup wheel.
+fn slow_memory() -> MachineConfig {
     let mut cfg = MachineConfig::reduced();
     cfg.name = "slow-mem".into();
     cfg.mem_lat = 2000;
+    cfg
+}
+
+#[test]
+fn glacial_memory() {
+    let w = workload();
+    let cfg = slow_memory();
     // Misses wake their consumers past the engine's wakeup wheel, from
     // its overflow heap; an overflow entry drained early trips the
     // engine's woke-before-its-operands assertion, and the run must
@@ -84,6 +92,45 @@ fn glacial_memory() {
         slow.stats.cycles,
         normal.stats.cycles
     );
+}
+
+/// The slow-memory run, profiled: no op issues before its operands are
+/// ready. A miss wakes its consumer from the wakeup wheel's overflow
+/// heap, so an overflow entry released early would show here as an
+/// issue time below a source-ready time, in every build profile.
+#[test]
+fn glacial_memory_issues_no_op_before_its_operands() {
+    let w = workload();
+    let (trace, _) = Executor::new(&w.program).run_with_mem(&w.init_mem).unwrap();
+    let opts = SimOptions {
+        profile_slack: true,
+        ..SimOptions::default()
+    };
+    let r = simulate(&w.program, &trace, &slow_memory(), opts);
+    assert!(!r.hit_cycle_cap);
+    let profile = r.slack.expect("profiling requested");
+    let (mut checked, mut slow_loads) = (0, 0);
+    for (id, inst) in w.program.iter_static() {
+        let rec = profile.get(id);
+        // Ops that bypass the issue queue record no operand slots; an
+        // absent slot averages to 0, which says nothing.
+        if rec.count == 0 || inst.op.is_uncond_control() || inst.op == Opcode::Nop {
+            continue;
+        }
+        slow_loads += (inst.op.is_load() && rec.avg_latency > 512.0) as usize;
+        for slot in 0..inst.uses().count() {
+            assert!(
+                rec.issue_rel >= rec.src_ready_rel[slot] - 1e-9,
+                "{id:?} ({:?}) issues at {} before slot {slot} is ready at {}",
+                inst.op,
+                rec.issue_rel,
+                rec.src_ready_rel[slot]
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 100, "only {checked} operand slots checked");
+    assert!(slow_loads > 0, "no load waited past the wakeup wheel");
 }
 
 #[test]
